@@ -36,10 +36,12 @@ pub struct Tally {
     pub mismatched: u64,
 }
 
-/// A verified job: its spec index and client-side latency.
+/// A verified job: its spec index, when it was sent, and its client-side
+/// latency.
 #[derive(Clone, Copy, Debug)]
 pub struct Done {
     pub spec: usize,
+    pub sent: Instant,
     pub latency: Duration,
 }
 
@@ -55,7 +57,11 @@ impl Jobs<'_> {
         let latency = sent.elapsed();
         let reference = &self.refs[spec];
         if reference.verified && payload == reference.payload.as_slice() {
-            out.done.push(Done { spec, latency });
+            out.done.push(Done {
+                spec,
+                sent,
+                latency,
+            });
         } else {
             out.tally.failed += 1;
             out.tally.mismatched += 1;

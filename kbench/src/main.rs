@@ -24,6 +24,7 @@ use net::Conn;
 use plan::{Plan, Reference, Workload};
 use servers::Deployment;
 use stats::{num, object, string, Summary};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -141,22 +142,32 @@ pub struct Outcome {
     pub replay_mismatches: u64,
 }
 
+/// The pause between two timed start-ups, so that a run's start-ups see
+/// the host in more than one of its speed states: back to back, the 21
+/// start-ups of a run took about 20 ms and their median moved by 22% from
+/// run to run.
+const SETUP_GAP: Duration = Duration::from_millis(20);
+
 /// Starts the workload's servers `times` times, timing each start up to an
-/// open client connection, and keeps the last deployment running.
+/// open client connection, and keeps the last deployment running. Returns
+/// when each start began and ended.
 pub fn set_up(
     args: &Args,
     plan: &Plan,
     log_dir: &Path,
     times: usize,
-) -> Result<(Deployment, Conn, Vec<f64>), String> {
-    let mut setup_s = Vec::new();
+) -> Result<(Deployment, Conn, Vec<Range<Instant>>), String> {
+    let mut starts = Vec::new();
     for i in 0..times.max(1) {
+        if i > 0 {
+            std::thread::sleep(SETUP_GAP);
+        }
         let start = Instant::now();
         let deployment = Deployment::start(&args.kecss, plan.fleet, log_dir)?;
         let conn = Conn::connect(deployment.front(), !plan.fleet).map_err(|e| e.to_string())?;
-        setup_s.push(start.elapsed().as_secs_f64());
+        starts.push(start..Instant::now());
         if i + 1 == times.max(1) {
-            return Ok((deployment, conn, setup_s));
+            return Ok((deployment, conn, starts));
         }
         drop(conn);
         deployment.shutdown()?;
@@ -164,60 +175,58 @@ pub fn set_up(
     unreachable!("the loop returns on its last iteration")
 }
 
-/// The `p`-quantile job latency in ms. A single-shape workload takes it per
-/// slice and reports the median over slices, so a short stall of the host
-/// does not move its tail. A multi-shape workload has a few jobs of each
-/// shape per slice: it reports the geometric mean over shapes of each
-/// shape's quantile over the window, which keeps a median from landing
-/// between shapes whose costs differ by 10–100×.
-fn latency_ms(plan: &Plan, pass: &Pass, slices: &[Slice], p: f64) -> f64 {
-    let quantile = |mut ms: Vec<f64>| {
-        ms.sort_by(f64::total_cmp);
-        stats::quantile(&ms, p)
-    };
-    let ms = |d: &drive::Done| d.latency.as_secs_f64() * 1e3;
-    if plan.shapes == 1 {
-        let per_slice: Vec<f64> = slices
-            .iter()
-            .filter(|s| !s.jobs.is_empty())
-            .map(|s| quantile(pass.done[s.jobs.clone()].iter().map(ms).collect()))
-            .collect();
-        return Summary::of(&per_slice).median;
-    }
-    let log_sum: f64 = (0..plan.shapes)
+/// The `p`-quantile of `ms` (spec index, latency) over the window. A
+/// multi-shape workload reports the mean over shapes of each shape's
+/// quantile: a quantile over all jobs would land between shapes whose costs
+/// differ by 10–100×, and the mean weighs each shape by its cost, as the
+/// throughput does (a geometric mean over shapes, which weighs the cheap
+/// `file:` ring jobs as much as the 2048-vertex ones, spread 2–3× wider on
+/// `big_instances`).
+fn latency_ms(plan: &Plan, ms: &[(usize, f64)], p: f64) -> f64 {
+    let per_shape: Vec<f64> = (0..plan.shapes)
         .map(|shape| {
-            let of_shape = pass.done.iter().filter(|d| d.spec % plan.shapes == shape);
-            quantile(of_shape.map(ms).collect())
-                .max(f64::MIN_POSITIVE)
-                .ln()
+            let mut of_shape: Vec<f64> = ms
+                .iter()
+                .filter(|(spec, _)| spec % plan.shapes == shape)
+                .map(|(_, ms)| *ms)
+                .collect();
+            of_shape.sort_by(f64::total_cmp);
+            stats::quantile(&of_shape, p)
         })
-        .sum();
-    (log_sum / plan.shapes as f64).exp()
+        .collect();
+    stats::mean(&per_shape)
 }
 
 /// The timed window is cut into slices of at least this long (whole cycles
-/// of job shapes); the host's speed is measured after each.
+/// of job shapes), for the per-second samples in the record line.
 const SLICE: Duration = Duration::from_secs(1);
 
 /// One slice of the timed window.
 struct Slice {
     /// Indices into the pass's verified jobs.
-    jobs: std::ops::Range<usize>,
-    secs: f64,
+    jobs: Range<usize>,
+    time: Range<Instant>,
     cpu_s: f64,
-    /// [`host::speed`] right after the slice.
-    speed: f64,
+}
+
+impl Slice {
+    fn secs(&self) -> f64 {
+        (self.time.end - self.time.start).as_secs_f64()
+    }
 }
 
 /// The untraced run: set up, warm up, one timed window, the nine
 /// end-to-end metrics.
 ///
-/// On solver-bound workloads the timed metrics are reported at the reference
-/// host speed: each slice's throughput, latencies and CPU time are scaled by
-/// the speed of a fixed calibration loop timed right after it
-/// ([`host::speed`]), so the host slowing down or speeding up between runs
-/// does not read as a change of the program. The raw figures are in the
-/// record line as `raw.*`.
+/// The timed metrics are reported at the reference host speed: a
+/// [`host::Sampler`] times a fixed calibration loop every 20 ms on the
+/// run's CPU, and each start-up, each job's latency and each slice's wall
+/// and CPU time is scaled by the mean speed over it, so the host slowing
+/// down or speeding up does not read as a change of the program. The
+/// calibration loop's own time is taken out of every start-up, job and
+/// slice it ran in: left in, it delayed 1–2% of the ~90 µs `small_jobs`
+/// jobs by ~150 µs, and their p99 spread 13% from run to run instead of 3%.
+/// The raw figures are in the record line as `raw.*`.
 fn untraced(
     args: &Args,
     plan: &Plan,
@@ -232,10 +241,11 @@ fn untraced(
     };
     let setups = match (args.tiny, plan.fleet) {
         (true, _) => 2,
-        (false, false) => 21,
-        (false, true) => 15,
+        (false, false) => 41,
+        (false, true) => 21,
     };
-    let (deployment, mut conn, setup_s) = set_up(args, plan, log_dir, setups)?;
+    let sampler = host::Sampler::start();
+    let (deployment, mut conn, starts) = set_up(args, plan, log_dir, setups)?;
     let io = |e: std::io::Error| format!("{} client: {e}", plan.workload.name());
 
     let mut warm = Pass::default();
@@ -263,8 +273,7 @@ fn untraced(
             rss_mb = Some(deployment.peak_rss_mb());
         }
     };
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs_f64(args.seconds);
+    let deadline = Instant::now() + Duration::from_secs_f64(args.seconds);
     let mut pass = Pass::default();
     let mut slices = Vec::new();
     let mut cursor = 0usize;
@@ -281,42 +290,44 @@ fn untraced(
             .map_err(io)?;
         slices.push(Slice {
             jobs: from..pass.done.len(),
-            secs: t0.elapsed().as_secs_f64(),
+            time: t0..Instant::now(),
             cpu_s: deployment.cpu_seconds() - cpu0,
-            speed: host::speed(),
         });
     }
-    let elapsed = start.elapsed().as_secs_f64();
     let rss_mb = rss_mb.unwrap_or_else(|| deployment.peak_rss_mb());
     drop(conn);
     deployment.shutdown()?;
+    let speeds = sampler.stop();
 
     let median = |v: &[f64]| Summary::of(v).median;
-    // Only solver-bound jobs are scaled by the host's speed. A job of a few
-    // ms or less spends its time in wakeups and syscalls, which the
-    // calibration loop does not see: scaling `fleet_small` widened its
-    // spread (raw 3.6%, scaled 8.3%), and `small_jobs` slowed by 40% in
-    // spells the loop did not register.
-    let solver_bound = median(&pass.latencies_us()) >= 10_000.0;
-    let speed = |s: &Slice| if solver_bound { s.speed } else { 1.0 };
-    let busy: Vec<&Slice> = slices.iter().filter(|s| !s.jobs.is_empty()).collect();
-    let rates: Vec<f64> = busy
+    let speed = |t: &Range<Instant>| speeds.over(t.start, t.end);
+    let scaled = |t: &Range<Instant>| speeds.scaled_secs(t.start, t.end);
+    let setup_s: Vec<f64> = starts.iter().map(scaled).collect();
+    let jobs_done = pass.done.len().max(1) as f64;
+    let secs: f64 = slices.iter().map(Slice::secs).sum();
+    let cpu_s: f64 = slices.iter().map(|s| s.cpu_s).sum();
+    let scaled_secs: f64 = slices.iter().map(|s| scaled(&s.time)).sum();
+    let scaled_cpu_s: f64 = slices.iter().map(|s| s.cpu_s * speed(&s.time)).sum();
+    let nonempty: Vec<&Slice> = slices.iter().filter(|s| !s.jobs.is_empty()).collect();
+    let rates: Vec<f64> = nonempty
         .iter()
-        .map(|s| s.jobs.len() as f64 / s.secs / speed(s))
+        .map(|s| s.jobs.len() as f64 / scaled(&s.time))
         .collect();
-    let cpu_ms: Vec<f64> = busy
+    let cpu_ms: Vec<f64> = nonempty
         .iter()
-        .map(|s| s.cpu_s * 1e3 / s.jobs.len() as f64 * speed(s))
+        .map(|s| s.cpu_s * 1e3 * speed(&s.time) / s.jobs.len() as f64)
         .collect();
-    let mut scaled = Pass::default();
-    for s in &slices {
-        scaled
-            .done
-            .extend(pass.done[s.jobs.clone()].iter().map(|d| drive::Done {
-                spec: d.spec,
-                latency: d.latency.mul_f64(speed(s)),
-            }));
-    }
+    let raw_ms: Vec<(usize, f64)> = pass
+        .done
+        .iter()
+        .map(|d| (d.spec, d.latency.as_secs_f64() * 1e3))
+        .collect();
+    let scaled_ms: Vec<(usize, f64)> = pass
+        .done
+        .iter()
+        .map(|d| (d.spec, scaled(&(d.sent..d.sent + d.latency)) * 1e3))
+        .collect();
+    let all_ms = |ms: &[(usize, f64)]| -> Vec<f64> { ms.iter().map(|(_, ms)| *ms).collect() };
     let tally = drive::Tally {
         attempted: warm.tally.attempted + pass.tally.attempted,
         failed: warm.tally.failed + pass.tally.failed,
@@ -332,49 +343,60 @@ fn untraced(
         .filter_map(|r| r.rounds)
         .map(|r| r as f64)
         .collect();
-    let all_ms = |p: &Pass| -> Vec<f64> { p.latencies_us().iter().map(|us| us / 1e3).collect() };
-    let raw_rate = pass.done.len() as f64 / elapsed;
-    let raw_cpu = slices.iter().map(|s| s.cpu_s).sum::<f64>() * 1e3 / pass.done.len().max(1) as f64;
-    // Scaled figures are medians over slices; unscaled ones are taken over
-    // the whole window, which read steadier there (7.7% against 15% spread
-    // of `jobs_per_s` on `small_jobs`).
-    let (jobs_per_s, cpu_ms_per_job) = if solver_bound {
-        (median(&rates), median(&cpu_ms))
-    } else {
-        (raw_rate, raw_cpu)
-    };
 
     let mut report = Report::default();
     report.add("setup_s", "s", median(&setup_s), &setup_s);
-    report.add("jobs_per_s", "jobs/s", jobs_per_s, &rates);
+    report.add("jobs_per_s", "jobs/s", jobs_done / scaled_secs, &rates);
     report.add(
         "latency_p50_ms",
         "ms",
-        latency_ms(plan, &scaled, &slices, 0.5),
-        &all_ms(&scaled),
+        latency_ms(plan, &scaled_ms, 0.5),
+        &all_ms(&scaled_ms),
     );
     report.add(
         "latency_p99_ms",
         "ms",
-        latency_ms(plan, &scaled, &slices, 0.99),
-        &all_ms(&scaled),
+        latency_ms(plan, &scaled_ms, 0.99),
+        &all_ms(&scaled_ms),
     );
-    report.add("cpu_ms_per_job", "ms", cpu_ms_per_job, &cpu_ms);
+    report.add(
+        "cpu_ms_per_job",
+        "ms",
+        scaled_cpu_s * 1e3 / jobs_done,
+        &cpu_ms,
+    );
     report.add("peak_rss_mb", "MB", rss_mb, &[rss_mb]);
     report.add("verified_frac", "ratio", verified, &[verified]);
     report.add("approx_ratio", "ratio", stats::mean(&ratios), &ratios);
     report.add("rounds_per_job", "rounds", stats::mean(&rounds), &rounds);
 
-    let speeds: Vec<f64> = slices.iter().map(|s| s.speed).collect();
+    let raw_setup_s: Vec<f64> = starts
+        .iter()
+        .map(|t| (t.end - t.start).as_secs_f64())
+        .collect();
+    let raw_rate = jobs_done / secs;
+    let raw_cpu = cpu_s * 1e3 / jobs_done;
+    report.note("raw.setup_s", "s", median(&raw_setup_s), &raw_setup_s);
     report.note("raw.jobs_per_s", "jobs/s", raw_rate, &[raw_rate]);
     report.note(
         "raw.latency_p50_ms",
         "ms",
-        latency_ms(plan, &pass, &slices, 0.5),
-        &all_ms(&pass),
+        latency_ms(plan, &raw_ms, 0.5),
+        &all_ms(&raw_ms),
+    );
+    report.note(
+        "raw.latency_p99_ms",
+        "ms",
+        latency_ms(plan, &raw_ms, 0.99),
+        &all_ms(&raw_ms),
     );
     report.note("raw.cpu_ms_per_job", "ms", raw_cpu, &[raw_cpu]);
-    report.note("host.speed", "ratio", median(&speeds), &speeds);
+    let window_speed = slices
+        .iter()
+        .map(|s| s.secs() * speed(&s.time))
+        .sum::<f64>()
+        / secs;
+    report.note("host.speed", "ratio", window_speed, &speeds.values());
     Ok(Outcome {
         report,
         tally,
@@ -401,6 +423,13 @@ fn run(args: &Args) -> Result<(), String> {
     for r in &refs {
         digest.update(&r.payload);
     }
+    // Every workload runs its servers, the client and the speed sampler on
+    // one CPU. A hand-off between threads is then a context switch on that
+    // CPU rather than a wake-up of the other vCPU, which costs whatever the
+    // hypervisor takes to schedule it: unpinned, `small_jobs` read 6.4k to
+    // 9.5k jobs/s over five runs and tracked the calibration loop not at
+    // all. The references above are computed before, on two threads.
+    let pinned_cpu = host::pin_to_one_cpu();
 
     let outcome = if args.trace {
         trace::run(args, &plan, &refs, &log_dir)?
@@ -425,6 +454,10 @@ fn run(args: &Args) -> Result<(), String> {
         ("seconds".into(), num(args.seconds)),
         ("tiny".into(), args.tiny.to_string()),
         ("host".into(), host::fingerprint()),
+        (
+            "pinned_cpu".into(),
+            pinned_cpu.map_or("null".into(), |c| c.to_string()),
+        ),
         ("jobs_in_list".into(), plan.specs.len().to_string()),
         (
             "payload_digest".into(),
