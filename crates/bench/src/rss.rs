@@ -130,8 +130,9 @@ mod tests {
     fn with_peak_rss_sees_a_large_allocation() {
         let ((), peak) = with_peak_rss(|| {
             // Touch 64 MiB so the high-water mark must move well past the
-            // test harness's baseline.
-            let block = vec![7u8; 64 << 20];
+            // test harness's baseline. `black_box` keeps the optimiser from
+            // dropping a block whose only read it can already answer.
+            let block = std::hint::black_box(vec![7u8; 64 << 20]);
             assert_eq!(block[block.len() - 1], 7);
         });
         if let Some(peak) = peak {

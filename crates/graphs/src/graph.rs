@@ -7,6 +7,8 @@
 //!   built lazily on the first adjacency query (or eagerly via
 //!   [`Graph::freeze`]) and invalidated by [`Graph::add_edge`]. Queries hand
 //!   out plain slices — no per-vertex heap allocations, no pointer chasing.
+//!   The exact hop diameter ([`crate::bfs::diameter`]) is cached next to it
+//!   under the same contract.
 //! * [`EdgeSet`] is a **word-packed bitset** over edge ids: 64 edges per
 //!   `u64`, popcount-backed counting, word-wise set algebra and a
 //!   trailing-zeros iterator, so masked scans cost `m / 64` word loads
@@ -154,6 +156,10 @@ impl Csr {
 /// `add_edge` with adjacency queries is correct but rebuilds the CSR per
 /// interleaving and should be avoided on hot paths.
 ///
+/// The exact hop diameter is cached the same way: computed on the first
+/// [`crate::bfs::diameter`] call, reset by [`Graph::add_edge`], kept by
+/// [`Graph::set_weight`] (hops ignore weights) and by `clone`.
+///
 /// # Example
 ///
 /// ```
@@ -174,10 +180,13 @@ pub struct Graph {
     /// Lazily built, reset by `add_edge`. `OnceLock` keeps queries `&self`
     /// (and the graph `Sync`) while guaranteeing a single build per freeze.
     csr: OnceLock<Csr>,
+    /// The exact hop diameter (`None` when disconnected or empty), filled by
+    /// [`crate::bfs::diameter`] and reset by `add_edge` like `csr`.
+    diameter: OnceLock<Option<usize>>,
 }
 
-/// Equality is structural on `(n, edge list)`; whether the CSR cache happens
-/// to be built is not observable.
+/// Equality is structural on `(n, edge list)`; whether the CSR and diameter
+/// caches happen to be filled is not observable.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && self.edges == other.edges
@@ -193,6 +202,7 @@ impl Graph {
             n,
             edges: Vec::new(),
             csr: OnceLock::new(),
+            diameter: OnceLock::new(),
         }
     }
 
@@ -211,7 +221,12 @@ impl Graph {
         debug_assert_eq!(entries.len(), 2 * edges.len());
         let csr = OnceLock::new();
         let _ = csr.set(Csr { offsets, entries });
-        Graph { n, edges, csr }
+        Graph {
+            n,
+            edges,
+            csr,
+            diameter: OnceLock::new(),
+        }
     }
 
     /// Creates a graph with `n` vertices from an iterator of `(u, v, weight)`
@@ -245,7 +260,8 @@ impl Graph {
 
     /// Adds the undirected edge `{u, v}` with the given weight and returns its id.
     ///
-    /// Invalidates the frozen adjacency (rebuilt on the next query).
+    /// Invalidates the frozen adjacency (rebuilt on the next query) and the
+    /// cached diameter.
     ///
     /// # Panics
     ///
@@ -257,6 +273,7 @@ impl Graph {
         let id = EdgeId(self.edges.len());
         self.edges.push(Edge { u, v, weight });
         self.csr = OnceLock::new();
+        self.diameter = OnceLock::new();
         id
     }
 
@@ -283,6 +300,23 @@ impl Graph {
         self.csr.get_or_init(|| Csr::build(self.n, &self.edges))
     }
 
+    /// The frozen adjacency as raw CSR arrays: `offsets[v]..offsets[v + 1]`
+    /// indexes the `(neighbor, edge id)` entries of vertex `v`. For kernels
+    /// that sweep every vertex many times (the all-sources BFS).
+    pub(crate) fn csr_arrays(&self) -> (&[usize], &[(NodeId, EdgeId)]) {
+        let csr = self.csr();
+        (&csr.offsets, &csr.entries)
+    }
+
+    /// The cached exact diameter, computed by `compute` if no value is cached
+    /// since construction or the last `add_edge`.
+    pub(crate) fn cached_diameter(
+        &self,
+        compute: impl FnOnce(&Graph) -> Option<usize>,
+    ) -> Option<usize> {
+        *self.diameter.get_or_init(|| compute(self))
+    }
+
     /// The edge with the given id.
     ///
     /// # Panics
@@ -299,8 +333,8 @@ impl Graph {
         self.edges[id.0].weight
     }
 
-    /// Overwrites the weight of an edge (does not invalidate the adjacency:
-    /// the CSR stores no weights).
+    /// Overwrites the weight of an edge (does not invalidate the adjacency or
+    /// the cached diameter: neither depends on weights).
     pub fn set_weight(&mut self, id: EdgeId, weight: Weight) {
         self.edges[id.0].weight = weight;
     }
@@ -713,6 +747,27 @@ mod tests {
         assert_eq!(g, h);
         h.freeze();
         assert_eq!(g, h);
+    }
+
+    #[test]
+    fn diameter_cache_follows_the_freeze_contract() {
+        let mut g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        assert_eq!(g.diameter.get(), None);
+        assert_eq!(crate::bfs::diameter(&g), Some(3));
+        assert_eq!(g.diameter.get(), Some(&Some(3)));
+        // Hops ignore weights: set_weight keeps the cached value.
+        g.set_weight(EdgeId(1), 50);
+        assert_eq!(g.diameter.get(), Some(&Some(3)));
+        let h = g.clone();
+        assert_eq!(h.diameter.get(), Some(&Some(3)));
+        // add_edge resets it; the next call recomputes.
+        g.add_edge(0, 3, 1);
+        assert_eq!(g.diameter.get(), None);
+        assert_eq!(crate::bfs::diameter(&g), Some(2));
+        assert_eq!(crate::bfs::diameter(&h), Some(3));
+        // Equality ignores whether the cache is filled.
+        let fresh = Graph::from_edges(4, [(0, 1, 1), (1, 2, 50), (2, 3, 1)]);
+        assert_eq!(fresh, h);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use kecss::{kecss as kecss_alg, three_ecss, two_ecss, verification};
 use kecss_runtime::Executor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The algorithms a job can run (the same set the CLI's `solve` offers).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -283,36 +283,43 @@ pub fn run(spec: &JobSpec, exec: &Executor) -> Result<Vec<u8>, String> {
             .add(verdict.ledger.total());
     }
 
-    let mut out = String::new();
+    // One buffer for the whole payload: the header is a few hundred bytes
+    // and an `edge u v w` line rarely passes 24.
+    let mut out = String::with_capacity(512 + 24 * edges.len());
     out.push_str("# kecss job result v1\n");
-    out.push_str(&format!("spec {}\n", spec.canonical()));
-    out.push_str(&format!("algorithm {label}\n"));
-    out.push_str(&format!(
-        "instance n={} m={} weight={}\n",
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "spec {}", spec.canonical());
+    let _ = writeln!(out, "algorithm {label}");
+    let _ = writeln!(
+        out,
+        "instance n={} m={} weight={}",
         graph.n(),
         graph.m(),
         graph.total_weight()
-    ));
-    out.push_str(&format!(
-        "solution edges={} weight={}\n",
+    );
+    let _ = writeln!(
+        out,
+        "solution edges={} weight={}",
         edges.len(),
         graph.weight_of(&edges)
-    ));
-    out.push_str(&format!(
-        "verified k={target} {}\n",
+    );
+    let _ = writeln!(
+        out,
+        "verified k={target} {}",
         if verdict.accepted { "yes" } else { "NO" }
-    ));
-    out.push_str(&format!(
-        "rounds solver={} verify={}\n",
+    );
+    let _ = writeln!(
+        out,
+        "rounds solver={} verify={}",
         rounds.map_or_else(|| "-".to_string(), |r| r.to_string()),
         verdict.ledger.total()
-    ));
+    );
     for (phase, charged) in verdict.ledger.breakdown() {
-        out.push_str(&format!("phase {phase} {charged}\n"));
+        let _ = writeln!(out, "phase {phase} {charged}");
     }
     for id in edges.iter() {
         let e = graph.edge(id);
-        out.push_str(&format!("edge {} {} {}\n", e.u, e.v, e.weight));
+        let _ = writeln!(out, "edge {} {} {}", e.u, e.v, e.weight);
     }
     Ok(out.into_bytes())
 }

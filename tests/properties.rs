@@ -12,7 +12,8 @@
 //!   formats, with identical `EdgeId` assignment;
 //! * the streaming two-pass readers agree byte-for-byte with the in-memory
 //!   readers at chunk capacities that straddle every record boundary, and
-//!   solutions round-trip between the text and `KGS1` binary encodings.
+//!   solutions round-trip between the text and `KGS1` binary encodings;
+//! * the word-parallel exact diameter agrees with one BFS per vertex.
 
 use graphs::stream::{BinaryCursor, TextCursor};
 use graphs::{connectivity, generators, mst, EdgeId, EdgeSet, Graph, RootedTree};
@@ -21,7 +22,8 @@ use kecss::cycle_space::Circulation;
 use kecss::decomposition::Decomposition;
 use kecss::{lower_bounds, tap, two_ecss};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 proptest! {
@@ -408,6 +410,61 @@ proptest! {
         let mut text2 = Vec::new();
         graphs::io::write_solution_text(&mut text2, &graph, &from_binary).unwrap();
         prop_assert_eq!(&text2, &text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `bfs::diameter` (256 sources per pass, 64 per word) equals the
+    /// largest eccentricity over one plain BFS per vertex, and is `None`
+    /// whenever some BFS does not span (and on the empty graph). Sizes sit
+    /// on both sides of the word and pass boundaries; the graphs have
+    /// parallel edges and, in two cases out of three, isolated vertices at
+    /// random labels.
+    #[test]
+    fn diameter_matches_per_vertex_bfs(
+        size in 0usize..14,
+        isolated in 0usize..3,
+        reach in 1usize..6,
+        extra in 0usize..60,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n: usize = [0, 1, 63, 64, 65, 129, 255, 256, 257, 513]
+            .get(size)
+            .copied()
+            .unwrap_or_else(|| rng.gen_range(2..600));
+        // A random tree over the first `core` labels (a parent at most
+        // `reach` back, so small reaches give long diameters), extra edges
+        // that may repeat, and the rest isolated; then shuffle the labels.
+        let core = n - isolated.min(n.saturating_sub(1));
+        let mut label: Vec<usize> = (0..n).collect();
+        label.shuffle(&mut rng);
+        let mut graph = Graph::new(n);
+        for v in 1..core {
+            let parent = v - 1 - rng.gen_range(0..reach.min(v));
+            graph.add_edge(label[parent], label[v], 1);
+        }
+        if extra > 0 && graph.m() > 0 {
+            let e = *graph.edge(EdgeId(0));
+            graph.add_edge(e.u, e.v, 2);
+        }
+        for _ in 0..extra {
+            if core >= 2 {
+                let u = rng.gen_range(0..core);
+                let v = (u + rng.gen_range(1..core)) % core;
+                graph.add_edge(label[u], label[v], 1);
+            }
+        }
+
+        let trees: Vec<_> = (0..n).map(|v| graphs::bfs::bfs(&graph, v)).collect();
+        let expected = if n > 0 && trees.iter().all(|t| t.is_spanning()) {
+            trees.iter().map(|t| t.eccentricity()).max()
+        } else {
+            None
+        };
+        prop_assert_eq!(graphs::bfs::diameter(&graph), expected, "n = {n}, core = {core}");
     }
 }
 
