@@ -11,6 +11,9 @@
 #     --strategy contract ablation baseline, same seed, and require
 #     byte-identical solutions (both are exactly verified, so agreement is
 #     the determinism contract, not luck).
+#  3. The label enumerator against both: --strategy label against exact on
+#     Q_4 at k = 4, and against ks on harary(6, 16) at k = 6. A wrong rule
+#     for which label-lookup completions follow a prefix shows up here.
 #
 # Every solution is independently re-verified with `kecss verify`.
 set -euo pipefail
@@ -38,5 +41,19 @@ echo "== k = 8 on harary(8, 16): ks vs the flat contract baseline, byte-for-byte
 cmp "${WORKDIR}/h8-ks.edges" "${WORKDIR}/h8-contract.edges" \
   || { echo "ks and contract solutions differ at k = 8"; exit 1; }
 "${KECSS}" verify --input "${WORKDIR}/h8.graph" --solution "${WORKDIR}/h8-ks.edges" --k 8
+
+echo "== label vs exact on Q_4 at k = 4, label vs ks on harary(6, 16) at k = 6"
+"${KECSS}" solve --input "${WORKDIR}/q4.graph" --algorithm kecss --k 4 \
+  --strategy label --seed 3 --output "${WORKDIR}/q4-label.edges"
+cmp "${WORKDIR}/q4-label.edges" "${WORKDIR}/q4-exact.edges" \
+  || { echo "label and exact solutions differ on Q_4"; exit 1; }
+"${KECSS}" generate --family harary --n 16 --k 6 --output "${WORKDIR}/h6.graph"
+"${KECSS}" solve --input "${WORKDIR}/h6.graph" --algorithm kecss --k 6 \
+  --strategy label --seed 3 --output "${WORKDIR}/h6-label.edges"
+"${KECSS}" solve --input "${WORKDIR}/h6.graph" --algorithm kecss --k 6 \
+  --strategy ks --seed 3 --output "${WORKDIR}/h6-ks.edges"
+cmp "${WORKDIR}/h6-label.edges" "${WORKDIR}/h6-ks.edges" \
+  || { echo "label and ks solutions differ at k = 6"; exit 1; }
+"${KECSS}" verify --input "${WORKDIR}/h6.graph" --solution "${WORKDIR}/h6-label.edges" --k 6
 
 echo "karger-stein smoke: OK"

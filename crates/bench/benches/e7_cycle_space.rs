@@ -40,7 +40,7 @@ fn print_exactness() {
         let mut rng = workloads::rng(0xE7_10 + n as u64);
         let circulation = Circulation::sample(&graph, &h, &tree, 64, &mut rng);
         let from_labels: std::collections::HashSet<(EdgeId, EdgeId)> =
-            circulation.cut_pairs(&h).into_iter().collect();
+            circulation.cut_pairs().into_iter().collect();
         let ids: Vec<EdgeId> = h.iter().collect();
         let mut truth = std::collections::HashSet::new();
         for i in 0..ids.len() {
@@ -82,7 +82,7 @@ fn print_error_decay() {
         for s in 0..samples {
             let mut rng = workloads::rng(0xE7_30 + bits as u64 * 10 + s);
             let circulation = Circulation::sample(&graph, &h, &tree, bits, &mut rng);
-            spurious_total += circulation.cut_pairs(&h).len();
+            spurious_total += circulation.cut_pairs().len();
         }
         let spurious = spurious_total as f64 / samples as f64;
         table.push([
@@ -107,7 +107,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = workloads::rng(7);
             Circulation::sample(&graph, &h, &tree, 64, &mut rng)
-                .label_classes(&h)
+                .label_classes()
                 .len()
         })
     });

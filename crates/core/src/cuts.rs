@@ -288,14 +288,11 @@ impl CutEnumerator for ExactEnumerator {
 /// All cuts of size exactly 2 (cut pairs) of the connected subgraph `(V, h)`.
 fn cut_pairs(graph: &Graph, h: &EdgeSet, salt: u64, exec: &Executor) -> Vec<Cut> {
     let circulation = labels_for(graph, h, salt);
-    let mut candidates = Vec::new();
-    for class in circulation.label_classes(h) {
-        for i in 0..class.len() {
-            for j in (i + 1)..class.len() {
-                candidates.push(vec![class[i], class[j]]);
-            }
-        }
-    }
+    let candidates = circulation
+        .cut_pairs()
+        .into_iter()
+        .map(|(a, b)| vec![a, b])
+        .collect();
     let mut out = verify_candidates(graph, h, candidates, exec, "exact");
     out.sort();
     out
@@ -305,28 +302,20 @@ fn cut_pairs(graph: &Graph, h: &EdgeSet, salt: u64, exec: &Executor) -> Vec<Cut>
 fn cut_triples(graph: &Graph, h: &EdgeSet, salt: u64, exec: &Executor) -> Vec<Cut> {
     let circulation = labels_for(graph, h, salt);
     let ids: Vec<EdgeId> = h.iter().collect();
-    // label -> edges with that label, for completing pairs into XOR-zero triples.
-    let mut by_label: std::collections::HashMap<u64, Vec<EdgeId>> =
-        std::collections::HashMap::new();
-    for &id in &ids {
-        by_label
-            .entry(circulation.label(id).expect("edge of h has a label"))
-            .or_default()
-            .push(id);
-    }
+    let labels: Vec<u64> = ids
+        .iter()
+        .map(|&id| circulation.label(id).expect("edge of h has a label"))
+        .collect();
     let mut candidates = Vec::new();
     for i in 0..ids.len() {
         for j in (i + 1)..ids.len() {
-            let a = ids[i];
-            let b = ids[j];
-            let want = circulation.label(a).unwrap() ^ circulation.label(b).unwrap();
-            let Some(completions) = by_label.get(&want) else {
+            // Complete the pair with every later edge carrying the XOR of
+            // its labels.
+            let Some(completions) = circulation.edges_with_label(labels[i] ^ labels[j]) else {
                 continue;
             };
-            for &c in completions {
-                if c <= b {
-                    continue;
-                }
+            let (a, b) = (ids[i], ids[j]);
+            for &c in &completions[completions.partition_point(|&c| c <= b)..] {
                 candidates.push(vec![a, b, c]);
             }
         }
@@ -379,7 +368,7 @@ impl CutEnumerator for LabelEnumerator {
     ) -> Result<Vec<Cut>> {
         check_request(graph, h, size)?;
         let circulation = labels_for(graph, h, salt);
-        let Some(candidates) = circulation.xor_zero_subsets(h, size, self.budget) else {
+        let Some(candidates) = circulation.xor_zero_subsets(size, self.budget) else {
             kecss_obs::counter_with("solver_enum_overflow_total", &[("strategy", "label")]).inc();
             return Err(Error::CandidateOverflow {
                 size,

@@ -227,34 +227,40 @@ fn augment_to_three<R: Rng>(
     let mut schedule = ProbabilitySchedule::new(graph.n(), graph.m());
     let mut iterations = 0u64;
 
+    let tree_children: Vec<NodeId> = tree.edge_children().collect();
+    // Per iteration: the label class φ of each vertex's tree edge, and the
+    // per-φ count of one candidate's path edges with the φs it touched
+    // (reset after every candidate).
+    let mut class_above = vec![0usize; graph.n()];
+    let mut on_path: Vec<usize> = Vec::new();
+    let mut touched: Vec<usize> = Vec::new();
+
     loop {
         assert!(
             iterations < ITERATION_SAFETY_CAP,
             "3-ECSS exceeded the iteration safety cap; this indicates a bug"
         );
 
-        // Sample a fresh circulation of H ∪ A and compute the per-label edge
-        // counts n_φ (Lemma 5.5 / step (b) of Section 5.3).
+        // Sample a fresh circulation of H ∪ A; n_φ is the size of label φ's
+        // class over H ∪ A (Lemma 5.5 / step (b) of Section 5.3).
         let current = h.union(&added);
         let circulation = Circulation::sample(graph, &current, tree, 64, rng);
         ledger.charge("3ecss/labels", depth_rounds);
-        let mut n_phi: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for id in current.iter() {
-            *n_phi
-                .entry(circulation.label(id).expect("edge of H ∪ A has a label"))
-                .or_insert(0) += 1;
+        let index = circulation.index();
+        for &child in &tree_children {
+            let t = tree
+                .parent_edge(child)
+                .expect("non-root child has a parent edge");
+            class_above[child] = index.class_of(t).expect("tree edge has a label");
         }
         ledger.charge("3ecss/label_counts", depth_rounds);
 
         // Termination (Claim 5.10): if every tree edge's label is unique,
         // no tree edge is in a cut pair, hence there are no cut pairs at all
         // and H ∪ A is 3-edge-connected. This direction holds with certainty.
-        let has_cut_pair_witness = tree.edge_children().any(|c| {
-            let t = tree
-                .parent_edge(c)
-                .expect("non-root child has a parent edge");
-            n_phi[&circulation.label(t).expect("tree edge has a label")] > 1
-        });
+        let has_cut_pair_witness = tree_children
+            .iter()
+            .any(|&child| index.class(class_above[child]).len() > 1);
         ledger.charge("3ecss/termination", model.convergecast(1));
         if !has_cut_pair_witness {
             break;
@@ -267,24 +273,36 @@ fn augment_to_three<R: Rng>(
         // n_{φ,e} (n_φ − n_{φ,e}); divide by the weight in the weighted case.
         let mut best_class: Option<Rounded> = None;
         let mut coverage = vec![0usize; candidates_pool.len()];
+        on_path.clear();
+        on_path.resize(index.class_count(), 0);
         for (i, &(id, u, v, _)) in candidates_pool.iter().enumerate() {
             if added.contains(id) {
                 continue;
             }
-            let mut on_path: std::collections::HashMap<u64, usize> =
-                std::collections::HashMap::new();
-            for child in tree.path_edge_children(u, v) {
-                let t = tree
-                    .parent_edge(child)
-                    .expect("non-root child has a parent edge");
-                let label = circulation.label(t).expect("tree edge has a label");
-                *on_path.entry(label).or_insert(0) += 1;
+            // Walk the fundamental path by parent pointers, stepping up from
+            // the deeper end until the two ends meet at the LCA.
+            let (mut a, mut b) = (u, v);
+            while a != b {
+                let lower = if tree.depth(a) >= tree.depth(b) {
+                    &mut a
+                } else {
+                    &mut b
+                };
+                let phi = class_above[*lower];
+                if on_path[phi] == 0 {
+                    touched.push(phi);
+                }
+                on_path[phi] += 1;
+                *lower = tree
+                    .parent(*lower)
+                    .expect("a vertex below the LCA has a parent");
             }
             let mut rho = 0usize;
-            for (label, n_phi_e) in on_path {
-                let total = n_phi.get(&label).copied().unwrap_or(n_phi_e);
-                rho += n_phi_e * (total - n_phi_e);
+            for &phi in &touched {
+                let n_phi_e = std::mem::take(&mut on_path[phi]);
+                rho += n_phi_e * (index.class(phi).len() - n_phi_e);
             }
+            touched.clear();
             coverage[i] = rho;
             let weight_for_class = if weighted { candidates_pool[i].3 } else { 1 };
             if let Some(class) = Rounded::of(rho, weight_for_class) {

@@ -76,20 +76,21 @@ pub fn verify_two_edge_connected<R: Rng>(graph: &Graph, h: &EdgeSet, rng: &mut R
 /// Panics if `h` is not connected and spanning.
 pub fn verify_three_edge_connected<R: Rng>(graph: &Graph, h: &EdgeSet, rng: &mut R) -> Verdict {
     let (circulation, _tree, mut ledger) = label(graph, h, rng);
+    let index = circulation.index();
     let mut witness = None;
-    // A zero label is a bridge; a repeated label is a cut pair.
-    let mut seen: std::collections::HashMap<u64, graphs::EdgeId> = std::collections::HashMap::new();
+    // A zero label is a bridge; a label shared with an earlier edge is a cut
+    // pair with the first edge carrying it.
     for id in h.iter() {
-        let l = circulation.label(id).expect("edge of h has a label");
-        if l == 0 {
+        if circulation.label(id) == Some(0) {
             witness = Some(vec![id]);
             break;
         }
-        if let Some(&other) = seen.get(&l) {
-            witness = Some(vec![other, id]);
+        let class = index.class_of(id).expect("edge of h has a label");
+        let first = index.class(class)[0];
+        if first != id {
+            witness = Some(vec![first, id]);
             break;
         }
-        seen.insert(l, id);
     }
     let aggregate = ledger.model().convergecast(1);
     ledger.charge("verify/aggregate", aggregate);

@@ -1,12 +1,18 @@
 //! Pinned payload digests: one job per algorithm, run through `job::run`,
 //! compared by 64-bit FNV-1a digest against constants recorded before the
-//! exact-diameter kernel changed.
+//! code they guard changed.
 //!
 //! The charged CONGEST rounds (`rounds solver=… verify=…`) depend on the hop
 //! diameter, so any change to `D` — a wrong bit mask in the word-parallel
 //! BFS, a stale cache — changes these bytes. Most instances have more than
 //! 64 vertices with `n` not a multiple of 64, and two have more than 256
 //! (one pass of the BFS), so a bug at a word or pass boundary shows up here.
+//!
+//! The three `kecss` jobs at k ≥ 4 cover the cut enumerators over circulation
+//! labels: XOR-zero triples at k = 4, a size-4 label enumeration that
+//! completes, and one that overflows its budget and falls back to
+//! Karger–Stein. A wrong label lookup or budget decision changes their cuts,
+//! and with them the bytes.
 
 use kecss_runtime::Executor;
 use kecss_server::job;
@@ -32,16 +38,44 @@ const PINNED: &[(&str, u64)] = &[
     ("random:129:40 1 mst auto 9", 0x9e43_0bed_e7c0_1ac7),
     ("random:300:50 2 2ecss auto 5", 0xdb7e_00da_398b_a54a),
     ("ring:520 2 thurimella auto 8", 0x159f_cbbb_fb09_a405),
+    ("random:48:100 4 kecss auto 2", 0x2080_04ca_852a_0c61),
+    ("hypercube:32 5 kecss auto 3", 0xa6d1_4faa_b66a_84dc),
+    ("harary:40 6 kecss auto 1", 0x031e_eaf9_5a6a_8423),
+];
+
+/// Pinned specs that reach the label enumerator, and whether one of its
+/// enumerations overflows the default budget and falls back to Karger–Stein.
+const LABEL_SPECS: &[(&str, bool)] = &[
+    ("hypercube:32 5 kecss auto 3", false),
+    ("harary:40 6 kecss auto 1", true),
 ];
 
 #[test]
 fn payload_digests_match_the_pinned_constants() {
+    let label_candidates =
+        kecss_obs::counter_with("solver_enum_candidates_total", &[("strategy", "label")]);
+    let fallbacks = kecss_obs::counter_with(
+        "solver_enum_fallback_total",
+        &[("from", "label"), ("to", "ks")],
+    );
     let mut mismatches = Vec::new();
     for &(args, pinned) in PINNED {
         let Ok(Request::Submit(spec)) = Request::parse(&format!("SUBMIT {args}")) else {
             panic!("`{args}` is not a SUBMIT");
         };
+        let (candidates_before, fallbacks_before) = (label_candidates.get(), fallbacks.get());
         let payload = job::run(&spec, &Executor::Sequential).unwrap_or_else(|e| panic!("{e}"));
+        if let Some(&(_, falls_back)) = LABEL_SPECS.iter().find(|&&(s, _)| s == args) {
+            assert!(
+                label_candidates.get() > candidates_before,
+                "`{args}` never completed a label enumeration"
+            );
+            assert_eq!(
+                fallbacks.get() > fallbacks_before,
+                falls_back,
+                "`{args}`: whether the label enumerator fell back to ks"
+            );
+        }
         let text = String::from_utf8_lossy(&payload);
         assert!(text.contains(" yes\n"), "`{args}` did not verify:\n{text}");
         let digest = fnv1a64(&payload);

@@ -2,7 +2,8 @@
 //!
 //! * every solver output is k-edge-connected and within the proven
 //!   approximation factor of a certified lower bound;
-//! * cycle-space labels agree with ground-truth cut pairs;
+//! * cycle-space labels agree with ground-truth cut pairs, and the label
+//!   index agrees with a naive grouping by label;
 //! * the decomposition invariants hold on arbitrary random trees;
 //! * cost-effectiveness rounding brackets the exact value;
 //! * edge-set algebra behaves like set algebra, and the word-packed
@@ -25,6 +26,7 @@ use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -97,6 +99,47 @@ proptest! {
                 let same = circulation.label(ids[i]) == circulation.label(ids[j]);
                 let cut = !connectivity::is_connected_after_removal(&graph, &h, &[ids[i], ids[j]]);
                 prop_assert_eq!(same, cut, "pair {:?} {:?}", ids[i], ids[j]);
+            }
+        }
+    }
+
+    /// The label index groups the labelled edges exactly as a naive map from
+    /// label to edges does, for 64-bit labels and for 1-bit labels (nearly
+    /// every label shared), and its lookup finds every label and no other
+    /// word, including words that share a label's home slot.
+    #[test]
+    fn label_index_matches_a_naive_grouping(
+        n in 4usize..24,
+        extra in 0usize..16,
+        seed in 0u64..1_000,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let graph = generators::random_k_edge_connected(n, 2, extra, &mut rng);
+        let h = graph.full_edge_set();
+        let bfs = graphs::bfs::bfs(&graph, 0);
+        let tree = RootedTree::new(&graph, &bfs.tree_edges(&graph), 0);
+        for bits in [64, 1] {
+            let circulation = Circulation::sample(&graph, &h, &tree, bits, &mut rng);
+            let mut naive: BTreeMap<u64, Vec<EdgeId>> = BTreeMap::new();
+            for id in h.iter() {
+                naive.entry(circulation.label(id).unwrap()).or_default().push(id);
+            }
+            let mut expected: Vec<Vec<EdgeId>> = naive.values().cloned().collect();
+            expected.sort();
+            let classes: Vec<Vec<EdgeId>> =
+                circulation.label_classes().map(<[EdgeId]>::to_vec).collect();
+            prop_assert_eq!(classes, expected);
+            let mut words: Vec<u64> = vec![0, 1, 2, u64::MAX];
+            for &label in naive.keys() {
+                words.extend([label, label ^ (1 << 40), label.wrapping_add(1 << 20)]);
+            }
+            words.extend((0..32).map(|_| rng.gen::<u64>()));
+            for word in words {
+                prop_assert_eq!(
+                    circulation.edges_with_label(word),
+                    naive.get(&word).map(Vec::as_slice),
+                    "word {:#x}", word
+                );
             }
         }
     }
