@@ -14,12 +14,18 @@
 //!    (all vertices know `H` and `A`, so this is local);
 //! 2. the edges in the maximum class are candidates;
 //! 3. each candidate becomes *active* with probability `p_i`, where `p_i`
-//!    starts at `1/2^⌈log m⌉` and doubles every `M·⌈log n⌉` iterations (and
-//!    resets whenever the maximum class drops);
+//!    starts at `2^-b(m)` and doubles every `M·b(n)` iterations (and resets
+//!    whenever the maximum class drops), with `b(x) = ⌊log₂ x⌋ + 1` the bit
+//!    length of `x`;
 //! 4. an MST of `G` is computed under the reweighting {edges of `A` → 0,
 //!    active candidates → 1, others → 2}; the active candidates that appear
 //!    in this MST join `A` (Claims 4.1–4.3 guarantee `A` stays a forest and
-//!    every cut coverable by an active candidate gets covered);
+//!    every cut coverable by an active candidate gets covered). Locally the
+//!    MST is not built: weight-2 edges sort after every active candidate and
+//!    never decide one, so an active candidate is in the MST exactly when it
+//!    joins two components of `A` plus the candidates admitted before it in
+//!    id order. One union–find forest of `A`, grown in place across
+//!    iterations, answers that with one `union` per active candidate;
 //! 5. repeat until every `(k-1)`-cut is covered.
 //!
 //! The approximation ratio is `O(log n)` in expectation (Lemma 4.6), and the
@@ -31,13 +37,15 @@ use crate::cover::Rounded;
 use crate::cuts::{AutoEnumerator, CutEnumerator, CutFamily};
 use crate::error::{Error, Result};
 use congest::{CostModel, RoundLedger};
-use graphs::{connectivity, mst, EdgeId, EdgeSet, Graph};
+use graphs::dsu::DisjointSets;
+use graphs::{connectivity, EdgeId, EdgeSet, Graph};
 use kecss_runtime::Executor;
 use rand::Rng;
 
 /// The phase-length multiplier `M` of the probability schedule: the activation
-/// probability doubles every `M · ⌈log₂ n⌉` iterations at the same
-/// cost-effectiveness class. The paper leaves the constant unspecified;
+/// probability doubles every `M · (⌊log₂ n⌋ + 1)` iterations at the same
+/// cost-effectiveness class (the bit length of `n`, one more than `⌈log₂ n⌉`
+/// when `n` is a power of two). The paper leaves the constant unspecified;
 /// `M = 2` keeps the w.h.p. argument of Lemma 4.5 comfortable while bounding
 /// iteration counts in practice.
 pub const PHASE_MULTIPLIER: u64 = 2;
@@ -265,7 +273,6 @@ pub fn augment_with_enumerator<R: Rng>(
             let _span = kecss_obs::span("cover");
             cover_family(
                 graph,
-                h,
                 k,
                 &candidates_pool,
                 &family,
@@ -316,7 +323,6 @@ pub fn augment_with_enumerator<R: Rng>(
 #[allow(clippy::too_many_arguments)]
 fn cover_family<R: Rng>(
     graph: &Graph,
-    h: &EdgeSet,
     k: usize,
     candidates_pool: &[(EdgeId, usize, usize, u64)],
     family: &CutFamily,
@@ -342,6 +348,20 @@ fn cover_family<R: Rng>(
             .count()
     });
 
+    // The components of A, grown in place by line 4's admissions. A is not
+    // empty when an earlier family's certification failed.
+    let mut forest = DisjointSets::new(graph.n());
+    for id in added.iter() {
+        let e = graph.edge(id);
+        forest.union(e.u, e.v);
+    }
+
+    // The maximum class and its members outside A (pool indices, id order).
+    // Only an admission changes `coverage` or A, so both are recomputed only
+    // after an iteration that admitted an edge.
+    let mut target_class = None;
+    let mut members: Vec<usize> = Vec::new();
+
     while uncovered > 0 {
         assert!(
             *iterations < ITERATION_SAFETY_CAP,
@@ -350,19 +370,30 @@ fn cover_family<R: Rng>(
         *iterations += 1;
 
         // Lines 1-2: rounded cost-effectiveness and the maximum class.
-        let mut best_class: Option<Rounded> = None;
-        for (i, &(_, _, _, w)) in candidates_pool.iter().enumerate() {
-            if let Some(class) = Rounded::of(coverage[i], w) {
-                best_class = Some(best_class.map_or(class, |b| b.max(class)));
+        let class = match target_class {
+            Some(class) => class,
+            None => {
+                let best = candidates_pool
+                    .iter()
+                    .zip(&coverage)
+                    .filter_map(|(&(_, _, _, w), &c)| Rounded::of(c, w))
+                    .max();
+                let Some(best) = best else {
+                    // Some cut cannot be covered by any remaining edge:
+                    // impossible for a k-edge-connected input.
+                    return Err(Error::InsufficientConnectivity {
+                        required: k,
+                        actual: connectivity::edge_connectivity(graph),
+                    });
+                };
+                members.clear();
+                members.extend((0..candidates_pool.len()).filter(|&i| {
+                    let (id, _, _, w) = candidates_pool[i];
+                    !added.contains(id) && Rounded::of(coverage[i], w) == Some(best)
+                }));
+                target_class = Some(best);
+                best
             }
-        }
-        let Some(target_class) = best_class else {
-            // Some cut cannot be covered by any remaining edge: impossible for
-            // a k-edge-connected input.
-            return Err(Error::InsufficientConnectivity {
-                required: k,
-                actual: connectivity::edge_connectivity(graph),
-            });
         };
         ledger.charge(
             "augk/max_cost_effectiveness",
@@ -370,64 +401,36 @@ fn cover_family<R: Rng>(
         );
 
         // Line 3: candidates of the maximum class become active with
-        // probability p_i.
-        let p = schedule.probability(target_class);
-        let active: Vec<usize> = candidates_pool
-            .iter()
-            .enumerate()
-            .filter(|(i, (id, _, _, w))| {
-                !added.contains(*id) && Rounded::of(coverage[*i], *w) == Some(target_class)
-            })
-            .filter(|_| rng.gen_bool(p))
-            .map(|(i, _)| i)
-            .collect();
-
-        // Line 4: MST under the reweighting {A → 0, active → 1, other → 2};
-        // active candidates appearing in the MST join A.
+        // probability p_i. Line 4: MST under the reweighting {A → 0,
+        // active → 1, other → 2}; an active candidate is in it iff it joins
+        // two components of A plus the candidates admitted before it in id
+        // order, and then joins A. The draws never depend on the unions, so
+        // both share one pass.
+        let p = schedule.probability(class);
         ledger.charge("augk/mst", model.mst_kutten_peleg());
         let mut n_i = 0u64;
-        if !active.is_empty() {
-            let mut is_active = vec![false; graph.m()];
-            for &i in &active {
-                is_active[candidates_pool[i].0.index()] = true;
+        for &i in &members {
+            let (id, u, v, _) = candidates_pool[i];
+            if !rng.gen_bool(p) || !forest.union(u, v) {
+                continue;
             }
-            let reweighted = mst::kruskal_with(graph, &graph.full_edge_set(), |id| {
-                if added.contains(id) || h.contains(id) {
-                    // Edges of A have weight 0. Edges of H are irrelevant to
-                    // the forest-growing argument but giving them weight 0 as
-                    // well only helps connectivity; the paper keeps A ⊆ G
-                    // acyclic via the MST — we restrict additions to active
-                    // candidates anyway, so the distinction is immaterial.
-                    if added.contains(id) {
-                        0
-                    } else {
-                        2
-                    }
-                } else if is_active[id.index()] {
-                    1
-                } else {
-                    2
-                }
-            });
-            for &i in &active {
-                let (id, u, v, _) = candidates_pool[i];
-                if reweighted.contains(id) {
-                    added.insert(id);
-                    n_i += 1;
-                    for (c, cov) in covered.iter_mut().enumerate() {
-                        if !*cov && family.crossed_by(c, u, v) {
-                            *cov = true;
-                            uncovered -= 1;
-                            // Decrement every candidate that crossed this cut.
-                            for (j, &(_, cu, cv, _)) in candidates_pool.iter().enumerate() {
-                                if family.crossed_by(c, cu, cv) {
-                                    coverage[j] = coverage[j].saturating_sub(1);
-                                }
-                            }
+            added.insert(id);
+            n_i += 1;
+            for (c, cov) in covered.iter_mut().enumerate() {
+                if !*cov && family.crossed_by(c, u, v) {
+                    *cov = true;
+                    uncovered -= 1;
+                    // Decrement every candidate that crossed this cut.
+                    for (j, &(_, cu, cv, _)) in candidates_pool.iter().enumerate() {
+                        if family.crossed_by(c, cu, cv) {
+                            coverage[j] = coverage[j].saturating_sub(1);
                         }
                     }
                 }
             }
+        }
+        if n_i > 0 {
+            target_class = None;
         }
         // Broadcasting the n_i newly added edges so every vertex keeps full
         // knowledge of A (Lemma 4.4 charges O(D + n_i) for this).
@@ -464,9 +467,186 @@ fn validate(graph: &Graph, h: &EdgeSet, k: usize) -> Result<()> {
 mod tests {
     use super::*;
     use crate::baselines;
-    use graphs::generators;
-    use rand::SeedableRng;
+    use crate::cuts::ContractEnumerator;
+    use graphs::{generators, mst};
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// A minimum spanning forest of all of `graph` under `weight_fn` (Kruskal,
+    /// ties by edge id).
+    fn kruskal_reweighted(graph: &Graph, weight_fn: impl Fn(EdgeId) -> u64) -> EdgeSet {
+        let mut ids: Vec<EdgeId> = graph.edge_ids().collect();
+        ids.sort_by_key(|&id| (weight_fn(id), id));
+        let mut dsu = DisjointSets::new(graph.n());
+        let mut forest = graph.empty_edge_set();
+        for id in ids {
+            let e = graph.edge(id);
+            if dsu.union(e.u, e.v) {
+                forest.insert(id);
+            }
+        }
+        forest
+    }
+
+    /// The oracle for [`cover_family`]: the loop as first written, with a
+    /// full Kruskal over all m edges in every iteration that has an active
+    /// candidate, and two scans of the candidate pool in every iteration.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_cover_family<R: Rng>(
+        graph: &Graph,
+        h: &EdgeSet,
+        k: usize,
+        candidates_pool: &[(EdgeId, usize, usize, u64)],
+        family: &CutFamily,
+        added: &mut EdgeSet,
+        schedule: &mut ProbabilitySchedule,
+        iterations: &mut u64,
+        ledger: &mut RoundLedger,
+        model: CostModel,
+        rng: &mut R,
+    ) -> Result<()> {
+        let mut covered = vec![false; family.len()];
+        let mut uncovered = family.len();
+        let mut coverage: Vec<usize> = candidates_pool
+            .iter()
+            .map(|&(_, u, v, _)| {
+                (0..family.len())
+                    .filter(|&c| family.crossed_by(c, u, v))
+                    .count()
+            })
+            .collect();
+
+        while uncovered > 0 {
+            assert!(*iterations < ITERATION_SAFETY_CAP);
+            *iterations += 1;
+
+            let mut best_class: Option<Rounded> = None;
+            for (i, &(_, _, _, w)) in candidates_pool.iter().enumerate() {
+                if let Some(class) = Rounded::of(coverage[i], w) {
+                    best_class = Some(best_class.map_or(class, |b| b.max(class)));
+                }
+            }
+            let Some(target_class) = best_class else {
+                return Err(Error::InsufficientConnectivity {
+                    required: k,
+                    actual: connectivity::edge_connectivity(graph),
+                });
+            };
+            ledger.charge(
+                "augk/max_cost_effectiveness",
+                model.convergecast(1) + model.broadcast(1),
+            );
+
+            let p = schedule.probability(target_class);
+            let active: Vec<usize> = candidates_pool
+                .iter()
+                .enumerate()
+                .filter(|(i, (id, _, _, w))| {
+                    !added.contains(*id) && Rounded::of(coverage[*i], *w) == Some(target_class)
+                })
+                .filter(|_| rng.gen_bool(p))
+                .map(|(i, _)| i)
+                .collect();
+
+            ledger.charge("augk/mst", model.mst_kutten_peleg());
+            let mut n_i = 0u64;
+            if !active.is_empty() {
+                let mut is_active = vec![false; graph.m()];
+                for &i in &active {
+                    is_active[candidates_pool[i].0.index()] = true;
+                }
+                let reweighted = kruskal_reweighted(graph, |id| {
+                    if added.contains(id) {
+                        0
+                    } else if !h.contains(id) && is_active[id.index()] {
+                        1
+                    } else {
+                        2
+                    }
+                });
+                for &i in &active {
+                    let (id, u, v, _) = candidates_pool[i];
+                    if reweighted.contains(id) {
+                        added.insert(id);
+                        n_i += 1;
+                        for (c, cov) in covered.iter_mut().enumerate() {
+                            if !*cov && family.crossed_by(c, u, v) {
+                                *cov = true;
+                                uncovered -= 1;
+                                for (j, &(_, cu, cv, _)) in candidates_pool.iter().enumerate() {
+                                    if family.crossed_by(c, cu, cv) {
+                                        coverage[j] = coverage[j].saturating_sub(1);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            ledger.charge("augk/broadcast_added", model.broadcast(n_i));
+            ledger.charge("augk/termination", model.convergecast(1));
+        }
+        Ok(())
+    }
+
+    /// Everything one cover run leaves behind: `A`, the iteration count, the
+    /// ledger's breakdown and the next word of the RNG stream.
+    type CoverOutcome = (EdgeSet, u64, Vec<(String, u64)>, u64);
+
+    /// Covers `family` from `added` with [`cover_family`] (or the reference)
+    /// and a generator seeded with `seed`.
+    fn run_cover(
+        g: &Graph,
+        h: &EdgeSet,
+        k: usize,
+        family: &CutFamily,
+        added: &EdgeSet,
+        seed: u64,
+        reference: bool,
+    ) -> CoverOutcome {
+        let pool: Vec<(EdgeId, usize, usize, u64)> = g
+            .edges()
+            .filter(|(id, _)| !h.contains(*id))
+            .map(|(id, e)| (id, e.u, e.v, e.weight))
+            .collect();
+        let model = CostModel::new(g.n(), graphs::bfs::diameter(g).unwrap_or(g.n()));
+        let mut added = added.clone();
+        let mut schedule = ProbabilitySchedule::new(g.n(), g.m());
+        let mut iterations = 0;
+        let mut ledger = RoundLedger::new(model);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        if reference {
+            reference_cover_family(
+                g,
+                h,
+                k,
+                &pool,
+                family,
+                &mut added,
+                &mut schedule,
+                &mut iterations,
+                &mut ledger,
+                model,
+                &mut rng,
+            )
+        } else {
+            cover_family(
+                g,
+                k,
+                &pool,
+                family,
+                &mut added,
+                &mut schedule,
+                &mut iterations,
+                &mut ledger,
+                model,
+                &mut rng,
+                &Executor::Sequential,
+            )
+        }
+        .unwrap();
+        (added, iterations, ledger.breakdown(), rng.next_u64())
+    }
 
     #[test]
     fn augments_mst_to_two_edge_connectivity() {
@@ -509,27 +689,136 @@ mod tests {
     }
 
     #[test]
+    fn cover_loop_matches_the_full_kruskal_reference() {
+        let mut graph_rng = ChaCha8Rng::seed_from_u64(17);
+        for k in 2..=5 {
+            for n in [12, 16, 20] {
+                let g = generators::random_weighted_k_edge_connected(n, k, n, 9, &mut graph_rng);
+                // H is what k-ECSS hands to level k: its level k - 1 result.
+                let h = crate::kecss::solve(&g, k - 1, &mut graph_rng)
+                    .unwrap()
+                    .subgraph;
+                let family = CutFamily::enumerate(&g, &h, k - 1).unwrap();
+                // From an empty A, and from the state a failed certification
+                // leaves: A is a maximal forest of the candidates that do not
+                // cross cut c0, and only the cuts A does not cover (c0 among
+                // them) remain to be covered.
+                let mut starts = vec![(g.empty_edge_set(), family.clone())];
+                for c0 in [0, family.len() / 2, family.len() - 1] {
+                    let mut a = g.empty_edge_set();
+                    let mut forest = DisjointSets::new(g.n());
+                    for (id, e) in g.edges() {
+                        if !h.contains(id)
+                            && !family.crossed_by(c0, e.u, e.v)
+                            && forest.union(e.u, e.v)
+                        {
+                            a.insert(id);
+                        }
+                    }
+                    let mut rest = family.clone();
+                    rest.retain(|c| {
+                        !a.iter().any(|id| {
+                            let e = g.edge(id);
+                            family.crossed_by(c, e.u, e.v)
+                        })
+                    });
+                    assert!(!a.is_empty() && !rest.is_empty());
+                    starts.push((a, rest));
+                }
+                for (a, fam) in &starts {
+                    for seed in 1..=3 {
+                        let fast = run_cover(&g, &h, k, fam, a, seed, false);
+                        let reference = run_cover(&g, &h, k, fam, a, seed, true);
+                        assert_eq!(fast, reference, "k = {k}, n = {n}, |A| = {}", a.len());
+                    }
+                }
+            }
+        }
+    }
+
+    /// `harary(4, n, 1)` with its Hamiltonian cycle as the 2-edge-connected H.
+    fn harary_with_cycle(n: usize) -> (Graph, EdgeSet) {
+        let g = generators::harary(4, n, 1);
+        let cycle = g
+            .edges()
+            .filter(|(_, e)| e.u.abs_diff(e.v) == 1 || e.u.abs_diff(e.v) == n - 1)
+            .map(|(id, _)| id);
+        let h = EdgeSet::from_ids(g.m(), cycle);
+        (g, h)
+    }
+
+    #[test]
     fn contraction_enumerator_is_certified_exact() {
-        // Even with a laughably small trial count, the post-certification
-        // loop keeps escalating until the result is exactly k-edge-connected.
-        use crate::cuts::ContractEnumerator;
-        let mut rng = ChaCha8Rng::seed_from_u64(33);
-        let g = generators::random_k_edge_connected(12, 5, 8, &mut rng);
-        let h = baselines::thurimella::sparse_certificate(&g, 4).edges;
+        // Four contraction trials miss 2-cuts of the cycle, so certification
+        // fails and the loop re-enumerates, covering the missed cuts from the
+        // A it already has, until H ∪ A is exactly 3-edge-connected. The
+        // pinned edges, iterations and rounds were recorded with the full
+        // Kruskal cover loop.
+        let (g, h) = harary_with_cycle(16);
         let model = CostModel::new(g.n(), graphs::bfs::diameter(&g).unwrap_or(g.n()));
-        let enumerator = ContractEnumerator::with_trials(8);
-        let sol = augment_with_enumerator(
+        let retries = kecss_obs::counter("solver_augment_retries_total");
+        let pinned: [(u64, &[usize], u64, u64); 4] = [
+            (1, &[1, 5, 7, 11, 13, 15, 17, 21, 23, 29, 31], 117, 3658),
+            (2, &[1, 3, 5, 9, 11, 15, 17, 19, 23, 25, 31], 88, 2759),
+            (3, &[3, 5, 9, 11, 13, 15, 17, 19, 23, 25, 27, 29], 103, 3225),
+            (4, &[1, 5, 7, 11, 13, 17, 19, 21, 23, 29, 31], 112, 3503),
+        ];
+        for (seed, added, iterations, rounds) in pinned {
+            let before = retries.get();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let sol = augment_with_enumerator(
+                &g,
+                &h,
+                3,
+                model,
+                &mut rng,
+                &Executor::Sequential,
+                &ContractEnumerator::with_trials(4),
+            )
+            .unwrap();
+            assert!(
+                !kecss_obs::enabled() || retries.get() > before,
+                "seed {seed}: certification never failed"
+            );
+            let ids: Vec<usize> = sol.added.iter().map(EdgeId::index).collect();
+            assert_eq!(ids, added, "seed {seed}");
+            assert_eq!(sol.iterations, iterations, "seed {seed}");
+            assert_eq!(sol.ledger.total(), rounds, "seed {seed}");
+            assert!(connectivity::is_k_edge_connected_in(
+                &g,
+                &h.union(&sol.added),
+                3
+            ));
+        }
+    }
+
+    #[test]
+    fn certification_gives_up_after_the_attempt_cap() {
+        // Starting from one contraction trial, doubled per attempt, the
+        // enumeration keeps missing 2-cuts of the cycle of harary(4, 12):
+        // after MAX_ENUMERATION_ATTEMPTS failed certifications `augment`
+        // reports it instead of returning a subgraph that is not
+        // 3-edge-connected.
+        let (g, h) = harary_with_cycle(12);
+        let model = CostModel::new(g.n(), graphs::bfs::diameter(&g).unwrap_or(g.n()));
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let err = augment_with_enumerator(
             &g,
             &h,
-            5,
+            3,
             model,
             &mut rng,
             &Executor::Sequential,
-            &enumerator,
+            &ContractEnumerator::with_trials(1),
         )
-        .unwrap();
-        let union = h.union(&sol.added);
-        assert!(connectivity::is_k_edge_connected_in(&g, &union, 5));
+        .unwrap_err();
+        assert_eq!(
+            err,
+            Error::IncompleteEnumeration {
+                size: 2,
+                attempts: MAX_ENUMERATION_ATTEMPTS,
+            }
+        );
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Minimum spanning trees and forests.
 //!
-//! The 2-ECSS algorithm of Theorem 1.1 builds an MST and augments it; the
-//! Aug_k algorithm of Section 4 computes an MST of a reweighted graph in every
-//! iteration (weight 0 for edges already in the augmentation, 1 for active
-//! candidates, 2 otherwise). Both uses are served by [`kruskal_in`], which
-//! breaks ties deterministically by edge id so results are reproducible.
+//! The 2-ECSS algorithm of Theorem 1.1 and the first level of k-ECSS build an
+//! MST with [`kruskal_in`], which breaks ties deterministically by edge id so
+//! results are reproducible. The Aug_k algorithm of Section 4 charges an MST
+//! of a reweighted graph in every iteration (weight 0 for edges already in
+//! the augmentation, 1 for active candidates, 2 otherwise), but only needs
+//! which active candidates it contains; it answers that with one union–find
+//! forest of the augmentation, grown in place (`kecss::augk`).
 
 use crate::dsu::DisjointSets;
 use crate::graph::{EdgeId, EdgeSet, Graph, Weight};
@@ -24,27 +26,6 @@ pub fn kruskal(graph: &Graph) -> EdgeSet {
 pub fn kruskal_in(graph: &Graph, edges: &EdgeSet) -> EdgeSet {
     let mut ids: Vec<EdgeId> = edges.iter().collect();
     ids.sort_by_key(|&id| (graph.weight(id), id));
-    let mut dsu = DisjointSets::new(graph.n());
-    let mut forest = graph.empty_edge_set();
-    for id in ids {
-        let e = graph.edge(id);
-        if dsu.union(e.u, e.v) {
-            forest.insert(id);
-        }
-    }
-    forest
-}
-
-/// A minimum spanning forest where the weight of each edge is overridden by
-/// `weight_fn` (used by the Aug_k reweighting step, Section 4 line 4).
-///
-/// Ties are broken by edge id.
-pub fn kruskal_with<F>(graph: &Graph, edges: &EdgeSet, weight_fn: F) -> EdgeSet
-where
-    F: Fn(EdgeId) -> Weight,
-{
-    let mut ids: Vec<EdgeId> = edges.iter().collect();
-    ids.sort_by_key(|&id| (weight_fn(id), id));
     let mut dsu = DisjointSets::new(graph.n());
     let mut forest = graph.empty_edge_set();
     for id in ids {
@@ -147,25 +128,6 @@ mod tests {
             }
         }
         assert_eq!(w, best);
-    }
-
-    #[test]
-    fn kruskal_with_overridden_weights() {
-        let mut g = Graph::new(3);
-        let cheap_by_weight = g.add_edge(0, 1, 1);
-        let e2 = g.add_edge(1, 2, 100);
-        let e3 = g.add_edge(0, 2, 100);
-        // Override: make the nominally cheap edge expensive.
-        let t = kruskal_with(&g, &g.full_edge_set(), |id| {
-            if id == cheap_by_weight {
-                10
-            } else {
-                0
-            }
-        });
-        assert!(t.contains(e2));
-        assert!(t.contains(e3));
-        assert!(!t.contains(cheap_by_weight));
     }
 
     #[test]
