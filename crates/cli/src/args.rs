@@ -350,8 +350,10 @@ with and without it (DESIGN.md §11). `serve --max-requests-per-conn N`
 bounds each connection to N requests (ERR, then close; 0 = unlimited), and
 `serve --write-queue-limit BYTES` caps each connection's pending-write queue —
 a reader stalled past it gets ERR and is disconnected so slow clients cannot
-pin server memory (DESIGN.md §14). `submit --binary true` speaks the KGW1
-binary frame protocol (length-prefixed frames, zero-parse inline instances)
+pin server memory (DESIGN.md §14). Neither is a worker flag: the coordinator
+sends every job to a worker over one connection, and a worker's write-queue
+bound is the default times its queue depth. `submit --binary true` speaks the
+KGW1 binary frame protocol (length-prefixed frames, zero-parse inline instances)
 instead of the text protocol; payloads are byte-identical in both modes.
 
 Instance files come in two formats, picked by extension everywhere a file is
@@ -615,7 +617,18 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
             }
         }
         "worker" => {
-            reject(&["heartbeat-timeout-ms", "max-retries"], "worker")?;
+            // The coordinator sends every job over one connection: a
+            // per-connection request limit would cut that link every N jobs,
+            // and the worker sizes its write-queue bound from its depth.
+            reject(
+                &[
+                    "heartbeat-timeout-ms",
+                    "max-retries",
+                    "max-requests-per-conn",
+                    "write-queue-limit",
+                ],
+                "worker",
+            )?;
             ServeRole::Worker {
                 coordinator: required(&map, "coordinator")?.to_string(),
                 worker_id: map.get("worker-id").map(|s| s.to_string()),
@@ -1178,6 +1191,24 @@ mod tests {
                 },
             }
         );
+        // The coordinator's one link to a worker carries every job: a
+        // request limit would cut it every N jobs, and the worker sizes its
+        // write-queue bound from its depth. Both flags are refused.
+        for flag in ["max-requests-per-conn", "write-queue-limit"] {
+            let limited = parse(&argv(&[
+                "serve",
+                "--role",
+                "worker",
+                "--coordinator",
+                "127.0.0.1:7460",
+                &format!("--{flag}"),
+                "4096",
+            ]));
+            assert!(
+                matches!(&limited, Err(CliError::Usage(m)) if m.contains(flag)),
+                "{limited:?}"
+            );
+        }
         assert!(parse(&argv(&["serve", "--role", "worker"])).is_err());
         assert!(parse(&argv(&["serve", "--role", "manager"])).is_err());
         // Role-specific flags on the wrong role are refused, not ignored.

@@ -174,7 +174,6 @@ pub fn execute<W: Write>(command: Command, out: &mut W) -> Result<(), CliError> 
                     queue_depth,
                     heartbeat_interval: Duration::from_millis(heartbeat_ms.max(1)),
                     advertise: advertise.unwrap_or_default(),
-                    max_requests_per_conn,
                 })?;
                 writeln!(
                     out,

@@ -26,8 +26,8 @@ fn main() {
     let mut addr: Option<String> = None;
     let mut threads: usize = 1;
     let mut queue_depth: usize = 16;
-    let mut max_requests_per_conn: usize = 0;
-    let mut write_queue_limit: usize = 16 << 20;
+    let mut max_requests_per_conn: Option<usize> = None;
+    let mut write_queue_limit: Option<usize> = None;
     let mut coordinator_addr = "127.0.0.1:7460".to_string();
     let mut worker_id = String::new();
     let mut advertise = String::new();
@@ -50,14 +50,16 @@ fn main() {
                 queue_depth = parse_num("--queue-depth", &need(value, "--queue-depth"));
             }
             "--max-requests-per-conn" => {
-                max_requests_per_conn = parse_num(
+                max_requests_per_conn = Some(parse_num(
                     "--max-requests-per-conn",
                     &need(value, "--max-requests-per-conn"),
-                );
+                ));
             }
             "--write-queue-limit" => {
-                write_queue_limit =
-                    parse_num("--write-queue-limit", &need(value, "--write-queue-limit"));
+                write_queue_limit = Some(parse_num(
+                    "--write-queue-limit",
+                    &need(value, "--write-queue-limit"),
+                ));
             }
             "--coordinator" => coordinator_addr = need(value, "--coordinator"),
             "--worker-id" => worker_id = need(value, "--worker-id"),
@@ -98,8 +100,8 @@ fn main() {
                 addr: addr.unwrap_or_else(|| "127.0.0.1:7461".into()),
                 threads,
                 queue_depth,
-                max_requests_per_conn,
-                write_queue_limit,
+                max_requests_per_conn: max_requests_per_conn.unwrap_or(0),
+                write_queue_limit: write_queue_limit.unwrap_or(16 << 20),
             };
             let server = match Server::bind(&config) {
                 Ok(server) => server,
@@ -121,8 +123,8 @@ fn main() {
                 queue_depth,
                 heartbeat_timeout: Duration::from_millis(heartbeat_timeout_ms.max(1)),
                 max_retries,
-                max_requests_per_conn,
-                write_queue_limit,
+                max_requests_per_conn: max_requests_per_conn.unwrap_or(0),
+                write_queue_limit: write_queue_limit.unwrap_or(16 << 20),
             };
             let coordinator = match Coordinator::bind(&config) {
                 Ok(coordinator) => coordinator,
@@ -139,6 +141,17 @@ fn main() {
             println!("{}", fleet_summary_line(&summary));
         }
         "worker" => {
+            // The coordinator sends every job over one connection: a request
+            // limit would cut it every N jobs, and the worker sizes its
+            // write-queue bound from its depth.
+            for (flag, set) in [
+                ("--max-requests-per-conn", max_requests_per_conn.is_some()),
+                ("--write-queue-limit", write_queue_limit.is_some()),
+            ] {
+                if set {
+                    fail(&format!("{flag} does not apply to --role worker"));
+                }
+            }
             let config = WorkerConfig {
                 addr: addr.unwrap_or_else(|| "127.0.0.1:0".into()),
                 coordinator: coordinator_addr.clone(),
@@ -147,7 +160,6 @@ fn main() {
                 queue_depth,
                 heartbeat_interval: Duration::from_millis(heartbeat_ms.max(1)),
                 advertise,
-                max_requests_per_conn,
             };
             let worker = match Worker::bind(&config) {
                 Ok(worker) => worker,

@@ -146,9 +146,9 @@ impl Client {
 
     /// Bounds every read on this connection: a reply (or payload byte) that
     /// takes longer than `timeout` to arrive fails with an I/O error instead
-    /// of blocking forever. The coordinator sets this on its worker-facing
-    /// connections so a hung worker reads as a worker loss, not a wedged
-    /// dispatch thread. `None` restores unbounded blocking reads.
+    /// of blocking forever. The worker's heartbeat thread sets this so a
+    /// wedged coordinator cannot wedge it, and [`Client::wait_result`] bounds
+    /// its wait with it. `None` restores unbounded blocking reads.
     ///
     /// # Errors
     ///
@@ -180,7 +180,7 @@ impl Client {
             WireMode::Text => self.request_line(&request.to_line()),
             WireMode::Binary => {
                 self.writer.write_all(&wire::encode_request(request))?;
-                self.read_frame_reply()
+                read_reply_frame(&mut self.reader)
             }
         }
     }
@@ -345,7 +345,7 @@ impl Client {
                 return Err(ClientError::Protocol(format!("unexpected reply {other:?}")));
             }
         };
-        match self.read_frame_reply()? {
+        match read_reply_frame(&mut self.reader)? {
             Reply::Result { payload, .. } => Ok(Ok((id, payload))),
             Reply::Gone { id } => Err(ClientError::Server(format!(
                 "job {id}: the result was already fetched and evicted (GONE)"
@@ -500,18 +500,20 @@ impl Client {
             _ => Err(ClientError::Protocol(format!("unknown reply '{line}'"))),
         }
     }
+}
 
-    /// Reads one binary reply frame and decodes it (binary mode).
-    fn read_frame_reply(&mut self) -> Result<Reply, ClientError> {
-        let mut header = [0u8; wire::FRAME_HEADER_BYTES];
-        self.reader.read_exact(&mut header)?;
-        let (opcode, _flags, body_len) =
-            wire::parse_frame_header(&header).map_err(ClientError::Protocol)?;
-        let mut body = vec![0u8; body_len];
-        self.reader.read_exact(&mut body)?;
-        let response = wire::decode_response(opcode, &body).map_err(ClientError::Protocol)?;
-        reply_from_response(response)
-    }
+/// Reads one binary reply frame — header, body, then decode — into the same
+/// [`Reply`] values the text parser produces. A binary-mode [`Client`] and
+/// the coordinator's worker links both read their replies through this.
+pub(crate) fn read_reply_frame(reader: &mut impl Read) -> Result<Reply, ClientError> {
+    let mut header = [0u8; wire::FRAME_HEADER_BYTES];
+    reader.read_exact(&mut header)?;
+    let (opcode, _flags, body_len) =
+        wire::parse_frame_header(&header).map_err(ClientError::Protocol)?;
+    let mut body = vec![0u8; body_len];
+    reader.read_exact(&mut body)?;
+    let response = wire::decode_response(opcode, &body).map_err(ClientError::Protocol)?;
+    reply_from_response(response)
 }
 
 /// Maps a decoded binary [`Response`] onto the same [`Reply`] values the text

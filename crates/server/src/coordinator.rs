@@ -9,12 +9,14 @@
 //!   only client-visible novelty is the additive `ASSIGNED` state word and
 //!   the coordinator-only `FLEET` status verb.
 //! * **Workers are plain servers.** The coordinator is a protocol *client*
-//!   of each worker: a dispatch is a `SUBMIT` to the chosen worker followed
-//!   by one blocking `RESULT WAIT` — the worker pushes the payload when the
-//!   job completes, so no coordinator code path polls. Workers register by
-//!   sending `HEARTBEAT <id> <addr>` periodically; a worker whose beats stop
-//!   for longer than the configured timeout is deregistered and its
-//!   in-flight jobs re-queued.
+//!   of each worker: it keeps one persistent `KGW1` link per live worker and
+//!   dispatches a job as one wait-flagged `SUBMIT` frame on it. The worker
+//!   acks, then pushes the terminal reply on the same link, so no code path
+//!   polls and no thread or connection is made per job. One thread per link
+//!   dials it on first use (frames sent meanwhile wait in the link), then
+//!   decodes the replies and writes every outcome back through
+//!   `FleetTable::complete`. Workers register by sending `HEARTBEAT <id>
+//!   <addr>` periodically.
 //! * **Lifecycle.** Every job walks the [`FleetState`] machine
 //!   (`QUEUED → ASSIGNED → RUNNING → DONE/FAILED`, with the two loss
 //!   transitions back to `QUEUED`); illegal transitions panic rather than
@@ -29,30 +31,32 @@
 //!
 //! # Retry semantics
 //!
-//! A worker loss (heartbeat timeout, connection failure, or read timeout)
-//! re-queues the lost worker's non-terminal jobs and bumps their retry
-//! count; a job whose retry count exceeds `max_retries` fails instead. A
-//! `BUSY` answer from a worker is *not* a retry — the job simply returns to
-//! the queue with a short back-off. Each (re)assignment bumps the job's
-//! epoch; a dispatch thread only writes back under its own epoch, so a
-//! stale dispatcher racing a re-queue can never clobber the table.
+//! A worker loss — a failed dial, a link read or write error, a reply
+//! outside the protocol, a heartbeat timeout, or a `SUBMIT` unacked for that
+//! long — re-queues the worker's non-terminal jobs and bumps their retry
+//! count; past `max_retries` a job fails instead. A `BUSY` answer is *not* a
+//! retry: the job returns to the queue with a short back-off. A reply writes
+//! back only under the epoch its `SUBMIT` carried, so a stale link can never
+//! clobber the table.
 
-use crate::client::{Client, ClientError, Reply};
+use crate::client::{read_reply_frame, Reply};
 use crate::event_loop::{run_event_loop, EventLoopConfig, Service, ServiceReply};
 use crate::job::JobSpec;
 use crate::protocol::{Request, Response};
 use crate::scheduler::{CompletionHook, FleetState, JobId, Outcome};
 use crate::server::classify_response;
+use crate::wire;
 use kecss_obs::{Counter, Gauge, Histogram};
-use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::io::{BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Cached handles into the global registry (the fixed-name fleet series);
-/// per-worker labelled series are resolved on demand — dispatch is a
-/// millisecond-scale path, not the scheduler's ~50 µs submit path.
+/// per-worker labelled series are resolved on demand.
 struct Metrics {
     workers_live: Arc<Gauge>,
     retries: Arc<Counter>,
@@ -84,8 +88,8 @@ pub struct CoordinatorConfig {
     pub addr: String,
     /// Maximum jobs in flight (queued + assigned + running) before `BUSY`.
     pub queue_depth: usize,
-    /// A worker whose last heartbeat is older than this is deregistered and
-    /// its jobs re-queued.
+    /// A worker whose last heartbeat, or oldest unacked `SUBMIT`, is older
+    /// than this is deregistered and its jobs re-queued; also bounds writes.
     pub heartbeat_timeout: Duration,
     /// Worker-loss re-queues a job tolerates before failing.
     pub max_retries: u32,
@@ -127,14 +131,17 @@ pub struct FleetSummary {
     pub retries: u64,
 }
 
+/// How long a job a worker answered `BUSY` waits before its next dispatch.
+const BUSY_BACKOFF: Duration = Duration::from_millis(25);
+
 /// One fleet job's table entry.
 struct FleetJob {
     spec: JobSpec,
     state: FleetState,
     /// The worker currently (or last) responsible, by id.
     worker: Option<String>,
-    /// Bumped on every (re)assignment and every re-queue; a dispatch thread
-    /// writes back only under its own epoch.
+    /// Bumped on every (re)assignment and every re-queue; a link reply
+    /// writes back only under the epoch its `SUBMIT` carried.
     epoch: u64,
     /// Worker-loss re-queues so far (`BUSY` back-offs do not count).
     retries: u32,
@@ -167,115 +174,246 @@ struct WorkerEntry {
     dispatched: u64,
     /// Jobs currently assigned/running on this worker.
     inflight: u64,
+    /// The dispatch link, dialled on first use and dropped on loss.
+    link: Option<Arc<Link>>,
 }
 
+/// What a worker link learned about one dispatched job.
+enum Answer {
+    /// `OK <wid> QUEUED`: the worker took the job — the RUNNING hop.
+    Acked,
+    /// `BUSY`: the worker's queue is full; back off, no retry charged.
+    Busy,
+    /// The terminal push: `Done` with the payload, or `Failed` with the
+    /// worker's failure text.
+    Finished(FleetState, Outcome),
+}
+
+#[derive(Default)]
 struct FleetTable {
+    /// The last job id handed out (ids start at 1).
     next_id: JobId,
-    /// `BTreeMap` so the FIFO dispatch scan and the `FLEET` text are in
-    /// job-id order.
+    /// Every job, terminal ones included (`STATUS`/`RESULT` answer them).
     jobs: BTreeMap<JobId, FleetJob>,
+    /// The ids of the non-terminal jobs, in id order. The dispatch scan, the
+    /// back-off deadline, the loss re-queue and `FLEET` walk this, never
+    /// `jobs`, and its length is what the depth bound applies to.
+    open: BTreeSet<JobId>,
     /// `BTreeMap` so "the sorted live-worker set" is the iteration order.
     workers: BTreeMap<String, WorkerEntry>,
-    /// Jobs queued + assigned + running; the depth bound applies to this.
-    inflight: usize,
     closed: bool,
     /// Set (under the lock) by everything that makes new dispatch work —
-    /// submission, registration, a worker-loss re-queue, shutdown — and
+    /// submission, registration, a re-queue or back-off, shutdown — and
     /// cleared by the dispatcher after each scan. A `Condvar` notification
     /// fired between the dispatcher's scan and its wait is otherwise lost,
     /// and the job would sit queued until the next sweep tick.
     kicked: bool,
-    /// Job ids that reached a terminal state since the last flush. Every
-    /// code path that drops the table lock after a terminal transition takes
-    /// this buffer and fires [`Shared::notify_terminals`] with it, which
-    /// wakes the readiness loop for push delivery and the shutdown drain.
+    /// Job ids that reached a terminal state since the last
+    /// [`Shared::release`], which fires the readiness loop's completion
+    /// hook for them (push delivery and the shutdown drain).
     pending_terminal: Vec<JobId>,
     summary: FleetSummary,
 }
 
 impl FleetTable {
-    fn live_workers(&self) -> Vec<(String, String)> {
-        self.workers
-            .iter()
-            .filter(|(_, w)| w.live)
-            .map(|(id, w)| (id.clone(), w.addr.clone()))
-            .collect()
-    }
-
     fn update_live_gauge(&self) {
         let live = self.workers.values().filter(|w| w.live).count();
         metrics().workers_live.set(live as i64);
     }
 
-    /// Marks a job terminal: transition, store the outcome, maintain the
-    /// in-flight count, counters and per-worker gauges.
-    fn finish(&mut self, id: JobId, to: FleetState, outcome: Outcome) {
-        let job = self.jobs.get_mut(&id).expect("finishing a known job");
-        if let Some(worker) = job.worker.take() {
-            if let Some(entry) = self.workers.get_mut(&worker) {
-                entry.inflight = entry.inflight.saturating_sub(1);
-                worker_inflight_gauge(&worker).set(entry.inflight as i64);
-            }
+    /// Admits one submission as job `Ok(id)`, or refuses it with the depth
+    /// (`BUSY`).
+    fn admit(&mut self, spec: JobSpec, queue_depth: usize) -> Result<JobId, usize> {
+        if self.open.len() >= queue_depth {
+            self.summary.rejected += 1;
+            return Err(queue_depth);
         }
-        job.transition(to);
-        job.outcome = Some(outcome);
-        self.inflight -= 1;
-        self.pending_terminal.push(id);
-        match to {
-            FleetState::Done => {
-                self.summary.completed += 1;
-                metrics().completed.inc();
+        self.next_id += 1;
+        let id = self.next_id;
+        self.summary.submitted += 1;
+        let now = Instant::now();
+        let job = FleetJob {
+            spec,
+            state: FleetState::Queued,
+            worker: None,
+            epoch: 0,
+            retries: 0,
+            not_before: now,
+            submitted_at: now,
+            outcome: None,
+        };
+        self.jobs.insert(id, job);
+        self.open.insert(id);
+        self.kicked = true;
+        Ok(id)
+    }
+
+    /// Assigns every ready queued job, in id order, to `splitmix64(id)` over
+    /// the sorted live-worker set, and returns the `SUBMIT`s to write:
+    /// `(job, epoch, worker, spec)`.
+    fn assign_ready(&mut self, now: Instant) -> Vec<(JobId, u64, String, JobSpec)> {
+        let live: Vec<String> = self
+            .workers
+            .iter()
+            .filter(|(_, w)| w.live)
+            .map(|(id, _)| id.clone())
+            .collect();
+        if live.is_empty() {
+            return Vec::new();
+        }
+        let ready: Vec<JobId> = self
+            .open
+            .iter()
+            .copied()
+            .filter(|id| {
+                let job = &self.jobs[id];
+                job.state == FleetState::Queued && job.not_before <= now
+            })
+            .collect();
+        let mut sends = Vec::with_capacity(ready.len());
+        for id in ready {
+            let worker = &live[(splitmix64(id) % live.len() as u64) as usize];
+            let job = self.jobs.get_mut(&id).expect("open job exists");
+            job.transition(FleetState::Assigned);
+            job.worker = Some(worker.clone());
+            job.epoch += 1;
+            if kecss_obs::enabled() {
+                let wait = now.duration_since(job.submitted_at).as_nanos();
+                metrics()
+                    .assignment_wait_ns
+                    .record(u64::try_from(wait).unwrap_or(u64::MAX));
             }
-            FleetState::Failed => {
-                self.summary.failed += 1;
-                metrics().failed.inc();
+            sends.push((id, job.epoch, worker.clone(), job.spec.clone()));
+            let entry = self.workers.get_mut(worker).expect("live worker exists");
+            entry.dispatched += 1;
+            entry.inflight += 1;
+            worker_dispatched_counter(worker).inc();
+            worker_inflight_gauge(worker).set(entry.inflight as i64);
+        }
+        sends
+    }
+
+    /// The one write-back path for what a link learned about a dispatched
+    /// job. Epoch-guarded: an answer for a job that was re-queued (or
+    /// finished) since its `SUBMIT` was written is dropped.
+    fn complete(&mut self, id: JobId, epoch: u64, answer: Answer) {
+        let Some(job) = self.jobs.get_mut(&id).filter(|j| j.epoch == epoch) else {
+            return;
+        };
+        match answer {
+            Answer::Acked => job.transition(FleetState::Running),
+            Answer::Busy => {
+                job.transition(FleetState::Queued);
+                job.epoch += 1;
+                job.not_before = Instant::now() + BUSY_BACKOFF;
+                let worker = job.worker.take();
+                self.detach(worker.as_deref());
+                self.kicked = true;
             }
-            FleetState::Cancelled => {
-                self.summary.cancelled += 1;
-                metrics().cancelled.inc();
-            }
-            _ => unreachable!("finish is only called with terminal states"),
+            Answer::Finished(to, outcome) => self.finish(id, to, outcome),
         }
     }
 
+    /// Drops one assigned/running job from `worker`'s in-flight count.
+    fn detach(&mut self, worker: Option<&str>) {
+        let Some((worker, entry)) = worker.and_then(|w| Some((w, self.workers.get_mut(w)?))) else {
+            return;
+        };
+        entry.inflight = entry.inflight.saturating_sub(1);
+        worker_inflight_gauge(worker).set(entry.inflight as i64);
+    }
+
+    /// Marks a job terminal: transition, store the outcome, release its
+    /// worker and its open slot, count it.
+    fn finish(&mut self, id: JobId, to: FleetState, outcome: Outcome) {
+        let job = self.jobs.get_mut(&id).expect("finishing a known job");
+        job.transition(to);
+        job.outcome = Some(outcome);
+        let worker = job.worker.take();
+        self.detach(worker.as_deref());
+        self.open.remove(&id);
+        self.pending_terminal.push(id);
+        let (count, counter) = match to {
+            FleetState::Done => (&mut self.summary.completed, &metrics().completed),
+            FleetState::Failed => (&mut self.summary.failed, &metrics().failed),
+            FleetState::Cancelled => (&mut self.summary.cancelled, &metrics().cancelled),
+            _ => unreachable!("finish is only called with terminal states"),
+        };
+        *count += 1;
+        counter.inc();
+    }
+
+    /// `worker`'s entry while `link` is its current link (`None`: it has
+    /// none).
+    fn current(&mut self, worker: &str, link: Option<&Arc<Link>>) -> Option<&mut WorkerEntry> {
+        let entry = self.workers.get_mut(worker)?;
+        (entry.link.as_ref().map(Arc::as_ptr) == link.map(Arc::as_ptr)).then_some(entry)
+    }
+
+    /// The one loss path: marks `worker` dead, closes its link and re-queues
+    /// its jobs. Acts only while `link` is still the worker's current link,
+    /// so a stale reader cannot tear down the link of a worker that has
+    /// since re-registered.
+    fn lose(&mut self, worker: &str, link: Option<&Arc<Link>>, cause: &str, max_retries: u32) {
+        let Some(entry) = self.current(worker, link) else {
+            return;
+        };
+        if let Some(link) = entry.link.take() {
+            link.close();
+        }
+        entry.live = false;
+        self.requeue_worker_jobs(worker, max_retries, cause);
+        self.update_live_gauge();
+        self.kicked = true;
+    }
+
     /// Returns every non-terminal job owned by `worker` to the queue (or
-    /// fails it when its retry budget is spent). The loss path shared by the
-    /// heartbeat sweep and dispatch-side connection failures.
+    /// fails it when its retry budget is spent).
     fn requeue_worker_jobs(&mut self, worker: &str, max_retries: u32, cause: &str) {
         let ids: Vec<JobId> = self
-            .jobs
+            .open
             .iter()
-            .filter(|(_, j)| !j.state.is_terminal() && j.worker.as_deref() == Some(worker))
-            .map(|(id, _)| *id)
+            .copied()
+            .filter(|id| self.jobs[id].worker.as_deref() == Some(worker))
             .collect();
         for id in ids {
             self.summary.retries += 1;
             metrics().retries.inc();
-            let job = self.jobs.get_mut(&id).expect("job id just enumerated");
+            let job = self.jobs.get_mut(&id).expect("open job exists");
             job.epoch += 1;
             job.retries += 1;
-            job.worker = None;
-            if let Some(entry) = self.workers.get_mut(worker) {
-                entry.inflight = entry.inflight.saturating_sub(1);
-                worker_inflight_gauge(worker).set(entry.inflight as i64);
-            }
             if job.retries > max_retries {
-                let retries = job.retries;
-                // `finish` re-derives the worker/inflight bookkeeping; the
-                // worker was already detached above, so transition directly.
-                job.transition(FleetState::Failed);
-                job.outcome = Some(Outcome::Failed(format!(
-                    "worker lost {retries} times (last: {cause}); retry budget {max_retries} spent"
-                )));
-                self.inflight -= 1;
-                self.pending_terminal.push(id);
-                self.summary.failed += 1;
-                metrics().failed.inc();
+                let message = format!(
+                    "worker lost {} times (last: {cause}); retry budget {max_retries} spent",
+                    job.retries
+                );
+                self.finish(id, FleetState::Failed, Outcome::Failed(message));
             } else {
                 job.transition(FleetState::Queued);
                 job.not_before = Instant::now();
+                job.worker = None;
+                self.detach(Some(worker));
             }
         }
+    }
+
+    /// How long the dispatcher may sleep: until the earliest `BUSY` back-off
+    /// deadline (a backed-off job has no notification coming), at most
+    /// `tick`. Queued jobs with no live worker get no special wake:
+    /// registration kicks.
+    fn next_wake(&self, tick: Duration) -> Duration {
+        if !self.workers.values().any(|w| w.live) {
+            return tick;
+        }
+        let queued = self.open.iter().map(|id| &self.jobs[id]);
+        let next = queued
+            .filter(|j| j.state == FleetState::Queued)
+            .map(|j| j.not_before)
+            .min();
+        next.map_or(tick, |t| {
+            let wait = t.saturating_duration_since(Instant::now());
+            wait.clamp(Duration::from_millis(1), tick)
+        })
     }
 }
 
@@ -287,40 +425,212 @@ fn worker_dispatched_counter(worker: &str) -> Arc<Counter> {
     kecss_obs::counter_with("fleet_worker_dispatched_total", &[("worker", worker)])
 }
 
+/// One persistent `KGW1` connection to a worker. Every dispatch to that
+/// worker is a wait-flagged `SUBMIT` frame sent here; [`run_link`] dials it
+/// and decodes the replies on a thread of its own, so a dial that hangs
+/// holds up only this worker's jobs.
+#[derive(Default)]
+struct Link {
+    /// Set by the reader once its dial succeeds.
+    stream: OnceLock<TcpStream>,
+    queue: Mutex<LinkQueue>,
+}
+
+/// What a link's lock guards: its frames and its answers are ordered by it.
+#[derive(Default)]
+struct LinkQueue {
+    /// Frames sent while the link was still dialling, written after the
+    /// preamble.
+    unsent: Vec<u8>,
+    /// `(job, epoch, sent at)` of each `SUBMIT` not answered yet. Acks,
+    /// `BUSY` and request `ERR`s answer in write order, so an entry is
+    /// pushed under the same lock as its write and popped by its answer.
+    unacked: VecDeque<(JobId, u64, Instant)>,
+}
+
+impl Link {
+    fn queue(&self) -> MutexGuard<'_, LinkQueue> {
+        self.queue.lock().expect("link lock poisoned")
+    }
+
+    fn oldest_unacked(&self) -> Option<Instant> {
+        self.queue().unacked.front().map(|s| s.2)
+    }
+
+    /// Sends the `SUBMIT` frame of job `id` under `epoch`, or queues it until
+    /// the dial finishes.
+    fn send(&self, id: JobId, epoch: u64, frame: &[u8]) -> std::io::Result<()> {
+        let mut queue = self.queue();
+        match self.stream.get() {
+            Some(mut stream) => stream.write_all(frame)?,
+            None => queue.unsent.extend_from_slice(frame),
+        }
+        queue.unacked.push_back((id, epoch, Instant::now()));
+        Ok(())
+    }
+
+    /// Dials `addr`, then writes the preamble and the queued frames; the
+    /// dial and every write are bounded by `timeout`. Returns the read half.
+    fn dial(&self, addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
+        let target = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::NotFound, "no address resolved")
+        })?;
+        let stream = TcpStream::connect_timeout(&target, timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(timeout))?;
+        let reader = stream.try_clone()?;
+        let mut queue = self.queue();
+        let unsent = std::mem::take(&mut queue.unsent);
+        (&stream).write_all(&[&wire::PREAMBLE[..], &unsent].concat())?;
+        let _ = self.stream.set(stream);
+        Ok(reader)
+    }
+
+    /// Shuts the socket down, which wakes the reader even when the worker
+    /// has gone silent. A link still dialling is closed by its reader, which
+    /// checks after the dial that the link is still current.
+    fn close(&self) {
+        if let Some(stream) = self.stream.get() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// The worker job id a terminal `ERR` push names: `job <wid> failed: …` or
+/// `job <wid> was cancelled …`.
+fn terminal_err_job(message: &str) -> Option<JobId> {
+    let (wid, rest) = message.strip_prefix("job ")?.split_once(' ')?;
+    let terminal = rest.starts_with("failed: ") || rest.starts_with("was cancelled");
+    terminal.then(|| wid.parse().ok()).flatten()
+}
+
+/// A link's thread: dials `addr`, then reads until the link is lost. Acks
+/// and `BUSY` answer the oldest unanswered `SUBMIT`, a `RESULT` or terminal
+/// `ERR` names an acked worker job id, and each answer goes through
+/// [`FleetTable::complete`]. Anything else — a failed dial, a read error, a
+/// request `ERR`, a reply outside the protocol — is a loss.
+fn run_link(shared: &Shared, worker: &str, link: &Arc<Link>, addr: &str) {
+    let dialled = link.dial(addr, shared.config.heartbeat_timeout);
+    // A loss during the dial found no socket to shut down: close it here.
+    let current = shared.lock().current(worker, Some(link)).is_some();
+    let stream = match dialled {
+        Ok(stream) if current => stream,
+        Ok(_) => return link.close(),
+        Err(e) => return shared.lose(worker, Some(link), &format!("cannot dial {addr}: {e}")),
+    };
+    let mut reader = BufReader::new(stream);
+    // Acked worker job id -> (fleet job id, epoch).
+    let mut acked: HashMap<JobId, (JobId, u64)> = HashMap::new();
+    let cause = loop {
+        let answer = match read_reply_frame(&mut reader) {
+            Err(e) => break e.to_string(),
+            Ok(Reply::Ok(words)) => {
+                let wid = words.first().and_then(|w| w.parse().ok());
+                let front = link.queue().unacked.pop_front();
+                front.zip(wid).map(|((id, epoch, _), wid)| {
+                    acked.insert(wid, (id, epoch));
+                    (id, epoch, Answer::Acked)
+                })
+            }
+            Ok(Reply::Busy { .. }) => link
+                .queue()
+                .unacked
+                .pop_front()
+                .map(|(id, epoch, _)| (id, epoch, Answer::Busy)),
+            Ok(Reply::Result { id: wid, payload }) => acked.remove(&wid).map(|(id, epoch)| {
+                let outcome = Outcome::Done(Arc::new(payload));
+                (id, epoch, Answer::Finished(FleetState::Done, outcome))
+            }),
+            Ok(Reply::Err(message)) => {
+                let job = terminal_err_job(&message).and_then(|w| Some((w, acked.remove(&w)?)));
+                let Some((wid, (id, epoch))) = job else {
+                    break format!("worker refused the link: {message}");
+                };
+                let failure = message
+                    .strip_prefix(&format!("job {wid} failed: "))
+                    .unwrap_or(&message);
+                let outcome = Outcome::Failed(failure.to_string());
+                Some((id, epoch, Answer::Finished(FleetState::Failed, outcome)))
+            }
+            Ok(other) => break format!("worker answered outside the protocol: {other:?}"),
+        };
+        match answer {
+            Some((id, epoch, answer)) => shared.update(|t| t.complete(id, epoch, answer)),
+            None => break "worker answered no SUBMIT of this link".into(),
+        }
+    };
+    shared.lose(worker, Some(link), &cause);
+}
+
+#[derive(Default)]
 struct Shared {
     table: Mutex<FleetTable>,
-    /// Signalled whenever a job reaches a terminal state (drain, waiters).
-    changed: Condvar,
     /// Signalled whenever dispatch-relevant state changes (submission,
-    /// registration, re-queue).
+    /// registration, re-queue, back-off).
     dispatch: Condvar,
     /// Stops the dispatcher thread (set after the shutdown drain).
     stop: AtomicBool,
     /// The readiness loop's completion hook (push delivery + drain wakeups),
     /// installed once before the loop starts serving.
-    completion_hook: Mutex<Option<CompletionHook>>,
+    completion_hook: OnceLock<CompletionHook>,
+    /// The link reader threads, joined on shutdown.
+    readers: Mutex<Vec<JoinHandle<()>>>,
     config: CoordinatorConfig,
 }
 
 impl Shared {
-    /// Fires the loop's completion hook for every buffered terminal id.
-    /// Callers take [`FleetTable::pending_terminal`] while still holding the
-    /// table lock and call this after dropping it, so the hook (which takes
-    /// its own locks) never nests inside the table lock.
-    fn notify_terminals(&self, ids: Vec<JobId>) {
-        if ids.is_empty() {
-            return;
+    fn lock(&self) -> MutexGuard<'_, FleetTable> {
+        self.table.lock().expect("coordinator lock poisoned")
+    }
+
+    /// Drops the table lock, then wakes the dispatcher if there is new
+    /// dispatch work and fires the loop's completion hook for every job that
+    /// went terminal. The hook takes its own locks, so it never runs under
+    /// the table lock.
+    fn release(&self, mut table: MutexGuard<'_, FleetTable>) {
+        let ids = std::mem::take(&mut table.pending_terminal);
+        let kicked = table.kicked;
+        drop(table);
+        if kicked {
+            self.dispatch.notify_all();
         }
-        let hook = self
-            .completion_hook
-            .lock()
-            .expect("completion hook lock poisoned")
-            .clone();
-        if let Some(hook) = hook {
-            for id in ids {
-                hook(id);
-            }
+        if let Some(hook) = self.completion_hook.get() {
+            ids.into_iter().for_each(|id| hook(id));
         }
+    }
+
+    /// Runs `f` on the locked table, then [`Shared::release`]s it.
+    fn update<R>(&self, f: impl FnOnce(&mut FleetTable) -> R) -> R {
+        let mut table = self.lock();
+        let result = f(&mut table);
+        self.release(table);
+        result
+    }
+
+    fn lose(&self, worker: &str, link: Option<&Arc<Link>>, cause: &str) {
+        self.update(|t| t.lose(worker, link, cause, self.config.max_retries));
+    }
+
+    /// `worker`'s link, made (and its thread, which dials it, started) on
+    /// first use; `None` means the job to send was re-queued by a loss.
+    fn link(self: &Arc<Self>, worker: &str) -> Option<Arc<Link>> {
+        let mut table = self.lock();
+        let entry = table.workers.get_mut(worker)?;
+        if entry.link.is_some() || !entry.live {
+            return entry.link.clone();
+        }
+        let link = Arc::new(Link::default());
+        entry.link = Some(Arc::clone(&link));
+        let (shared, name, addr) = (Arc::clone(self), worker.to_string(), entry.addr.clone());
+        drop(table);
+        let run = Arc::clone(&link);
+        let reader = std::thread::spawn(move || run_link(&shared, &name, &run, &addr));
+        let mut readers = self.readers.lock().expect("reader list poisoned");
+        for finished in readers.extract_if(.., |r| r.is_finished()) {
+            finished.join().expect("a link reader panicked");
+        }
+        readers.push(reader);
+        Some(link)
     }
 }
 
@@ -349,28 +659,14 @@ impl Coordinator {
     ///
     /// Propagates the bind failure.
     pub fn bind(config: &CoordinatorConfig) -> std::io::Result<Coordinator> {
-        let listener = TcpListener::bind(&config.addr)?;
         Ok(Coordinator {
-            listener,
+            listener: TcpListener::bind(&config.addr)?,
             shared: Arc::new(Shared {
-                table: Mutex::new(FleetTable {
-                    next_id: 1,
-                    jobs: BTreeMap::new(),
-                    workers: BTreeMap::new(),
-                    inflight: 0,
-                    closed: false,
-                    kicked: false,
-                    pending_terminal: Vec::new(),
-                    summary: FleetSummary::default(),
-                }),
-                changed: Condvar::new(),
-                dispatch: Condvar::new(),
-                stop: AtomicBool::new(false),
-                completion_hook: Mutex::new(None),
                 config: CoordinatorConfig {
                     queue_depth: config.queue_depth.max(1),
                     ..config.clone()
                 },
+                ..Shared::default()
             }),
             loop_config: EventLoopConfig {
                 max_requests_per_conn: config.max_requests_per_conn,
@@ -390,11 +686,11 @@ impl Coordinator {
     }
 
     /// Runs the readiness loop and the dispatcher until a `SHUTDOWN` request
-    /// arrives, then drains the in-flight jobs and returns the final
-    /// counters. The drain needs live workers to make progress; a fleet shut
-    /// down with queued jobs and no workers waits until a worker registers
-    /// (heartbeats on already-open connections are still served during the
-    /// drain; only *new* connects are refused).
+    /// arrives, then drains the in-flight jobs, closes the worker links and
+    /// returns the final counters. The drain needs live workers to make
+    /// progress; a fleet shut down with queued jobs and no workers waits
+    /// until a worker registers (heartbeats on already-open connections are
+    /// still served during the drain; only *new* connects are refused).
     ///
     /// # Panics
     ///
@@ -412,19 +708,20 @@ impl Coordinator {
         // retries keep running on the threads behind it meanwhile.
         run_event_loop(self.listener, &service, &self.loop_config)
             .expect("readiness loop failed to start");
-        let summary = self
-            .shared
-            .table
-            .lock()
-            .expect("coordinator lock poisoned")
-            .summary;
         self.shared.stop.store(true, Ordering::SeqCst);
-        {
-            let mut table = self.shared.table.lock().expect("coordinator lock poisoned");
-            table.kicked = true;
-        }
-        self.shared.dispatch.notify_all();
+        self.shared.update(|t| t.kicked = true);
         let _ = dispatcher.join();
+        let summary = self.shared.update(|t| {
+            for link in t.workers.values_mut().filter_map(|w| w.link.take()) {
+                link.close();
+            }
+            t.summary
+        });
+        let readers =
+            std::mem::take(&mut *self.shared.readers.lock().expect("reader list poisoned"));
+        for reader in readers {
+            reader.join().expect("a link reader panicked");
+        }
         summary
     }
 
@@ -460,111 +757,51 @@ impl CoordinatorHandle {
     }
 }
 
-/// The dispatcher: one loop that (1) sweeps heartbeat-expired workers and
-/// re-queues their jobs, (2) assigns queued jobs to live workers
-/// deterministically, spawning one dispatch thread per assignment.
+/// The dispatcher: one loop that (1) sweeps lost workers — beats stopped, or
+/// a `SUBMIT` unacked past the heartbeat timeout — and re-queues their jobs,
+/// (2) assigns queued jobs to live workers deterministically, and (3) writes
+/// each assignment as a `SUBMIT` frame onto the worker's link.
 fn dispatcher_loop(shared: &Arc<Shared>) {
+    let timeout = shared.config.heartbeat_timeout;
     // The sweep cadence bounds loss-detection latency; a quarter of the
     // timeout keeps detection prompt without busy-waiting.
-    let tick = (shared.config.heartbeat_timeout / 4)
-        .clamp(Duration::from_millis(5), Duration::from_millis(250));
+    let tick = (timeout / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
     loop {
-        let mut dispatched: Vec<(JobId, u64, String, String, JobSpec)> = Vec::new();
-        let terminal_ids;
-        {
-            let mut table = shared.table.lock().expect("coordinator lock poisoned");
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let now = Instant::now();
-            // 1. Heartbeat sweep.
-            let lost: Vec<String> = table
-                .workers
-                .iter()
-                .filter(|(_, w)| {
-                    w.live && now.duration_since(w.last_beat) > shared.config.heartbeat_timeout
-                })
-                .map(|(id, _)| id.clone())
-                .collect();
-            for worker in &lost {
-                table
-                    .workers
-                    .get_mut(worker)
-                    .expect("worker enumerated")
-                    .live = false;
-                table.requeue_worker_jobs(worker, shared.config.max_retries, "heartbeat timeout");
-            }
-            if !lost.is_empty() {
-                table.update_live_gauge();
-                shared.changed.notify_all();
-            }
-            // 2. Deterministic assignment over the sorted live-worker set.
-            let live = table.live_workers();
-            if !live.is_empty() {
-                let ready: Vec<JobId> = table
-                    .jobs
-                    .iter()
-                    .filter(|(_, j)| j.state == FleetState::Queued && j.not_before <= now)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in ready {
-                    let (worker, worker_addr) =
-                        &live[(splitmix64(id) % live.len() as u64) as usize];
-                    let job = table.jobs.get_mut(&id).expect("job id just enumerated");
-                    job.transition(FleetState::Assigned);
-                    job.worker = Some(worker.clone());
-                    job.epoch += 1;
-                    let epoch = job.epoch;
-                    let spec = job.spec.clone();
-                    if kecss_obs::enabled() {
-                        if let Ok(ns) =
-                            u64::try_from(now.duration_since(job.submitted_at).as_nanos())
-                        {
-                            metrics().assignment_wait_ns.record(ns);
-                        }
-                    }
-                    let entry = table.workers.get_mut(worker).expect("live worker exists");
-                    entry.dispatched += 1;
-                    entry.inflight += 1;
-                    worker_dispatched_counter(worker).inc();
-                    worker_inflight_gauge(worker).set(entry.inflight as i64);
-                    dispatched.push((id, epoch, worker.clone(), worker_addr.clone(), spec));
-                }
-            }
-            // A sweep may have failed jobs past their retry budget: wake any
-            // parked `RESULT WAIT` subscribers (and the drain) for them.
-            terminal_ids = std::mem::take(&mut table.pending_terminal);
+        let mut table = shared.lock();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
         }
-        shared.notify_terminals(terminal_ids);
-        for (id, epoch, worker, worker_addr, spec) in dispatched {
-            let shared = Arc::clone(shared);
-            std::thread::spawn(move || {
-                dispatch_job(&shared, id, epoch, &worker, &worker_addr, spec)
-            });
-        }
-        let mut table = shared.table.lock().expect("coordinator lock poisoned");
-        if !table.kicked {
-            // Nothing arrived while the lock was released for the spawns.
-            // Wake no later than the earliest `BUSY` back-off deadline (a
-            // backed-off job has no notification coming), else at the sweep
-            // tick. Queued jobs with no live worker get no special wake:
-            // registration kicks.
-            let now = Instant::now();
-            let wait = if table.workers.values().any(|w| w.live) {
-                table
-                    .jobs
-                    .values()
-                    .filter(|j| j.state == FleetState::Queued)
-                    .map(|j| {
-                        j.not_before
-                            .saturating_duration_since(now)
-                            .max(Duration::from_millis(1))
-                    })
-                    .min()
-                    .map_or(tick, |d| d.min(tick))
+        let now = Instant::now();
+        let mut lost = Vec::new();
+        for (id, w) in table.workers.iter().filter(|(_, w)| w.live) {
+            let unacked_since = w.link.as_ref().and_then(|l| l.oldest_unacked());
+            let cause = if now.duration_since(w.last_beat) > timeout {
+                "heartbeat timeout"
+            } else if unacked_since.is_some_and(|t| now.duration_since(t) > timeout) {
+                "SUBMIT not acked within the heartbeat timeout"
             } else {
-                tick
+                continue;
             };
+            lost.push((id.clone(), w.link.clone(), cause));
+        }
+        for (worker, link, cause) in &lost {
+            table.lose(worker, link.as_ref(), cause, shared.config.max_retries);
+        }
+        let sends = table.assign_ready(now);
+        shared.release(table);
+        for (id, epoch, worker, spec) in sends {
+            let Some(link) = shared.link(&worker) else {
+                continue;
+            };
+            let frame = wire::encode_request(&Request::SubmitWait(spec));
+            if let Err(e) = link.send(id, epoch, &frame) {
+                shared.lose(&worker, Some(&link), &format!("link write failed: {e}"));
+            }
+        }
+        let mut table = shared.lock();
+        if !table.kicked {
+            // Nothing arrived while the lock was released for the writes.
+            let wait = table.next_wake(tick);
             table = shared
                 .dispatch
                 .wait_timeout(table, wait)
@@ -572,168 +809,6 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
                 .0;
         }
         table.kicked = false;
-    }
-}
-
-/// One dispatch: act as a protocol client of the chosen worker — `SUBMIT`,
-/// then one blocking `RESULT WAIT` (the worker pushes on completion). All
-/// table write-backs are epoch-guarded.
-fn dispatch_job(
-    shared: &Arc<Shared>,
-    id: JobId,
-    epoch: u64,
-    worker: &str,
-    worker_addr: &str,
-    spec: JobSpec,
-) {
-    match try_dispatch(shared, id, epoch, worker_addr, spec) {
-        Ok(()) => {}
-        Err(DispatchEnd::WorkerLost(cause)) => {
-            let mut table = shared.table.lock().expect("coordinator lock poisoned");
-            // Only act if the table still believes this dispatch: the
-            // heartbeat sweep may have re-queued the job already.
-            let current = table.jobs.get(&id).is_some_and(|j| j.epoch == epoch);
-            if current {
-                if let Some(entry) = table.workers.get_mut(worker) {
-                    entry.live = false;
-                }
-                table.requeue_worker_jobs(worker, shared.config.max_retries, &cause);
-                table.update_live_gauge();
-                table.kicked = true;
-                let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                drop(table);
-                shared.changed.notify_all();
-                shared.dispatch.notify_all();
-                shared.notify_terminals(terminal_ids);
-            }
-        }
-        Err(DispatchEnd::Busy) => {
-            let mut table = shared.table.lock().expect("coordinator lock poisoned");
-            if table.jobs.get(&id).is_some_and(|j| j.epoch == epoch) {
-                if let Some(entry) = table.workers.get_mut(worker) {
-                    entry.inflight = entry.inflight.saturating_sub(1);
-                    worker_inflight_gauge(worker).set(entry.inflight as i64);
-                }
-                let job = table.jobs.get_mut(&id).expect("epoch-checked job exists");
-                job.worker = None;
-                job.epoch += 1;
-                job.transition(FleetState::Queued);
-                // Back off briefly so a saturated worker is not hammered.
-                job.not_before = Instant::now() + Duration::from_millis(25);
-            }
-        }
-    }
-}
-
-/// Why a dispatch attempt ended without delivering a terminal outcome.
-enum DispatchEnd {
-    /// The worker is unreachable, hung past the read timeout, or answered
-    /// outside the protocol: treat as a loss and re-queue.
-    WorkerLost(String),
-    /// The worker's queue is full: back off, no retry charged.
-    Busy,
-}
-
-fn try_dispatch(
-    shared: &Arc<Shared>,
-    id: JobId,
-    epoch: u64,
-    worker_addr: &str,
-    spec: JobSpec,
-) -> Result<(), DispatchEnd> {
-    let lost = |e: ClientError| DispatchEnd::WorkerLost(e.to_string());
-    let mut client = Client::connect(worker_addr).map_err(lost)?;
-    // A healthy worker answers `SUBMIT` immediately (solving happens on its
-    // pool): a read that blocks past the heartbeat timeout here means the
-    // worker is gone, not slow.
-    client
-        .set_read_timeout(Some(shared.config.heartbeat_timeout))
-        .map_err(lost)?;
-    let worker_job = match client.submit(&spec) {
-        Ok(Ok(worker_job)) => worker_job,
-        Ok(Err(_depth)) => return Err(DispatchEnd::Busy),
-        // The worker rejected the spec outright (`ERR`): re-submitting
-        // elsewhere cannot help, the job fails now.
-        Err(ClientError::Server(message)) => {
-            let mut table = shared.table.lock().expect("coordinator lock poisoned");
-            if table.jobs.get(&id).is_some_and(|j| j.epoch == epoch) {
-                table.finish(id, FleetState::Failed, Outcome::Failed(message));
-                let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                drop(table);
-                shared.changed.notify_all();
-                shared.notify_terminals(terminal_ids);
-            }
-            return Ok(());
-        }
-        Err(e) => return Err(lost(e)),
-    };
-    // The worker accepted the job onto its pool: that ack is the fleet's
-    // RUNNING hop. The push model has no later intermediate report to learn
-    // it from — the next thing this connection hears is the terminal result.
-    {
-        let mut table = shared.table.lock().expect("coordinator lock poisoned");
-        let started = table
-            .jobs
-            .get_mut(&id)
-            .filter(|j| j.epoch == epoch && j.state == FleetState::Assigned)
-            .map(|job| job.transition(FleetState::Running))
-            .is_some();
-        drop(table);
-        if started {
-            shared.changed.notify_all();
-        }
-    }
-    // `RESULT WAIT` answers exactly once, when the job is terminal: the read
-    // must be unbounded (solve time is the job's, not the protocol's). A
-    // worker that *dies* surfaces as EOF/reset here and is handled as a
-    // loss; a worker silently black-holed by the network (no FIN, no RST) is
-    // detected by the heartbeat sweep instead, which re-queues the job under
-    // a new epoch — this thread's eventual write-back is then discarded by
-    // the epoch guard.
-    client.set_read_timeout(None).map_err(lost)?;
-    match client.request(&Request::ResultWait(worker_job)) {
-        Ok(Reply::Result { payload, .. }) => {
-            let mut table = shared.table.lock().expect("coordinator lock poisoned");
-            if table.jobs.get(&id).is_some_and(|j| j.epoch == epoch) {
-                // The machine records the RUNNING hop the push model no
-                // longer observes directly.
-                let job = table.jobs.get_mut(&id).expect("epoch-checked job exists");
-                if job.state == FleetState::Assigned {
-                    job.transition(FleetState::Running);
-                }
-                table.finish(id, FleetState::Done, Outcome::Done(Arc::new(payload)));
-                let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                drop(table);
-                shared.changed.notify_all();
-                shared.notify_terminals(terminal_ids);
-            }
-            Ok(())
-        }
-        Ok(Reply::Err(message)) => {
-            // The worker executed the job and it failed (solver error or
-            // worker-side cancellation): terminal, not a loss.
-            let failure = message
-                .strip_prefix(&format!("job {worker_job} failed: "))
-                .unwrap_or(&message)
-                .to_string();
-            let mut table = shared.table.lock().expect("coordinator lock poisoned");
-            if table.jobs.get(&id).is_some_and(|j| j.epoch == epoch) {
-                let job = table.jobs.get_mut(&id).expect("epoch-checked job exists");
-                if job.state == FleetState::Assigned {
-                    job.transition(FleetState::Running);
-                }
-                table.finish(id, FleetState::Failed, Outcome::Failed(failure));
-                let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                drop(table);
-                shared.changed.notify_all();
-                shared.notify_terminals(terminal_ids);
-            }
-            Ok(())
-        }
-        Ok(other) => Err(DispatchEnd::WorkerLost(format!(
-            "worker answered outside the protocol: {other:?}"
-        ))),
-        Err(e) => Err(lost(e)),
     }
 }
 
@@ -768,43 +843,20 @@ impl CoordinatorService {
     /// `wait` the admitted reply also parks the connection for the terminal
     /// push — refusals never subscribe.
     fn admit(&self, spec: JobSpec, wait: bool) -> ServiceReply {
-        let shared = &self.shared;
-        let mut table = shared.table.lock().expect("coordinator lock poisoned");
+        let mut table = self.shared.lock();
         if table.closed {
             return ServiceReply::Line(Response::Err(
                 kecss::Error::ServiceShuttingDown.to_string(),
             ));
         }
-        if table.inflight >= shared.config.queue_depth {
-            table.summary.rejected += 1;
-            return ServiceReply::Line(Response::Busy(shared.config.queue_depth as u64));
-        }
-        let id = table.next_id;
-        table.next_id += 1;
-        table.inflight += 1;
-        table.summary.submitted += 1;
-        let now = Instant::now();
-        table.jobs.insert(
-            id,
-            FleetJob {
-                spec,
-                state: FleetState::Queued,
-                worker: None,
-                epoch: 0,
-                retries: 0,
-                not_before: now,
-                submitted_at: now,
-                outcome: None,
-            },
-        );
-        table.kicked = true;
-        drop(table);
-        shared.dispatch.notify_all();
-        let ack = Response::Ok(format!("{id} QUEUED"));
-        if wait {
-            ServiceReply::LineAndSubscribe(ack, id)
-        } else {
-            ServiceReply::Line(ack)
+        let admitted = table.admit(spec, self.shared.config.queue_depth);
+        self.shared.release(table);
+        match admitted {
+            Err(depth) => ServiceReply::Line(Response::Busy(depth as u64)),
+            Ok(id) if wait => {
+                ServiceReply::LineAndSubscribe(Response::Ok(format!("{id} QUEUED")), id)
+            }
+            Ok(id) => ServiceReply::Line(Response::Ok(format!("{id} QUEUED"))),
         }
     }
 }
@@ -816,17 +868,14 @@ impl Service for CoordinatorService {
         let reply = match request {
             Request::Submit(spec) => self.admit(spec, false),
             Request::SubmitWait(spec) => self.admit(spec, true),
-            Request::Status(id) => {
-                let table = shared.table.lock().expect("coordinator lock poisoned");
-                match table.jobs.get(&id) {
-                    Some(job) => {
-                        ServiceReply::Line(Response::Ok(format!("{id} {}", job.state.wire_name())))
-                    }
-                    None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
+            Request::Status(id) => match shared.lock().jobs.get(&id) {
+                Some(job) => {
+                    ServiceReply::Line(Response::Ok(format!("{id} {}", job.state.wire_name())))
                 }
-            }
+                None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
+            },
             Request::Result(id) => {
-                let mut table = shared.table.lock().expect("coordinator lock poisoned");
+                let mut table = shared.lock();
                 match table.jobs.get_mut(&id) {
                     None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
                     Some(job) => match fleet_outcome_response(id, job) {
@@ -838,26 +887,19 @@ impl Service for CoordinatorService {
                     },
                 }
             }
-            Request::ResultWait(id) => {
-                let table = shared.table.lock().expect("coordinator lock poisoned");
-                match table.jobs.get(&id) {
-                    None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                    // Known job: park the connection. Already-terminal jobs
-                    // are answered by the subscribe-time re-check in the
-                    // loop.
-                    Some(_) => ServiceReply::Subscribe(id),
-                }
-            }
+            // Known job: park the connection. Already-terminal jobs are
+            // answered by the subscribe-time re-check in the loop.
+            Request::ResultWait(id) => match shared.lock().jobs.get(&id) {
+                None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
+                Some(_) => ServiceReply::Subscribe(id),
+            },
             Request::Cancel(id) => {
-                let mut table = shared.table.lock().expect("coordinator lock poisoned");
+                let mut table = shared.lock();
                 match table.jobs.get(&id).map(|job| job.state) {
                     None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
                     Some(FleetState::Queued) => {
                         table.finish(id, FleetState::Cancelled, Outcome::Cancelled);
-                        let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                        drop(table);
-                        shared.changed.notify_all();
-                        shared.notify_terminals(terminal_ids);
+                        shared.release(table);
                         ServiceReply::Line(Response::Ok(format!("{id} CANCELLED")))
                     }
                     Some(state) if state.is_terminal() => {
@@ -874,59 +916,40 @@ impl Service for CoordinatorService {
                 ServiceReply::Line(Response::Metrics(Arc::new(text.into_bytes())))
             }
             Request::Heartbeat { worker, addr } => {
-                let mut table = shared.table.lock().expect("coordinator lock poisoned");
+                let mut table = shared.lock();
                 let now = Instant::now();
-                let registered = match table.workers.get_mut(&worker) {
-                    Some(entry) => {
-                        let was_dead = !entry.live;
-                        if kecss_obs::enabled() && !was_dead {
-                            if let Ok(ns) =
-                                u64::try_from(now.duration_since(entry.last_beat).as_nanos())
-                            {
-                                metrics().heartbeat_gap_ns.record(ns);
-                            }
-                        }
-                        entry.addr = addr;
-                        entry.last_beat = now;
-                        entry.live = true;
-                        was_dead
-                    }
-                    None => {
-                        table.workers.insert(
-                            worker.clone(),
-                            WorkerEntry {
-                                addr,
-                                last_beat: now,
-                                live: true,
-                                dispatched: 0,
-                                inflight: 0,
-                            },
-                        );
-                        true
-                    }
-                };
-                if registered {
-                    table.kicked = true;
+                // A new worker enters dead, so its first beat registers it.
+                let entry = table
+                    .workers
+                    .entry(worker.clone())
+                    .or_insert_with(|| WorkerEntry {
+                        addr: String::new(),
+                        last_beat: now,
+                        live: false,
+                        dispatched: 0,
+                        inflight: 0,
+                        link: None,
+                    });
+                let registered = !entry.live;
+                if kecss_obs::enabled() && !registered {
+                    let gap = now.duration_since(entry.last_beat).as_nanos();
+                    metrics()
+                        .heartbeat_gap_ns
+                        .record(u64::try_from(gap).unwrap_or(u64::MAX));
                 }
+                (entry.addr, entry.last_beat, entry.live) = (addr, now, true);
+                table.kicked |= registered;
                 table.update_live_gauge();
-                drop(table);
-                if registered {
-                    shared.dispatch.notify_all();
-                }
+                shared.release(table);
                 let word = if registered { "REGISTERED" } else { "ALIVE" };
                 ServiceReply::Line(Response::Ok(format!("{worker} {word}")))
             }
             Request::Fleet => {
-                let table = shared.table.lock().expect("coordinator lock poisoned");
-                let text = render_fleet(&table);
+                let text = render_fleet(&shared.lock());
                 ServiceReply::Line(Response::Fleet(Arc::new(text.into_bytes())))
             }
             Request::Shutdown => {
-                shared
-                    .table
-                    .lock()
-                    .expect("coordinator lock poisoned")
-                    .closed = true;
+                shared.lock().closed = true;
                 ServiceReply::Shutdown(Response::Ok("SHUTDOWN".into()))
             }
         };
@@ -940,7 +963,7 @@ impl Service for CoordinatorService {
     }
 
     fn result_reply(&self, id: JobId) -> Option<Response> {
-        let mut table = self.shared.table.lock().expect("coordinator lock poisoned");
+        let mut table = self.shared.lock();
         let job = table.jobs.get_mut(&id)?;
         let response = fleet_outcome_response(id, job)?;
         classify_response(&response);
@@ -948,20 +971,11 @@ impl Service for CoordinatorService {
     }
 
     fn idle(&self) -> bool {
-        self.shared
-            .table
-            .lock()
-            .expect("coordinator lock poisoned")
-            .inflight
-            == 0
+        self.shared.lock().open.is_empty()
     }
 
     fn install_completion_hook(&self, hook: CompletionHook) {
-        *self
-            .shared
-            .completion_hook
-            .lock()
-            .expect("completion hook lock poisoned") = Some(hook);
+        let _ = self.shared.completion_hook.set(hook);
     }
 }
 
@@ -987,15 +1001,16 @@ fn render_fleet(table: &FleetTable) -> String {
         "jobs submitted {} completed {} failed {} cancelled {} rejected {} retries {}\n",
         s.submitted, s.completed, s.failed, s.cancelled, s.rejected, s.retries
     ));
-    let count = |state: FleetState| table.jobs.values().filter(|j| j.state == state).count();
+    let open = || table.open.iter().map(|id| (id, &table.jobs[id]));
+    let count = |state: FleetState| open().filter(|(_, j)| j.state == state).count();
     text.push_str(&format!(
         "inflight {} queued {} assigned {} running {}\n",
-        table.inflight,
+        table.open.len(),
         count(FleetState::Queued),
         count(FleetState::Assigned),
         count(FleetState::Running),
     ));
-    for (id, job) in table.jobs.iter().filter(|(_, j)| !j.state.is_terminal()) {
+    for (id, job) in open() {
         text.push_str(&format!(
             "job {id} {} worker {} retries {}\n",
             job.state.wire_name(),
@@ -1024,6 +1039,39 @@ pub fn fleet_summary_line(summary: &FleetSummary) -> String {
 mod tests {
     use super::*;
 
+    fn ring_spec() -> JobSpec {
+        JobSpec {
+            instance: crate::instance::InstanceSpec::parse("ring:20").unwrap(),
+            k: 2,
+            algorithm: crate::job::Algorithm::TwoEcss,
+            enumerator: kecss::cuts::EnumeratorPolicy::Auto,
+            seed: 1,
+        }
+    }
+
+    fn worker(addr: &str, live: bool) -> WorkerEntry {
+        WorkerEntry {
+            addr: addr.into(),
+            last_beat: Instant::now(),
+            live,
+            dispatched: 0,
+            inflight: 0,
+            link: None,
+        }
+    }
+
+    /// The open set is exactly the ids whose state is not terminal, so its
+    /// length is the count the depth bound applies to.
+    fn assert_open_set(table: &FleetTable) {
+        let open: BTreeSet<JobId> = table
+            .jobs
+            .iter()
+            .filter(|(_, j)| !j.state.is_terminal())
+            .map(|(id, _)| *id)
+            .collect();
+        assert_eq!(table.open, open);
+    }
+
     #[test]
     fn splitmix64_is_a_fixed_function() {
         // The assignment hash must never drift: these values pin it.
@@ -1033,54 +1081,47 @@ mod tests {
     }
 
     #[test]
+    fn terminal_errs_name_the_worker_job_and_request_errs_do_not() {
+        assert_eq!(terminal_err_job("job 7 failed: no such file"), Some(7));
+        let cancelled = kecss::Error::JobCancelled { job: 9 }.to_string();
+        assert_eq!(terminal_err_job(&cancelled), Some(9));
+        assert_eq!(terminal_err_job("connection exceeded 8 requests"), None);
+        assert_eq!(terminal_err_job("service is shutting down"), None);
+        assert_eq!(terminal_err_job("job x failed: y"), None);
+    }
+
+    #[test]
     fn fleet_text_renders_workers_jobs_and_counters() {
-        let now = Instant::now();
         let mut table = FleetTable {
-            next_id: 3,
-            jobs: BTreeMap::new(),
-            workers: BTreeMap::new(),
-            inflight: 1,
-            closed: false,
-            kicked: false,
-            pending_terminal: Vec::new(),
+            next_id: 2,
             summary: FleetSummary {
                 submitted: 2,
                 completed: 1,
                 retries: 1,
                 ..FleetSummary::default()
             },
+            ..FleetTable::default()
         };
         table.workers.insert(
             "w1".into(),
             WorkerEntry {
-                addr: "127.0.0.1:9000".into(),
-                last_beat: now,
-                live: true,
                 dispatched: 2,
                 inflight: 1,
+                ..worker("127.0.0.1:9000", true)
             },
         );
         table.workers.insert(
             "w2".into(),
             WorkerEntry {
-                addr: "127.0.0.1:9001".into(),
-                last_beat: now,
-                live: false,
                 dispatched: 1,
-                inflight: 0,
+                ..worker("127.0.0.1:9001", false)
             },
         );
-        let spec = crate::job::JobSpec {
-            instance: crate::instance::InstanceSpec::parse("ring:20").unwrap(),
-            k: 2,
-            algorithm: crate::job::Algorithm::TwoEcss,
-            enumerator: kecss::cuts::EnumeratorPolicy::Auto,
-            seed: 1,
-        };
+        let now = Instant::now();
         table.jobs.insert(
             2,
             FleetJob {
-                spec,
+                spec: ring_spec(),
                 state: FleetState::Running,
                 worker: Some("w1".into()),
                 epoch: 2,
@@ -1090,6 +1131,7 @@ mod tests {
                 outcome: None,
             },
         );
+        table.open.insert(2);
         let text = render_fleet(&table);
         assert!(text.starts_with("# kecss fleet status v1\n"), "{text}");
         assert!(text.contains("workers 2 live 1"), "{text}");
@@ -1111,61 +1153,86 @@ mod tests {
 
     #[test]
     fn requeue_fails_jobs_past_their_retry_budget() {
-        let now = Instant::now();
-        let spec = crate::job::JobSpec {
-            instance: crate::instance::InstanceSpec::parse("ring:20").unwrap(),
-            k: 2,
-            algorithm: crate::job::Algorithm::TwoEcss,
-            enumerator: kecss::cuts::EnumeratorPolicy::Auto,
-            seed: 1,
-        };
         let mut table = FleetTable {
-            next_id: 2,
-            jobs: BTreeMap::new(),
-            workers: BTreeMap::new(),
-            inflight: 1,
-            closed: false,
-            kicked: false,
-            pending_terminal: Vec::new(),
-            summary: FleetSummary::default(),
+            next_id: 1,
+            ..FleetTable::default()
         };
+        table
+            .workers
+            .insert("w1".into(), worker("127.0.0.1:9000", true));
+        // Admit three jobs into a depth-3 table; a fourth is refused.
+        let ids: Vec<JobId> = (0..3)
+            .map(|_| table.admit(ring_spec(), 3).unwrap())
+            .collect();
+        let [a, b, c] = ids[..] else { unreachable!() };
+        assert_open_set(&table);
+        assert_eq!(table.admit(ring_spec(), 3), Err(3));
+        assert_eq!(table.summary.rejected, 1);
+        // Cancel one while it is queued.
+        table.finish(c, FleetState::Cancelled, Outcome::Cancelled);
+        assert_open_set(&table);
+        // Assign the other two.
+        let sends = table.assign_ready(Instant::now());
+        assert_eq!(sends.iter().map(|s| s.0).collect::<Vec<_>>(), [a, b]);
+        let (a_epoch, b_epoch) = (sends[0].1, sends[1].1);
+        assert_open_set(&table);
+        assert_eq!(table.workers["w1"].inflight, 2);
+        // BUSY backs b off, uncharged, and a stale answer for it is dropped.
+        table.complete(b, b_epoch, Answer::Busy);
+        table.complete(b, b_epoch, Answer::Acked);
+        assert_eq!(table.jobs[&b].state, FleetState::Queued);
+        assert_eq!((table.jobs[&b].retries, table.summary.retries), (0, 0));
+        assert!(table.assign_ready(Instant::now()).is_empty(), "backed off");
+        assert_open_set(&table);
+        // The ack is a's RUNNING hop.
+        table.complete(a, a_epoch, Answer::Acked);
+        assert_eq!(table.jobs[&a].state, FleetState::Running);
+        // Budget 1: the first loss re-queues a...
+        table.lose("w1", None, "test loss", 1);
+        assert!(!table.workers["w1"].live);
+        assert_eq!(table.jobs[&a].state, FleetState::Queued);
+        assert_eq!(table.jobs[&a].retries, 1);
+        assert_eq!(table.summary.retries, 1);
+        assert_open_set(&table);
+        // ...the second, after a re-registration, exhausts the budget and
+        // fails it; b, on its first loss, is re-queued.
+        table.workers.get_mut("w1").unwrap().live = true;
+        assert_eq!(table.assign_ready(Instant::now() + BUSY_BACKOFF).len(), 2);
+        table.lose("w1", None, "test loss again", 1);
+        assert_eq!(table.jobs[&a].state, FleetState::Failed);
+        assert!(matches!(table.jobs[&a].outcome, Some(Outcome::Failed(_))));
+        assert_eq!(table.jobs[&b].state, FleetState::Queued);
+        assert_eq!((table.summary.failed, table.summary.retries), (1, 3));
+        assert_open_set(&table);
+        // Done: b runs to a payload and the table holds no open job.
+        table.workers.get_mut("w1").unwrap().live = true;
+        let sends = table.assign_ready(Instant::now());
+        table.complete(b, sends[0].1, Answer::Acked);
+        let payload = Outcome::Done(Arc::new(b"payload".to_vec()));
+        table.complete(b, sends[0].1, Answer::Finished(FleetState::Done, payload));
+        assert_eq!(table.jobs[&b].state, FleetState::Done);
+        assert_open_set(&table);
+        assert!(table.open.is_empty());
+        assert_eq!(table.workers["w1"].inflight, 0);
+        assert_eq!(table.pending_terminal, [c, a, b]);
+    }
+
+    #[test]
+    fn a_stale_link_cannot_tear_down_the_current_one() {
+        let (stale, current) = (Arc::new(Link::default()), Arc::new(Link::default()));
+        let mut table = FleetTable::default();
         table.workers.insert(
             "w1".into(),
             WorkerEntry {
-                addr: "127.0.0.1:9000".into(),
-                last_beat: now,
-                live: false,
-                dispatched: 1,
-                inflight: 1,
+                link: Some(Arc::clone(&current)),
+                ..worker("127.0.0.1:9000", true)
             },
         );
-        table.jobs.insert(
-            1,
-            FleetJob {
-                spec,
-                state: FleetState::Running,
-                worker: Some("w1".into()),
-                epoch: 1,
-                retries: 0,
-                not_before: now,
-                submitted_at: now,
-                outcome: None,
-            },
-        );
-        // Budget 1: the first loss re-queues...
-        table.requeue_worker_jobs("w1", 1, "test loss");
-        assert_eq!(table.jobs[&1].state, FleetState::Queued);
-        assert_eq!(table.jobs[&1].retries, 1);
-        assert_eq!(table.summary.retries, 1);
-        // ...the second exhausts the budget and fails the job.
-        let job = table.jobs.get_mut(&1).unwrap();
-        job.transition(FleetState::Assigned);
-        job.worker = Some("w1".into());
-        table.requeue_worker_jobs("w1", 1, "test loss again");
-        assert_eq!(table.jobs[&1].state, FleetState::Failed);
-        assert!(matches!(table.jobs[&1].outcome, Some(Outcome::Failed(_))));
-        assert_eq!(table.inflight, 0);
-        assert_eq!(table.summary.failed, 1);
-        assert_eq!(table.summary.retries, 2);
+        table.lose("w1", Some(&stale), "stale reader", 5);
+        table.lose("w1", None, "a worker with no link", 5);
+        assert!(table.workers["w1"].live);
+        table.lose("w1", Some(&current), "current reader", 5);
+        assert!(!table.workers["w1"].live);
+        assert!(table.workers["w1"].link.is_none());
     }
 }

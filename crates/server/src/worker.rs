@@ -2,14 +2,17 @@
 //! registers with (and stays registered at) a coordinator.
 //!
 //! A worker *is* a server — the coordinator dispatches jobs to it with the
-//! ordinary client protocol (`SUBMIT`, then one blocking `RESULT WAIT`), so
-//! everything
-//! the standalone server guarantees (bounded queue, `BUSY` backpressure,
-//! byte-deterministic payloads, drain-on-shutdown) holds per worker with no
-//! new code. The only addition is liveness: `HEARTBEAT <id> <addr>` every
-//! interval, which doubles as registration — there is no separate enrolment
-//! step, and a worker that restarts (or outlives a coordinator restart)
-//! re-registers automatically on its next beat.
+//! ordinary client protocol, as wait-flagged `KGW1` `SUBMIT` frames on one
+//! persistent connection — so everything the standalone server guarantees
+//! (bounded queue, `BUSY` backpressure, byte-deterministic payloads,
+//! drain-on-shutdown) holds per worker with no new code. That connection
+//! carries every job the coordinator sends here, which is why a worker has
+//! no per-connection request limit and why its write-queue bound scales
+//! with its queue depth (see [`Worker::bind`]). The only addition is
+//! liveness: `HEARTBEAT <id> <addr>` every interval, which doubles as
+//! registration — there is no separate enrolment step, and a worker that
+//! restarts (or outlives a coordinator restart) re-registers automatically
+//! on its next beat.
 
 use crate::client::Client;
 use crate::scheduler::ServeSummary;
@@ -45,8 +48,6 @@ pub struct WorkerConfig {
     /// (e.g. a `0.0.0.0` bind inside a container — advertise the service
     /// name, as `deployment/docker-compose.yml` does).
     pub advertise: String,
-    /// Per-connection request limit (0 = unlimited), as on the server.
-    pub max_requests_per_conn: usize,
 }
 
 impl Default for WorkerConfig {
@@ -59,7 +60,6 @@ impl Default for WorkerConfig {
             queue_depth: 16,
             heartbeat_interval: Duration::from_millis(500),
             advertise: String::new(),
-            max_requests_per_conn: 0,
         }
     }
 }
@@ -76,16 +76,23 @@ pub struct Worker {
 impl Worker {
     /// Binds the job-serving listener and fixes the worker id.
     ///
+    /// The coordinator's one link carries the replies of every job queued
+    /// here, so each connection's unsent-reply bound is the server's default
+    /// times the queue depth: room for one full-size reply per job held.
+    ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn bind(config: &WorkerConfig) -> std::io::Result<Worker> {
+        let defaults = ServerConfig::default();
         let server = Server::bind(&ServerConfig {
             addr: config.addr.clone(),
             threads: config.threads,
             queue_depth: config.queue_depth,
-            max_requests_per_conn: config.max_requests_per_conn,
-            ..ServerConfig::default()
+            write_queue_limit: defaults
+                .write_queue_limit
+                .saturating_mul(config.queue_depth.max(1)),
+            ..defaults
         })?;
         let worker_id = if config.worker_id.is_empty() {
             format!("worker-{}", server.local_addr().port())

@@ -3,22 +3,30 @@
 //!
 //! Covered here: end-to-end dispatch returning payloads byte-identical to the
 //! pure [`kecss_server::job::run`] oracle; worker registration visible in the
-//! `FLEET` status text; retry-on-worker-loss (a scripted worker that accepts
-//! a job and then dies — the job must complete on a surviving worker with the
-//! identical payload); `BUSY` back-off against a depth-1 worker without
-//! charging the retry budget; and the determinism property that fleet size
-//! never changes a payload byte.
+//! `FLEET` status text; retry-on-worker-loss (a worker lost before its ack,
+//! and scripted `KGW1` workers that ack and then close their link, ack and
+//! then go silent with the link held open, or keep heartbeating but never ack
+//! — each job must complete on a surviving worker with the identical
+//! payload); a worker whose dial hangs, which must not hold up the others;
+//! many jobs in flight on one worker link, each with its own outcome; `BUSY` back-off against a
+//! depth-1 worker without charging the retry budget; and the determinism
+//! property that fleet size never changes a payload byte.
 
 use kecss_runtime::Executor;
 use kecss_server::client::{Client, ClientError};
 use kecss_server::coordinator::{Coordinator, CoordinatorConfig};
-use kecss_server::protocol::Request;
+use kecss_server::protocol::{Request, Response};
+use kecss_server::server::{Server, ServerConfig};
+use kecss_server::wire;
 use kecss_server::worker::{Worker, WorkerConfig};
 use kecss_server::CoordinatorHandle;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 const POLL: Duration = Duration::from_millis(20);
 const DEADLINE: Duration = Duration::from_secs(300);
@@ -151,9 +159,12 @@ fn fleet_serves_jobs_with_payloads_identical_to_the_pure_runner() {
     stop_worker(w2);
 }
 
-/// A scripted worker that registers once, accepts the first `SUBMIT` with
-/// `OK 1 QUEUED`, then closes the connection and never beats again — the
-/// cleanest reproducible "worker died mid-job" scenario. Returns its id.
+/// A scripted worker that registers once and never beats again. It speaks
+/// the text protocol, so on the coordinator's `KGW1` link it never reads a
+/// `SUBMIT` line and never acks: it is a worker lost before its ack. Its
+/// last beat is older than the job, so the sweep's heartbeat timeout finds
+/// it; `a_worker_that_never_acks_is_lost_at_the_ack_deadline` covers the
+/// ack deadline alone. Returns its id.
 fn doomed_worker(coordinator: &str) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap().to_string();
@@ -169,8 +180,7 @@ fn doomed_worker(coordinator: &str) -> String {
                 let mut stream = stream;
                 let _ = stream.write_all(b"OK 1 QUEUED\n");
             }
-            // Dropping the stream here severs the dispatch mid-poll: the
-            // coordinator's next RESULT read sees EOF and charges a loss.
+            // Dropping the stream here closes the link without an ack.
         }
     });
     id
@@ -223,6 +233,327 @@ fn a_job_on_a_dying_worker_retries_on_a_survivor_with_identical_bytes() {
     assert_eq!(summary.failed, 0);
     assert!(summary.retries >= 1, "{summary:?}");
     stop_worker(survivor);
+}
+
+/// How a scripted `KGW1` worker treats the first job it is sent.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Script {
+    /// Stop heartbeating, ack, then close the link: the link reader sees EOF.
+    AckThenClose,
+    /// Go black: stop heartbeating, ack, and hold the link open without
+    /// sending anything more until the coordinator closes it.
+    AckThenHold,
+    /// Keep heartbeating and never ack, holding the link open until the
+    /// coordinator closes it: only the ack deadline can find this loss.
+    NeverAck,
+}
+
+/// Registers worker `id` at `addr`, then heartbeats every 50 ms on a thread
+/// of its own until `stop` is set.
+fn beat_until(coordinator: &str, id: &str, addr: &str, stop: &Arc<AtomicBool>) -> JoinHandle<()> {
+    let mut beat = Client::connect(coordinator).unwrap();
+    assert_eq!(beat.heartbeat(id, addr).unwrap(), "REGISTERED");
+    let (id, addr, stop) = (id.to_string(), addr.to_string(), Arc::clone(stop));
+    std::thread::spawn(move || {
+        while !stop.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(50));
+            let _ = beat.heartbeat(&id, &addr);
+        }
+    })
+}
+
+/// A scripted worker that speaks the coordinator's link protocol by hand. It
+/// heartbeats every 50 ms, accepts the one link the coordinator dials, and
+/// checks the `KGW1` preamble and that the first frame is a wait-flagged
+/// `SUBMIT`. Then it follows `script` (acks are `OK 1 QUEUED`), and it beats
+/// no more once it has acked or read the end of its link. Returns its worker
+/// id, a channel that reports `"dispatched"` once it holds the job (and has
+/// acked it, if the script acks), then `"eof"` once it reads the end of a
+/// link it holds, and its thread.
+fn scripted_kgw1_worker(
+    coordinator: &str,
+    script: Script,
+) -> (String, mpsc::Receiver<&'static str>, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap().to_string();
+    let id = format!("scripted-{}", listener.local_addr().unwrap().port());
+    let stop = Arc::new(AtomicBool::new(false));
+    let beats = beat_until(coordinator, &id, &addr, &stop);
+    let (events, received) = mpsc::channel();
+    let script = std::thread::spawn(move || {
+        let mut beats = Some(beats);
+        let mut stop_beating = || {
+            stop.store(true, Ordering::SeqCst);
+            if let Some(beats) = beats.take() {
+                beats.join().unwrap();
+            }
+        };
+        let (mut link, _) = listener.accept().expect("the coordinator dials its link");
+        drop(listener);
+        let mut preamble = [0u8; 4];
+        link.read_exact(&mut preamble).unwrap();
+        assert_eq!(preamble, wire::PREAMBLE);
+        let mut header = [0u8; wire::FRAME_HEADER_BYTES];
+        link.read_exact(&mut header).unwrap();
+        let (opcode, flags, len) = wire::parse_frame_header(&header).unwrap();
+        let mut body = vec![0u8; len];
+        link.read_exact(&mut body).unwrap();
+        let request = wire::decode_request(opcode, flags, &body).unwrap();
+        assert!(matches!(request, Request::SubmitWait(_)), "{request:?}");
+        if script != Script::NeverAck {
+            // The last beat goes out before the ack, so no beat can
+            // re-register this worker after the coordinator counted it lost.
+            stop_beating();
+            let ack = wire::encode_response(&Response::Ok("1 QUEUED".into()));
+            link.write_all(&ack).unwrap();
+        }
+        events.send("dispatched").unwrap();
+        if script != Script::AckThenClose {
+            let mut sink = [0u8; 4096];
+            while matches!(link.read(&mut sink), Ok(n) if n > 0) {}
+            events.send("eof").unwrap();
+        }
+        stop_beating();
+        // `AckThenClose`: dropping the stream here closes the link.
+    });
+    (id, received, script)
+}
+
+#[test]
+fn a_worker_that_closes_its_link_after_the_ack_is_a_charged_loss() {
+    // A heartbeat timeout far beyond the test: only the link's EOF can
+    // reveal this loss.
+    let coordinator = spawn_coordinator(8, Duration::from_secs(60));
+    let addr = coordinator.addr().to_string();
+    let (scripted, events, script) = scripted_kgw1_worker(&addr, Script::AckThenClose);
+    wait_workers(&addr, 1);
+
+    let line = "SUBMIT ring:20 2 2ecss auto 12";
+    let mut client = Client::connect(&addr).unwrap();
+    let id = submit_line(&mut client, line);
+    assert_eq!(events.recv_timeout(DEADLINE), Ok("dispatched"));
+    let survivor = spawn_worker(&addr, "survivor", 1, 4);
+    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    assert_eq!(
+        payload,
+        oracle(line),
+        "the retry must give the standalone bytes"
+    );
+    let fleet = client.fleet_status().unwrap();
+    assert!(fleet.contains(&format!("worker {scripted} ")), "{fleet}");
+    assert!(fleet.contains(" dead "), "{fleet}");
+
+    client.shutdown().unwrap();
+    let summary = coordinator.join();
+    assert_eq!((summary.completed, summary.failed), (1, 0));
+    assert!(summary.retries >= 1, "{summary:?}");
+    stop_worker(survivor);
+    script.join().unwrap();
+}
+
+#[test]
+fn a_black_holed_worker_is_swept_and_its_link_closed() {
+    let timeout = Duration::from_millis(400);
+    let coordinator = spawn_coordinator(8, timeout);
+    let addr = coordinator.addr().to_string();
+    let (scripted, events, script) = scripted_kgw1_worker(&addr, Script::AckThenHold);
+    wait_workers(&addr, 1);
+
+    let line = "SUBMIT ring:20 2 2ecss auto 13";
+    let mut client = Client::connect(&addr).unwrap();
+    let id = submit_line(&mut client, line);
+    assert_eq!(events.recv_timeout(DEADLINE), Ok("dispatched"));
+    let acked = Instant::now();
+    let survivor = spawn_worker(&addr, "survivor", 1, 4);
+    // The held link never answers, so only the sweep can free the job: one
+    // heartbeat timeout after the last beat, plus one sweep tick (a quarter
+    // of the timeout). The bound leaves room for a loaded host.
+    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    assert!(acked.elapsed() < timeout * 10, "took {:?}", acked.elapsed());
+    assert_eq!(
+        payload,
+        oracle(line),
+        "the retry must give the standalone bytes"
+    );
+    // The sweep closed the link: the scripted worker read its end.
+    assert_eq!(events.recv_timeout(DEADLINE), Ok("eof"));
+    let fleet = client.fleet_status().unwrap();
+    assert!(fleet.contains(&format!("worker {scripted} ")), "{fleet}");
+    assert!(fleet.contains(" dead "), "{fleet}");
+
+    client.shutdown().unwrap();
+    let summary = coordinator.join();
+    assert_eq!((summary.completed, summary.failed), (1, 0));
+    assert!(summary.retries >= 1, "{summary:?}");
+    stop_worker(survivor);
+    script.join().unwrap();
+}
+
+#[test]
+fn a_worker_that_never_acks_is_lost_at_the_ack_deadline() {
+    let timeout = Duration::from_millis(400);
+    let coordinator = spawn_coordinator(8, timeout);
+    let addr = coordinator.addr().to_string();
+    // It keeps heartbeating while it sits on the job, so the heartbeat
+    // timeout never fires: only the ack deadline can find this loss.
+    let (_, events, script) = scripted_kgw1_worker(&addr, Script::NeverAck);
+    wait_workers(&addr, 1);
+
+    let line = "SUBMIT ring:20 2 2ecss auto 14";
+    let mut client = Client::connect(&addr).unwrap();
+    let id = submit_line(&mut client, line);
+    assert_eq!(events.recv_timeout(DEADLINE), Ok("dispatched"));
+    let survivor = spawn_worker(&addr, "survivor", 1, 4);
+    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    assert_eq!(
+        payload,
+        oracle(line),
+        "the retry must give the standalone bytes"
+    );
+    // The sweep closed the unacked link.
+    assert_eq!(events.recv_timeout(DEADLINE), Ok("eof"));
+
+    client.shutdown().unwrap();
+    let summary = coordinator.join();
+    assert_eq!((summary.completed, summary.failed), (1, 0));
+    assert!(summary.retries >= 1, "{summary:?}");
+    stop_worker(survivor);
+    script.join().unwrap();
+}
+
+#[test]
+fn a_worker_whose_dial_hangs_does_not_hold_up_the_others() {
+    let timeout = Duration::from_secs(3);
+    let coordinator = spawn_coordinator(32, timeout);
+    let addr = coordinator.addr().to_string();
+    // A worker that beats but never accepts: with its listener's backlog
+    // filled, the kernel drops further SYNs, so a dial to it hangs until the
+    // dial's timeout (the heartbeat timeout).
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let stalled = listener.local_addr().unwrap();
+    let backlog: Vec<TcpStream> = (0..4096)
+        .map_while(|_| TcpStream::connect_timeout(&stalled, Duration::from_millis(100)).ok())
+        .collect();
+    assert!(backlog.len() < 4096, "the listener's backlog never filled");
+    let stop = Arc::new(AtomicBool::new(false));
+    let beats = beat_until(&addr, "stalled", &stalled.to_string(), &stop);
+    wait_workers(&addr, 1);
+
+    // The stalled worker is the only live one, so the first job opens its
+    // link, and that dial now hangs. Then a healthy worker joins.
+    let mut lines = vec!["SUBMIT ring:20 2 2ecss auto 21".to_string()];
+    let mut client = Client::connect(&addr).unwrap();
+    let mut ids = vec![submit_line(&mut client, &lines[0])];
+    let dialling = Instant::now();
+    let healthy = spawn_worker(&addr, "healthy", 1, 16);
+    wait_workers(&addr, 2);
+    lines.extend((1..=16).map(|seed| format!("SUBMIT ring:20 2 2ecss auto {seed}")));
+    ids.extend(lines[1..].iter().map(|l| submit_line(&mut client, l)));
+
+    // Long before that dial can end, every job given to the healthy worker
+    // is done: only the stalled worker's jobs are still open.
+    loop {
+        let fleet = client.fleet_status().unwrap();
+        let open = fleet.lines().filter(|l| l.starts_with("job "));
+        let held_up = open.filter(|l| !l.contains(" worker stalled ")).count();
+        let served = fleet
+            .lines()
+            .any(|l| l.starts_with("worker healthy ") && !l.contains(" dispatched 0 "));
+        if held_up == 0 && served {
+            break;
+        }
+        assert!(
+            dialling.elapsed() < timeout / 2,
+            "the hanging dial held up the healthy worker:\n{fleet}"
+        );
+        std::thread::sleep(POLL);
+    }
+
+    // Let the stalled worker go: its link is lost and its jobs re-run on the
+    // healthy worker, with the oracle's bytes.
+    stop.store(true, Ordering::SeqCst);
+    beats.join().unwrap();
+    drop((listener, backlog));
+    for (line, id) in lines.iter().zip(&ids) {
+        let payload = client.wait_result(*id, POLL, DEADLINE).unwrap();
+        assert_eq!(payload, oracle(line), "'{line}' differs");
+    }
+    client.shutdown().unwrap();
+    let summary = coordinator.join();
+    assert_eq!((summary.completed, summary.failed), (lines.len() as u64, 0));
+    assert!(summary.retries >= 1, "{summary:?}");
+    stop_worker(healthy);
+}
+
+/// The failure text a standalone server gives for `line`, after its
+/// `job <id> failed: ` prefix.
+fn standalone_failure(line: &str) -> String {
+    let server = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    })
+    .expect("bind an ephemeral port")
+    .spawn();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let id = submit_line(&mut client, line);
+    let message = match client.wait_result(id, POLL, DEADLINE) {
+        Err(ClientError::Server(message)) => message,
+        other => panic!("'{line}' must fail, got {other:?}"),
+    };
+    client.shutdown().unwrap();
+    server.join();
+    let prefix = format!("job {id} failed: ");
+    message
+        .strip_prefix(&prefix)
+        .expect("a failure reply")
+        .to_string()
+}
+
+#[test]
+fn one_link_carries_a_burst_of_jobs_that_finish_out_of_order() {
+    let coordinator = spawn_coordinator(32, Duration::from_secs(3));
+    let addr = coordinator.addr().to_string();
+    // One worker, two solver threads: every job shares its one link.
+    let worker = spawn_worker(&addr, "wide", 2, 16);
+    wait_workers(&addr, 1);
+
+    // A slow job first (~40x the six fast ones together), then fast ones:
+    // the fast jobs finish, and come back on the link, while the slow one
+    // still runs on the other thread.
+    let mut lines = vec!["SUBMIT harary:64:9 6 kecss auto 1".to_string()];
+    lines.extend((1..=6).map(|seed| format!("SUBMIT ring:20 2 2ecss auto {seed}")));
+    let missing = "SUBMIT file:/no/such/inst.graph 2 2ecss auto 1";
+    let mut client = Client::connect(&addr).unwrap();
+    let ids: Vec<u64> = lines.iter().map(|l| submit_line(&mut client, l)).collect();
+    let missing_id = submit_line(&mut client, missing);
+
+    let check = |client: &mut Client, i: usize| {
+        let payload = client.wait_result(ids[i], POLL, DEADLINE).unwrap();
+        assert_eq!(payload, oracle(&lines[i]), "'{}' differs", lines[i]);
+    };
+    (1..lines.len()).for_each(|i| check(&mut client, i));
+    assert_eq!(
+        client.status(ids[0]).unwrap(),
+        "RUNNING",
+        "finished in order"
+    );
+    check(&mut client, 0);
+    match client.wait_result(missing_id, POLL, DEADLINE) {
+        Err(ClientError::Server(message)) => assert_eq!(
+            message,
+            format!("job {missing_id} failed: {}", standalone_failure(missing))
+        ),
+        other => panic!("'{missing}' must fail, got {other:?}"),
+    }
+    let fleet = client.fleet_status().unwrap();
+    let dispatched = format!("live inflight 0 dispatched {} ", lines.len() + 1);
+    assert!(fleet.contains(&dispatched), "{fleet}");
+
+    client.shutdown().unwrap();
+    let summary = coordinator.join();
+    assert_eq!(summary.completed, lines.len() as u64);
+    assert_eq!((summary.failed, summary.retries), (1, 0));
+    stop_worker(worker);
 }
 
 #[test]
