@@ -1,27 +1,23 @@
-//! E10 — parallel scaling of the `kecss_runtime` engine (DESIGN.md §8).
+//! E10 — parallel scaling of the `kecss_runtime` executors (DESIGN.md §8).
 //!
-//! Three tables, one per parallelism surface:
+//! Two tables, one per parallelism surface:
 //!
-//! * **round engine** — a fully-active gossip workload
-//!   ([`kecss_bench::workloads::GossipMix`]) on a ≥10k-vertex torus, stepped
-//!   by the parallel round engine at 1/2/4/8 threads;
 //! * **cut verification** — enumeration of the 2-cuts of a ≥10k-vertex
 //!   chorded cycle through [`kecss::cuts::cuts_of_size_with`];
 //! * **sweep throughput** — a grid of weighted k-ECSS instances solved
-//!   concurrently by [`kecss_runtime::sweep`].
+//!   concurrently through [`Executor::map`].
 //!
 //! Every configuration first asserts bit-identical results against the
 //! sequential baseline (the scaling table must not be comparing different
 //! computations), then reports wall time and speedup. The printed speedups
 //! are *measured on the current machine*: on a single hardware thread the
-//! columns stay near 1.0x and the table documents the engine's overhead
+//! columns stay near 1.0x and the table documents the executors' overhead
 //! instead.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use graphs::generators;
 use kecss_bench::table::Table;
-use kecss_bench::workloads::{self, GossipMix};
-use kecss_runtime::{engine, sweep, Executor};
+use kecss_bench::workloads;
+use kecss_runtime::Executor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::{Duration, Instant};
@@ -41,43 +37,6 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
         }
     }
     best.expect("reps >= 1")
-}
-
-fn engine_table() {
-    // 104 x 100 torus: 10,400 vertices, every one of them active in every
-    // round of the gossip workload.
-    let g = generators::torus(104, 100, 1);
-    let net = congest::Network::new(&g);
-    let rounds = 40;
-    let max_rounds = 10 * rounds;
-
-    let mut table = Table::new(["threads", "wall ms", "speedup", "rounds", "messages"]);
-    let (base, reference) = best_of(2, || {
-        net.run(GossipMix::programs(g.n(), rounds), max_rounds)
-            .expect("sequential gossip run")
-    });
-    let digest = GossipMix::digest(&reference);
-    for threads in THREADS {
-        let exec = Executor::from_threads(threads);
-        let (elapsed, outcome) = best_of(2, || {
-            engine::run(&net, GossipMix::programs(g.n(), rounds), max_rounds, &exec)
-                .expect("threaded gossip run")
-        });
-        assert_eq!(outcome.report, reference.report, "t = {threads}");
-        assert_eq!(GossipMix::digest(&outcome), digest, "t = {threads}");
-        table.push([
-            threads.to_string(),
-            elapsed.as_millis().to_string(),
-            format!("{:.2}x", base.as_secs_f64() / elapsed.as_secs_f64()),
-            outcome.report.rounds.to_string(),
-            outcome.report.messages.to_string(),
-        ]);
-    }
-    table.print(&format!(
-        "E10a: parallel round engine, gossip on a {}-vertex torus ({} rounds)",
-        g.n(),
-        rounds
-    ));
 }
 
 fn cuts_table() {
@@ -119,53 +78,24 @@ fn sweep_table() {
     };
 
     let mut table = Table::new(["threads", "wall ms", "speedup", "cells", "total rounds"]);
-    let (base, reference) = best_of(2, || sweep::run(&Executor::Sequential, &seeds, solve_cell));
+    let (base, reference) = best_of(2, || Executor::Sequential.map(&seeds, solve_cell));
     for threads in THREADS {
         let exec = Executor::from_threads(threads);
-        let (elapsed, rows) = best_of(2, || sweep::run(&exec, &seeds, solve_cell));
+        let (elapsed, rows) = best_of(2, || exec.map(&seeds, solve_cell));
         assert_eq!(rows, reference, "t = {threads}");
-        let reports: Vec<congest::RunReport> = rows
-            .iter()
-            .map(|&(_, rounds)| congest::RunReport {
-                rounds,
-                ..Default::default()
-            })
-            .collect();
-        let total = sweep::aggregate(&reports);
+        let total_rounds: u64 = rows.iter().map(|&(_, rounds)| rounds).sum();
         table.push([
             threads.to_string(),
             elapsed.as_millis().to_string(),
             format!("{:.2}x", base.as_secs_f64() / elapsed.as_secs_f64()),
             rows.len().to_string(),
-            total.rounds.to_string(),
+            total_rounds.to_string(),
         ]);
     }
     table.print("E10c: concurrent workload sweep, 8 weighted k-ECSS cells (n = 96)");
 }
 
-fn bench(c: &mut Criterion) {
-    engine_table();
+fn main() {
     cuts_table();
     sweep_table();
-
-    // Criterion guards one representative configuration against regressions:
-    // the threaded engine on a smaller torus.
-    let g = generators::torus(40, 40, 1);
-    let net = congest::Network::new(&g);
-    let exec = Executor::from_threads(4);
-    c.bench_function("e10/engine_gossip_1600v_threads4", |b| {
-        b.iter(|| {
-            engine::run(&net, GossipMix::programs(g.n(), 20), 1000, &exec)
-                .expect("gossip run")
-                .report
-                .messages
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_millis(500));
-    targets = bench
-}
-criterion_main!(benches);

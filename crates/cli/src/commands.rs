@@ -326,11 +326,7 @@ fn run_submit<W: Write>(out: &mut W, addr: &str, action: SubmitAction) -> Result
             let payload = match waited {
                 Some(payload) => payload,
                 None => client
-                    .wait_result(
-                        id,
-                        Duration::from_millis(50),
-                        Duration::from_secs(timeout_secs),
-                    )
+                    .wait_result(id, Duration::from_secs(timeout_secs))
                     .map_err(service)?,
             };
             let text = String::from_utf8(payload)

@@ -50,15 +50,3 @@ pub use accounting::{CostModel, RoundLedger};
 pub use message::{Incoming, Message};
 pub use network::{Network, NetworkError, Outcome, RunReport};
 pub use node::{NodeContext, NodeProgram, Outgoing, StepResult};
-
-// The `kecss_runtime` parallel round engine shares the network and moves
-// messages between worker threads; lock the auto-trait guarantees in at
-// compile time.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Network>();
-    assert_send_sync::<NodeContext>();
-    assert_send_sync::<Message>();
-    assert_send_sync::<Incoming>();
-    assert_send_sync::<RunReport>();
-};

@@ -18,21 +18,6 @@ pub struct RunReport {
     pub max_message_words: u64,
 }
 
-impl RunReport {
-    /// Folds another report into this one: the counters add up and the maxima
-    /// take the maximum.
-    ///
-    /// This is the aggregation used by the `kecss_runtime` parallel engine
-    /// (merging per-chunk message statistics in deterministic chunk order)
-    /// and by sweep drivers (merging per-instance reports into a grid total).
-    pub fn merge(&mut self, other: &RunReport) {
-        self.rounds += other.rounds;
-        self.messages += other.messages;
-        self.words += other.words;
-        self.max_message_words = self.max_message_words.max(other.max_message_words);
-    }
-}
-
 /// The result of running a set of node programs to completion: the final
 /// program states plus the run statistics.
 pub struct Outcome<P> {
@@ -170,15 +155,6 @@ impl Network {
     /// The local context of vertex `v`.
     pub fn context(&self, v: NodeId) -> &NodeContext {
         &self.contexts[v]
-    }
-
-    /// All per-vertex contexts, indexed by vertex id.
-    ///
-    /// This is the executor seam used by the `kecss_runtime` parallel round
-    /// engine: workers borrow the contexts of their chunk while the network
-    /// itself stays shared and immutable.
-    pub fn contexts(&self) -> &[NodeContext] {
-        &self.contexts
     }
 
     /// Runs one program per vertex until all have terminated or `max_rounds`

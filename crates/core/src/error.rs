@@ -48,7 +48,7 @@ pub enum Error {
         /// The exceeded budget (number of candidate visits).
         budget: u64,
     },
-    /// A solver job submitted to a scheduling front-end (the `kecss_serve`
+    /// A solver job submitted to a scheduling front-end (the `kecss serve`
     /// service) was cancelled before it ran; its result will never exist.
     JobCancelled {
         /// The job's service-assigned id.

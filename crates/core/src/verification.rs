@@ -103,7 +103,8 @@ pub fn verify_three_edge_connected<R: Rng>(graph: &Graph, h: &EdgeSet, rng: &mut
 
 /// Exact verification: runs the randomized verifier and, on acceptance,
 /// certifies the verdict with the deterministic max-flow verifier (local
-/// computation, used by the test-suite and the examples).
+/// computation, used by the test-suite and the examples). For k ∉ {2, 3}
+/// there is no label verifier, and the max-flow check alone decides.
 pub fn verify_exact<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -> Verdict {
     let mut verdict = match k {
         2 => verify_two_edge_connected(graph, h, rng),
@@ -112,11 +113,11 @@ pub fn verify_exact<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -
             let model = default_model(graph);
             let mut ledger = RoundLedger::new(model);
             ledger.charge("verify/exact_fallback", model.broadcast(h.len() as u64));
-            Verdict {
+            return Verdict {
                 accepted: connectivity::is_k_edge_connected_in(graph, h, k),
                 witness: None,
                 ledger,
-            }
+            };
         }
     };
     if verdict.accepted && !connectivity::is_k_edge_connected_in(graph, h, k) {
@@ -226,7 +227,8 @@ mod tests {
     #[test]
     fn exact_mode_agrees_with_the_max_flow_verifier() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for k in 2..=4usize {
+        // k = 1 is the `mst` path and k = 5 rejects the 4-connected graph.
+        for k in 1..=5usize {
             for n in [10usize, 16] {
                 let g = generators::harary(4, n, 1);
                 let verdict = verify_exact(&g, &g.full_edge_set(), k, &mut rng);

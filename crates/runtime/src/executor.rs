@@ -21,8 +21,7 @@ use std::num::NonZeroUsize;
 /// How a parallelizable computation should be executed.
 ///
 /// An `Executor` is cheap to copy and carries no state; it is a *policy*
-/// threaded through the simulator engine, the cut-verification routines and
-/// the sweep drivers.
+/// threaded through the cut-verification routines and the sweep drivers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Executor {
     /// Run on the calling thread, in item order.

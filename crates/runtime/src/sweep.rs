@@ -1,60 +1,41 @@
 //! Concurrent workload sweeps: run a grid of independent cells (instances ×
-//! algorithms × seeds) across an [`Executor`] and aggregate the results.
+//! algorithms × seeds) across an [`Executor`]'s threads.
 //!
 //! A sweep cell must be a pure function of its configuration (each cell
 //! creates its own RNG from its own seed), which makes the grid
 //! embarrassingly parallel *and* scheduling-independent: the result vector is
 //! in grid order for every thread count.
 //!
-//! Two scheduling granularities are offered:
-//!
-//! * [`run`] — fixed contiguous chunking via [`Executor::map`]. Lowest
-//!   overhead, but a chunk is only as fast as its slowest cell, so
-//!   heterogeneous grids straggle.
-//! * [`run_jobs`] — job-granular self-scheduling: workers claim one cell at a
-//!   time from a shared atomic counter, so an expensive cell never drags a
-//!   whole chunk behind it. Results still come out in grid order (each result
-//!   is placed by its cell index after the scoped workers join), so the output
-//!   is bit-identical to [`run`] for pure cell functions.
+//! [`run_jobs`] schedules a fixed grid job by job: workers claim one cell at
+//! a time from a shared atomic counter, so an expensive cell never drags a
+//! whole chunk behind it (as [`Executor::map`]'s fixed chunking would).
+//! Results still come out in grid order (each result is placed by its cell
+//! index after the scoped workers join), so the output is bit-identical to a
+//! sequential loop for pure cell functions.
 //!
 //! For open-ended streams of work — where jobs arrive over time instead of as
 //! a fixed grid — [`JobPool`] keeps a set of persistent workers draining a
-//! shared queue. This is the seam the `kecss_serve` front-end schedules
+//! shared queue. This is the seam the `kecss serve` front-end schedules
 //! request jobs onto.
 
 use crate::executor::Executor;
-use congest::RunReport;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Runs `f` on every cell of the grid concurrently (per `exec`), returning
-/// the results in grid order.
-///
-/// This is a thin, intention-revealing wrapper over [`Executor::map`]; it
-/// exists so sweep call sites read as sweeps and pick up any future
-/// sweep-specific policy (e.g. per-cell time budgets) in one place.
-pub fn run<C, R, F>(exec: &Executor, cells: &[C], f: F) -> Vec<R>
-where
-    C: Sync,
-    R: Send,
-    F: Fn(&C) -> R + Sync,
-{
-    exec.map(cells, f)
-}
 
 /// Runs `f` on every cell of the grid with **job-granular self-scheduling**:
 /// each of the executor's workers repeatedly claims the next unclaimed cell
 /// (one at a time, via an atomic cursor) until the grid is exhausted.
 ///
-/// Compared with [`run`]'s fixed chunking this tolerates heterogeneous cell
-/// costs — an expensive cell occupies one worker while the others keep
-/// draining the grid — at the price of one atomic fetch-add per cell.
+/// Compared with [`Executor::map`]'s fixed chunking this tolerates
+/// heterogeneous cell costs — an expensive cell occupies one worker while the
+/// others keep draining the grid — at the price of one atomic fetch-add per
+/// cell.
 ///
 /// The results are returned in grid order for every thread count: workers
 /// record `(index, result)` pairs and the pairs are placed by index after the
 /// scoped workers join, so for pure (`Fn`) cell functions the output is
-/// bit-identical to [`run`] and to a sequential loop.
+/// bit-identical to [`Executor::map`] and to a sequential loop.
 pub fn run_jobs<C, R, F>(exec: &Executor, cells: &[C], f: F) -> Vec<R>
 where
     C: Sync,
@@ -101,7 +82,7 @@ where
 /// jobs: the job-granular scheduling seam for open-ended work streams.
 ///
 /// Where [`run_jobs`] schedules a *fixed* grid, a `JobPool` accepts jobs over
-/// time — the `kecss_serve` front-end submits one job per accepted request —
+/// time — the `kecss serve` front-end submits one job per accepted request —
 /// and executes them FIFO across `threads` workers. The pool itself imposes no
 /// ordering on completions and no bound on the queue; callers that need
 /// backpressure (the server's bounded job table) or deterministic result
@@ -227,17 +208,6 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// The cartesian product of two dimensions, in row-major order.
-pub fn grid<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
-    let mut out = Vec::with_capacity(a.len() * b.len());
-    for x in a {
-        for y in b {
-            out.push((x.clone(), y.clone()));
-        }
-    }
-    out
-}
-
 /// The cartesian product of three dimensions, in row-major order.
 pub fn grid3<A: Clone, B: Clone, C: Clone>(a: &[A], b: &[B], c: &[C]) -> Vec<(A, B, C)> {
     let mut out = Vec::with_capacity(a.len() * b.len() * c.len());
@@ -251,19 +221,6 @@ pub fn grid3<A: Clone, B: Clone, C: Clone>(a: &[A], b: &[B], c: &[C]) -> Vec<(A,
     out
 }
 
-/// Merges per-cell [`RunReport`]s into a grid total via [`RunReport::merge`]:
-/// rounds, messages and words add up; `max_message_words` takes the maximum.
-pub fn aggregate<'a, I>(reports: I) -> RunReport
-where
-    I: IntoIterator<Item = &'a RunReport>,
-{
-    let mut total = RunReport::default();
-    for report in reports {
-        total.merge(report);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,24 +228,10 @@ mod tests {
     #[test]
     fn grids_are_row_major() {
         assert_eq!(
-            grid(&[1, 2], &["a", "b"]),
-            vec![(1, "a"), (1, "b"), (2, "a"), (2, "b")]
+            grid3(&[1, 2], &["a", "b"], &[0]),
+            vec![(1, "a", 0), (1, "b", 0), (2, "a", 0), (2, "b", 0)]
         );
         assert_eq!(grid3(&[1], &[2, 3], &[4]), vec![(1, 2, 4), (1, 3, 4)]);
-    }
-
-    #[test]
-    fn sweep_results_are_in_grid_order_for_every_thread_count() {
-        let cells = grid(&[10u64, 20, 30], &[1u64, 2]);
-        let expected: Vec<u64> = cells.iter().map(|&(a, b)| a + b).collect();
-        for threads in [1, 2, 4, 8] {
-            let exec = Executor::from_threads(threads);
-            assert_eq!(
-                run(&exec, &cells, |&(a, b)| a + b),
-                expected,
-                "t = {threads}"
-            );
-        }
     }
 
     #[test]
@@ -302,7 +245,7 @@ mod tests {
                 expected,
                 "t = {threads}"
             );
-            assert_eq!(run(&exec, &cells, |x| x * 3 + 1), expected, "t = {threads}");
+            assert_eq!(exec.map(&cells, |x| x * 3 + 1), expected, "t = {threads}");
         }
     }
 
@@ -382,32 +325,5 @@ mod tests {
         }
         // Drop drained the queue before joining.
         assert_eq!(done.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn aggregate_merges_counters_and_maxima() {
-        let a = RunReport {
-            rounds: 5,
-            messages: 10,
-            words: 20,
-            max_message_words: 3,
-        };
-        let b = RunReport {
-            rounds: 7,
-            messages: 1,
-            words: 2,
-            max_message_words: 1,
-        };
-        let total = aggregate([&a, &b]);
-        assert_eq!(
-            total,
-            RunReport {
-                rounds: 12,
-                messages: 11,
-                words: 22,
-                max_message_words: 3,
-            }
-        );
-        assert_eq!(aggregate([]), RunReport::default());
     }
 }

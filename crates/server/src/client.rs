@@ -244,42 +244,27 @@ impl Client {
 
     /// Waits for the payload with one blocking `RESULT WAIT`: the server
     /// pushes the terminal reply when the job completes, so nothing polls.
-    /// `_poll` is kept for signature compatibility with the old polling
-    /// implementation and is unused. On [`ClientError::Timeout`] the
-    /// connection should be discarded — the server may still push the reply
-    /// later, and a timed-out read can tear a partially received frame.
+    /// On [`ClientError::Timeout`] the connection should be discarded — the
+    /// server may still push the reply later, and a timed-out read can tear a
+    /// partially received frame.
     ///
     /// # Errors
     ///
     /// Everything [`Client::result`] can return, plus
     /// [`ClientError::Timeout`] after `timeout`.
-    pub fn wait_result(
-        &mut self,
-        id: JobId,
-        _poll: Duration,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, ClientError> {
+    pub fn wait_result(&mut self, id: JobId, timeout: Duration) -> Result<Vec<u8>, ClientError> {
         self.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
         let outcome = self.request(&Request::ResultWait(id));
         // Restore unbounded reads so later requests on this client are not
         // silently bounded by a stale wait deadline.
         self.set_read_timeout(None)?;
-        match outcome {
-            Ok(Reply::Result { payload, .. }) => Ok(payload),
-            Ok(Reply::Gone { id }) => Err(ClientError::Server(format!(
+        match outcome.map_err(|e| timed_out(e, id))? {
+            Reply::Result { payload, .. } => Ok(payload),
+            Reply::Gone { id } => Err(ClientError::Server(format!(
                 "job {id}: the result was already fetched and evicted (GONE)"
             ))),
-            Ok(Reply::Err(msg)) => Err(ClientError::Server(msg)),
-            Ok(other) => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-            Err(ClientError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                Err(ClientError::Timeout { id })
-            }
-            Err(e) => Err(e),
+            Reply::Err(msg) => Err(ClientError::Server(msg)),
+            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
         }
     }
 
@@ -298,7 +283,8 @@ impl Client {
     ///
     /// Everything [`Client::submit`] and [`Client::wait_result`] can return.
     /// On [`ClientError::Timeout`] the connection should be discarded, as
-    /// with [`Client::wait_result`].
+    /// with [`Client::wait_result`]. A timeout before the server acks the
+    /// job is an I/O error: there is no job id to report yet.
     pub fn submit_wait(
         &mut self,
         spec: &JobSpec,
@@ -307,7 +293,7 @@ impl Client {
         if matches!(self.mode, WireMode::Text) {
             return match self.submit(spec)? {
                 Ok(id) => self
-                    .wait_result(id, Duration::from_millis(1), timeout)
+                    .wait_result(id, timeout)
                     .map(|payload| Ok((id, payload))),
                 Err(depth) => Ok(Err(depth)),
             };
@@ -315,21 +301,13 @@ impl Client {
         self.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
         let outcome = self.submit_wait_binary(spec);
         self.set_read_timeout(None)?;
-        match outcome {
-            Err(ClientError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                Err(ClientError::Timeout { id: 0 })
-            }
-            other => other,
-        }
+        outcome
     }
 
     /// The binary-mode body of [`Client::submit_wait`]: one wait-flagged
-    /// `SUBMIT` frame, then the `OK` ack and the pushed terminal reply.
+    /// `SUBMIT` frame, then the `OK` ack and the pushed terminal reply. A
+    /// read that times out after the ack is [`ClientError::Timeout`] for the
+    /// acked job.
     fn submit_wait_binary(
         &mut self,
         spec: &JobSpec,
@@ -345,7 +323,7 @@ impl Client {
                 return Err(ClientError::Protocol(format!("unexpected reply {other:?}")));
             }
         };
-        match read_reply_frame(&mut self.reader)? {
+        match read_reply_frame(&mut self.reader).map_err(|e| timed_out(e, id))? {
             Reply::Result { payload, .. } => Ok(Ok((id, payload))),
             Reply::Gone { id } => Err(ClientError::Server(format!(
                 "job {id}: the result was already fetched and evicted (GONE)"
@@ -499,6 +477,22 @@ impl Client {
             "ERR" => Ok(Reply::Err(rest.to_string())),
             _ => Err(ClientError::Protocol(format!("unknown reply '{line}'"))),
         }
+    }
+}
+
+/// Turns a read that ran past its timeout into [`ClientError::Timeout`] for
+/// job `id`; every other error passes through.
+fn timed_out(error: ClientError, id: JobId) -> ClientError {
+    match error {
+        ClientError::Io(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            ClientError::Timeout { id }
+        }
+        other => other,
     }
 }
 

@@ -21,8 +21,7 @@
 //! * [`scheduler`] — a bounded job table over [`kecss_runtime::JobPool`]:
 //!   at most `queue_depth` jobs in flight, `BUSY` beyond that, cancellation
 //!   of queued jobs, drain-on-shutdown.
-//! * [`server`] — the TCP accept loop (`kecss serve` / the `kecss_serve`
-//!   binary).
+//! * [`server`] — the TCP accept loop behind `kecss serve`.
 //! * [`client`] — a blocking client (`kecss submit`, tests, CI smoke).
 //! * [`coordinator`] / [`worker`] — the fleet control plane (DESIGN.md §13):
 //!   a coordinator keeps this same client-facing protocol and dispatches
@@ -53,9 +52,7 @@
 //!     unreachable!()
 //! };
 //! let id = client.submit(&spec).unwrap().expect("queue has room");
-//! let payload = client
-//!     .wait_result(id, Duration::from_millis(10), Duration::from_secs(60))
-//!     .unwrap();
+//! let payload = client.wait_result(id, Duration::from_secs(60)).unwrap();
 //! assert!(String::from_utf8(payload).unwrap().contains("verified k=2 yes"));
 //! client.shutdown().unwrap();
 //! assert_eq!(handle.join().completed, 1);

@@ -24,9 +24,7 @@ fn submit_solve_fetch_shutdown() {
         unreachable!()
     };
     let id = client.submit(&spec).unwrap().expect("queue has room");
-    let payload = client
-        .wait_result(id, Duration::from_millis(10), Duration::from_secs(120))
-        .unwrap();
+    let payload = client.wait_result(id, Duration::from_secs(120)).unwrap();
     let text = String::from_utf8(payload).unwrap();
     assert!(text.contains("verified k=3 yes"), "{text}");
     assert!(text.contains("spec harary:12 3 kecss auto 7"), "{text}");
@@ -37,21 +35,4 @@ fn submit_solve_fetch_shutdown() {
     assert_eq!(summary.submitted, 1);
     assert_eq!(summary.completed, 1);
     assert_eq!(summary.failed, 0);
-}
-
-#[test]
-fn the_serve_binary_refuses_connection_limits_on_a_worker() {
-    // The coordinator sends every job over one connection to a worker: a
-    // request limit there would cut that link every N jobs, and the worker
-    // sizes its write-queue bound from its queue depth.
-    for flag in ["--max-requests-per-conn", "--write-queue-limit"] {
-        let output = std::process::Command::new(env!("CARGO_BIN_EXE_kecss_serve"))
-            .args(["--role", "worker", "--coordinator", "127.0.0.1:1"])
-            .args([flag, "4096"])
-            .output()
-            .expect("run kecss_serve");
-        assert_eq!(output.status.code(), Some(2));
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(stderr.contains(flag), "{stderr}");
-    }
 }

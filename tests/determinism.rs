@@ -1,152 +1,24 @@
 //! The workspace determinism suite (DESIGN.md §8, §9).
 //!
-//! The `kecss_runtime` parallel engine promises that `Threaded(n)` produces
-//! **bit-identical** `Outcome` states and `RunReport`s to `Sequential` for
-//! every simulator program, and that parallel `Aug_k` cut verification agrees
-//! exactly with the sequential enumeration. This suite asserts both across
-//! every `congest::programs` program (flood, bfs, collective, boruvka,
-//! circulation) on seeded random graphs, plus a property test for the cut
-//! machinery, plus the service-layer promise: result payloads produced by the
-//! `kecss_server` scheduler under concurrent submission are byte-identical to
-//! the same jobs run sequentially through `kecss::solve_with_exec`.
+//! `Threaded(n)` executors must produce **bit-identical** results to
+//! `Sequential`: parallel `Aug_k` cut verification agrees exactly with the
+//! sequential enumeration, and every enumerator agrees with the exact
+//! ground truth, on seeded random graphs. The service layer makes the same
+//! promise: result payloads produced by the `kecss_server` scheduler under
+//! concurrent submission are byte-identical to the same jobs run
+//! sequentially through `kecss::solve_with_exec`.
 
-use congest::programs::bfs::DistributedBfs;
-use congest::programs::boruvka::DistributedBoruvka;
-use congest::programs::circulation::CirculationLabeling;
-use congest::programs::collective::{local_trees, PipelinedBroadcast, SumConvergecast};
-use congest::programs::flood::FloodMinElection;
-use congest::{Network, NodeProgram};
-use graphs::{bfs, generators, mst, RootedTree};
+use graphs::{generators, mst};
 use kecss::cuts::{
     ContractEnumerator, CutEnumerator, ExactEnumerator, KargerSteinEnumerator, LabelEnumerator,
 };
-use kecss_runtime::{engine, Executor};
+use kecss_runtime::Executor;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// The thread counts the suite checks against the sequential executor.
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
-
-/// Runs `make()` through the sequential executor and through
-/// `Threaded(2|4|8)`, asserting bit-identical program states and reports.
-fn assert_deterministic<P>(label: &str, net: &Network, make: impl Fn() -> Vec<P>, max_rounds: u64)
-where
-    P: NodeProgram + Send + PartialEq + std::fmt::Debug,
-{
-    let sequential = net
-        .run(make(), max_rounds)
-        .unwrap_or_else(|e| panic!("{label}: sequential run failed: {e}"));
-    for threads in THREAD_COUNTS {
-        let exec = Executor::from_threads(threads);
-        let parallel = engine::run(net, make(), max_rounds, &exec)
-            .unwrap_or_else(|e| panic!("{label}: Threaded({threads}) run failed: {e}"));
-        assert_eq!(
-            parallel.report, sequential.report,
-            "{label}: Threaded({threads}) report differs"
-        );
-        assert_eq!(
-            parallel.nodes, sequential.nodes,
-            "{label}: Threaded({threads}) states differ"
-        );
-    }
-}
-
-/// Seeded random graphs of a few shapes and sizes.
-fn test_graphs() -> Vec<(String, graphs::Graph)> {
-    let mut out = Vec::new();
-    for seed in [1u64, 2, 3] {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let n = 20 + 13 * seed as usize;
-        let g = generators::random_k_edge_connected(n, 2, n, &mut rng);
-        out.push((format!("random(n={n}, seed={seed})"), g));
-    }
-    out.push(("torus(6x7)".into(), generators::torus(6, 7, 1)));
-    out.push((
-        "ring_of_cliques".into(),
-        generators::ring_of_cliques(6, 5, 2, 1),
-    ));
-    out
-}
-
-#[test]
-fn flood_is_bit_identical_across_thread_counts() {
-    for (label, g) in test_graphs() {
-        let net = Network::new(&g);
-        assert_deterministic(
-            &format!("flood on {label}"),
-            &net,
-            || FloodMinElection::programs(g.n()),
-            10 * g.n() as u64,
-        );
-    }
-}
-
-#[test]
-fn bfs_is_bit_identical_across_thread_counts() {
-    for (label, g) in test_graphs() {
-        let net = Network::new(&g);
-        assert_deterministic(
-            &format!("bfs on {label}"),
-            &net,
-            || DistributedBfs::programs(&g, 0),
-            10 * g.n() as u64,
-        );
-    }
-}
-
-#[test]
-fn collective_broadcast_and_convergecast_are_bit_identical() {
-    for (label, g) in test_graphs() {
-        let net = Network::new(&g);
-        let tree = RootedTree::new(&g, &mst::kruskal(&g), 0);
-        let trees = local_trees(&tree, g.n());
-        let items: Vec<u64> = (0..10).map(|i| 100 + i).collect();
-        assert_deterministic(
-            &format!("pipelined broadcast on {label}"),
-            &net,
-            || PipelinedBroadcast::programs(&trees, items.clone()),
-            10 * (g.n() as u64 + items.len() as u64),
-        );
-        let values: Vec<u64> = (0..g.n() as u64).map(|v| v * v + 1).collect();
-        assert_deterministic(
-            &format!("sum convergecast on {label}"),
-            &net,
-            || SumConvergecast::programs(&trees, &values),
-            10 * g.n() as u64,
-        );
-    }
-}
-
-#[test]
-fn boruvka_is_bit_identical_across_thread_counts() {
-    for (label, g) in test_graphs() {
-        let net = Network::new(&g);
-        let budget = DistributedBoruvka::round_budget(&g) + 10;
-        assert_deterministic(
-            &format!("boruvka on {label}"),
-            &net,
-            || DistributedBoruvka::programs(&g),
-            budget,
-        );
-    }
-}
-
-#[test]
-fn circulation_labelling_is_bit_identical_across_thread_counts() {
-    for (label, g) in test_graphs() {
-        let h = g.full_edge_set();
-        let bfs_tree = bfs::bfs(&g, 0);
-        let tree = RootedTree::new(&g, &bfs_tree.tree_edges(&g), 0);
-        let net = Network::new(&g);
-        assert_deterministic(
-            &format!("circulation on {label}"),
-            &net,
-            || CirculationLabeling::programs(&g, &h, &tree, 64, 0xD0D0),
-            10_000,
-        );
-    }
-}
 
 /// The small seeded graph shapes the enumerator-agreement proptests draw
 /// from: random, ring-of-cliques, torus and Harary instances.

@@ -9,8 +9,9 @@
 //! — each job must complete on a surviving worker with the identical
 //! payload); a worker whose dial hangs, which must not hold up the others;
 //! many jobs in flight on one worker link, each with its own outcome; `BUSY` back-off against a
-//! depth-1 worker without charging the retry budget; and the determinism
-//! property that fleet size never changes a payload byte.
+//! depth-1 worker without charging the retry budget; waits that time out
+//! naming their job, in both wire modes; and the determinism property that
+//! fleet size never changes a payload byte.
 
 use kecss_runtime::Executor;
 use kecss_server::client::{Client, ClientError};
@@ -121,8 +122,8 @@ fn fleet_serves_jobs_with_payloads_identical_to_the_pure_runner() {
                     let mut b = Client::connect(&addr).unwrap();
                     let id_a = submit_line(&mut a, line);
                     let id_b = submit_line(&mut b, line);
-                    let bytes_a = a.wait_result(id_a, POLL, DEADLINE).unwrap();
-                    let bytes_b = b.wait_result(id_b, POLL, DEADLINE).unwrap();
+                    let bytes_a = a.wait_result(id_a, DEADLINE).unwrap();
+                    let bytes_b = b.wait_result(id_b, DEADLINE).unwrap();
                     (line.clone(), bytes_a, bytes_b)
                 })
             })
@@ -206,7 +207,7 @@ fn a_job_on_a_dying_worker_retries_on_a_survivor_with_identical_bytes() {
     // the job re-queues and waits. Then a real worker arrives and the retry
     // lands there.
     let survivor = spawn_worker(&addr, "survivor", 1, 4);
-    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    let payload = client.wait_result(id, DEADLINE).unwrap();
     assert_eq!(
         payload,
         oracle(line),
@@ -333,7 +334,7 @@ fn a_worker_that_closes_its_link_after_the_ack_is_a_charged_loss() {
     let id = submit_line(&mut client, line);
     assert_eq!(events.recv_timeout(DEADLINE), Ok("dispatched"));
     let survivor = spawn_worker(&addr, "survivor", 1, 4);
-    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    let payload = client.wait_result(id, DEADLINE).unwrap();
     assert_eq!(
         payload,
         oracle(line),
@@ -368,7 +369,7 @@ fn a_black_holed_worker_is_swept_and_its_link_closed() {
     // The held link never answers, so only the sweep can free the job: one
     // heartbeat timeout after the last beat, plus one sweep tick (a quarter
     // of the timeout). The bound leaves room for a loaded host.
-    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    let payload = client.wait_result(id, DEADLINE).unwrap();
     assert!(acked.elapsed() < timeout * 10, "took {:?}", acked.elapsed());
     assert_eq!(
         payload,
@@ -404,7 +405,7 @@ fn a_worker_that_never_acks_is_lost_at_the_ack_deadline() {
     let id = submit_line(&mut client, line);
     assert_eq!(events.recv_timeout(DEADLINE), Ok("dispatched"));
     let survivor = spawn_worker(&addr, "survivor", 1, 4);
-    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    let payload = client.wait_result(id, DEADLINE).unwrap();
     assert_eq!(
         payload,
         oracle(line),
@@ -475,7 +476,7 @@ fn a_worker_whose_dial_hangs_does_not_hold_up_the_others() {
     beats.join().unwrap();
     drop((listener, backlog));
     for (line, id) in lines.iter().zip(&ids) {
-        let payload = client.wait_result(*id, POLL, DEADLINE).unwrap();
+        let payload = client.wait_result(*id, DEADLINE).unwrap();
         assert_eq!(payload, oracle(line), "'{line}' differs");
     }
     client.shutdown().unwrap();
@@ -496,7 +497,7 @@ fn standalone_failure(line: &str) -> String {
     .spawn();
     let mut client = Client::connect(&server.addr().to_string()).unwrap();
     let id = submit_line(&mut client, line);
-    let message = match client.wait_result(id, POLL, DEADLINE) {
+    let message = match client.wait_result(id, DEADLINE) {
         Err(ClientError::Server(message)) => message,
         other => panic!("'{line}' must fail, got {other:?}"),
     };
@@ -528,7 +529,7 @@ fn one_link_carries_a_burst_of_jobs_that_finish_out_of_order() {
     let missing_id = submit_line(&mut client, missing);
 
     let check = |client: &mut Client, i: usize| {
-        let payload = client.wait_result(ids[i], POLL, DEADLINE).unwrap();
+        let payload = client.wait_result(ids[i], DEADLINE).unwrap();
         assert_eq!(payload, oracle(&lines[i]), "'{}' differs", lines[i]);
     };
     (1..lines.len()).for_each(|i| check(&mut client, i));
@@ -538,7 +539,7 @@ fn one_link_carries_a_burst_of_jobs_that_finish_out_of_order() {
         "finished in order"
     );
     check(&mut client, 0);
-    match client.wait_result(missing_id, POLL, DEADLINE) {
+    match client.wait_result(missing_id, DEADLINE) {
         Err(ClientError::Server(message)) => assert_eq!(
             message,
             format!("job {missing_id} failed: {}", standalone_failure(missing))
@@ -571,7 +572,7 @@ fn busy_workers_back_off_without_charging_the_retry_budget() {
         .collect();
     let ids: Vec<u64> = lines.iter().map(|l| submit_line(&mut client, l)).collect();
     for (id, line) in ids.iter().zip(&lines) {
-        let payload = client.wait_result(*id, POLL, DEADLINE).unwrap();
+        let payload = client.wait_result(*id, DEADLINE).unwrap();
         assert_eq!(
             payload,
             oracle(line),
@@ -600,7 +601,7 @@ fn a_fleet_with_no_workers_queues_jobs_until_one_registers() {
     assert_eq!(client.status(id).unwrap(), "QUEUED");
 
     let worker = spawn_worker(&addr, "late", 1, 4);
-    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    let payload = client.wait_result(id, DEADLINE).unwrap();
     assert_eq!(payload, oracle(line));
 
     client.shutdown().unwrap();
@@ -635,6 +636,67 @@ fn cancelling_a_queued_fleet_job_works_like_the_standalone_server() {
     assert_eq!(summary.completed, 0);
 }
 
+/// How long the timeout tests wait on a job that cannot finish.
+const SHORT_WAIT: Duration = Duration::from_millis(500);
+
+/// Checks that a wait on a job no worker can run came back as a timeout for
+/// that job, after about [`SHORT_WAIT`]; returns the job id it names.
+fn timed_out_job<T: std::fmt::Debug>(waited: Result<T, ClientError>, started: Instant) -> u64 {
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed >= SHORT_WAIT && elapsed < SHORT_WAIT + Duration::from_secs(10),
+        "timed out after {elapsed:?}"
+    );
+    match waited {
+        Err(ClientError::Timeout { id }) => id,
+        other => panic!("expected a timeout, got {other:?}"),
+    }
+}
+
+/// Cancels the still-queued job `id` over a fresh connection, then shuts the
+/// coordinator down. The cancel must come first: a coordinator drains queued
+/// jobs on shutdown, and with no workers that never ends.
+fn cancel_and_shut_down(coordinator: CoordinatorHandle, id: u64) {
+    let mut client = Client::connect(&coordinator.addr().to_string()).unwrap();
+    assert_eq!(client.status(id).unwrap(), "QUEUED");
+    client
+        .cancel(id)
+        .expect("the timed-out job is still cancellable");
+    client.shutdown().unwrap();
+    let summary = coordinator.join();
+    assert_eq!(summary.cancelled, 1);
+    assert_eq!(summary.completed, 0);
+}
+
+#[test]
+fn a_text_wait_that_times_out_names_its_job() {
+    // No workers registered, so the job cannot finish.
+    let coordinator = spawn_coordinator(4, Duration::from_secs(3));
+    let mut client = Client::connect(&coordinator.addr().to_string()).unwrap();
+    let id = submit_line(&mut client, "SUBMIT ring:20 2 2ecss auto 41");
+    let started = Instant::now();
+    let waited = client.wait_result(id, SHORT_WAIT);
+    assert_eq!(timed_out_job(waited, started), id);
+    drop(client);
+    cancel_and_shut_down(coordinator, id);
+}
+
+#[test]
+fn a_binary_submit_wait_that_times_out_names_the_acked_job() {
+    let coordinator = spawn_coordinator(4, Duration::from_secs(3));
+    let mut client = Client::connect_binary(&coordinator.addr().to_string()).unwrap();
+    let Request::Submit(spec) = Request::parse("SUBMIT ring:20 2 2ecss auto 42").unwrap() else {
+        unreachable!()
+    };
+    let started = Instant::now();
+    let waited = client.submit_wait(&spec, SHORT_WAIT);
+    // The first job a coordinator acks is job 1.
+    let id = timed_out_job(waited, started);
+    assert_eq!(id, 1);
+    drop(client);
+    cancel_and_shut_down(coordinator, id);
+}
+
 /// Runs `lines` through a fleet of `workers` workers and returns the payloads
 /// in submission order.
 fn run_fleet(lines: &[String], workers: usize) -> Vec<Vec<u8>> {
@@ -648,7 +710,7 @@ fn run_fleet(lines: &[String], workers: usize) -> Vec<Vec<u8>> {
     let ids: Vec<u64> = lines.iter().map(|l| submit_line(&mut client, l)).collect();
     let payloads = ids
         .iter()
-        .map(|id| client.wait_result(*id, POLL, DEADLINE).unwrap())
+        .map(|id| client.wait_result(*id, DEADLINE).unwrap())
         .collect();
     client.shutdown().unwrap();
     coordinator.join();

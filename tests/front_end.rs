@@ -6,19 +6,20 @@
 //! binary-frame payloads over the full spec space; thousands of idle
 //! connections held open while submissions keep flowing (and the idle
 //! connections still answer afterwards); a stalled reader tripping the
-//! bounded write queue without wedging anyone else; and the portable
-//! `poll(2)` backend serving both modes identically to the platform default.
+//! bounded write queue without wedging anyone else; the portable `poll(2)`
+//! backend serving both modes identically to the platform default; and
+//! request decoders that survive arbitrary, flipped and truncated bytes.
 
 use kecss_server::client::Client;
 use kecss_server::protocol::Request;
 use kecss_server::server::{Backend, Server, ServerConfig, ServerHandle};
+use kecss_server::wire;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-const POLL: Duration = Duration::from_millis(20);
 const DEADLINE: Duration = Duration::from_secs(300);
 
 fn spawn(threads: usize, queue_depth: usize) -> ServerHandle {
@@ -45,7 +46,7 @@ fn submit_line(client: &mut Client, line: &str) -> u64 {
 /// Submits `line` and fetches the payload over an already-connected client.
 fn solve_over(client: &mut Client, line: &str) -> Vec<u8> {
     let id = submit_line(client, line);
-    client.wait_result(id, POLL, DEADLINE).unwrap()
+    client.wait_result(id, DEADLINE).unwrap()
 }
 
 /// One shared server for the property test: proptest runs many cases, and a
@@ -291,4 +292,73 @@ fn poll_backend_serves_both_wire_modes_identically() {
     let summary = handle.join();
     assert_eq!(summary.submitted, 2);
     assert_eq!(summary.completed, 2);
+}
+
+/// One valid request of every verb, both `SUBMIT` instance kinds included.
+const VALID_REQUESTS: [&str; 10] = [
+    "SUBMIT ring:20 2 2ecss auto 1",
+    "SUBMIT inline:4:0-1-3,1-2-1,2-3-4,3-0-1 2 kecss label 9",
+    "STATUS 7",
+    "RESULT 7",
+    "RESULT WAIT 7",
+    "CANCEL 7",
+    "METRICS",
+    "HEARTBEAT w1 127.0.0.1:7461",
+    "FLEET",
+    "SHUTDOWN",
+];
+
+/// Runs both frame decoders over `frame` as the front-end would: the header,
+/// then whatever of the declared body is present. Neither may panic.
+fn decode_frame(frame: &[u8]) {
+    let Some(header) = frame.first_chunk::<{ wire::FRAME_HEADER_BYTES }>() else {
+        return;
+    };
+    if let Ok((opcode, flags, len)) = wire::parse_frame_header(header) {
+        let body = &frame[wire::FRAME_HEADER_BYTES..];
+        let body = &body[..len.min(body.len())];
+        let _ = wire::decode_request(opcode, flags, body);
+        let _ = wire::decode_response(opcode, body);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10_000, ..ProptestConfig::default() })]
+
+    /// Random bytes as a text line, as a frame, and as a body under every
+    /// assigned opcode: each decoder returns `Ok` or `Err` and none panics.
+    #[test]
+    fn request_decoders_survive_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..64),
+        flags in 0u8..=255,
+    ) {
+        let _ = Request::parse(&String::from_utf8_lossy(&bytes));
+        decode_frame(&bytes);
+        for opcode in 0u8..=10 {
+            let _ = wire::decode_request(opcode, flags, &bytes);
+            let _ = wire::decode_response(opcode, &bytes);
+        }
+    }
+
+    /// Valid requests with one byte flipped, then cut short, in both wire
+    /// encodings: each decoder returns `Ok` or `Err` and none panics.
+    #[test]
+    fn request_decoders_survive_flipped_and_truncated_requests(
+        pick in 0usize..VALID_REQUESTS.len(),
+        at in 0usize..1 << 16,
+        mask in 1u8..=255,
+        cut in 0usize..1 << 16,
+    ) {
+        let line = VALID_REQUESTS[pick];
+        let frame = wire::encode_request(&Request::parse(line).unwrap());
+        for mut bytes in [frame, line.as_bytes().to_vec()] {
+            let flip = at % bytes.len();
+            bytes[flip] ^= mask;
+            let len = cut % (bytes.len() + 1);
+            for bytes in [&bytes[..], &bytes[..len]] {
+                decode_frame(bytes);
+                let _ = Request::parse(&String::from_utf8_lossy(bytes));
+            }
+        }
+    }
 }

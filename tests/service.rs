@@ -115,8 +115,8 @@ fn concurrent_submissions_return_verified_byte_identical_results() {
                     let mut b = Client::connect(&addr).unwrap();
                     let id_a = submit_spec(&mut a, line);
                     let id_b = submit_spec(&mut b, line);
-                    let bytes_a = a.wait_result(id_a, POLL, DEADLINE).unwrap();
-                    let bytes_b = b.wait_result(id_b, POLL, DEADLINE).unwrap();
+                    let bytes_a = a.wait_result(id_a, DEADLINE).unwrap();
+                    let bytes_b = b.wait_result(id_b, DEADLINE).unwrap();
                     (line.clone(), bytes_a, bytes_b)
                 })
             })
@@ -172,7 +172,7 @@ fn queue_overflow_returns_busy_without_dropping_inflight_jobs() {
     // produce verified payloads once the gate opens.
     gate.release();
     for id in [a, b] {
-        let text = String::from_utf8(client.wait_result(id, POLL, DEADLINE).unwrap()).unwrap();
+        let text = String::from_utf8(client.wait_result(id, DEADLINE).unwrap()).unwrap();
         assert!(text.contains("verified k=4 yes"), "job {id}: {text}");
     }
     // With the queue drained, the same spec is accepted.
@@ -207,7 +207,7 @@ fn queued_jobs_can_be_cancelled_and_report_job_cancelled() {
     // Cancelling twice is an error; the in-flight job is untouched.
     assert!(client.cancel(b).is_err());
     gate.release();
-    let text = String::from_utf8(client.wait_result(a, POLL, DEADLINE).unwrap()).unwrap();
+    let text = String::from_utf8(client.wait_result(a, DEADLINE).unwrap()).unwrap();
     assert!(text.contains("verified k=4 yes"), "{text}");
 
     client.shutdown().unwrap();
@@ -245,7 +245,7 @@ fn malformed_requests_get_err_replies_and_do_not_kill_the_connection() {
         &mut client,
         "SUBMIT inline:4:0-1-1,1-2-1,2-3-1,3-0-1 2 kecss auto 1",
     );
-    let text = String::from_utf8(client.wait_result(id, POLL, DEADLINE).unwrap()).unwrap();
+    let text = String::from_utf8(client.wait_result(id, DEADLINE).unwrap()).unwrap();
     assert!(text.contains("verified k=2 yes"), "{text}");
 
     // A job-level failure (instance not 3-edge-connected) is an ERR on
@@ -280,7 +280,7 @@ fn results_are_fetched_once_then_gone() {
     let mut client = Client::connect(&addr).unwrap();
 
     let id = submit_spec(&mut client, "SUBMIT ring:20 2 2ecss auto 7");
-    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    let payload = client.wait_result(id, DEADLINE).unwrap();
     assert!(!payload.is_empty());
     // The fetch evicted the payload: a repeat RESULT answers GONE, while
     // STATUS still reports the job as DONE.
@@ -327,7 +327,7 @@ fn file_instances_solve_over_the_wire_in_both_formats() {
             client,
             &format!("SUBMIT file:{} 2 2ecss auto 5", path.display()),
         );
-        client.wait_result(id, POLL, DEADLINE).unwrap()
+        client.wait_result(id, DEADLINE).unwrap()
     };
     let from_text = fetch(&mut client, &text_path);
     let from_binary = fetch(&mut client, &bin_path);
@@ -397,7 +397,7 @@ fn metrics_verb_exposes_job_and_request_counters() {
     // concurrently, so assert on deltas, never absolutes.
     let before = client.metrics().unwrap();
     let id = submit_spec(&mut client, "SUBMIT ring:20 2 2ecss auto 3");
-    let payload = client.wait_result(id, POLL, DEADLINE).unwrap();
+    let payload = client.wait_result(id, DEADLINE).unwrap();
     assert!(!payload.is_empty());
     let after = client.metrics().unwrap();
 
