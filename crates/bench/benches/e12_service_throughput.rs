@@ -5,8 +5,9 @@
 //! Two workloads isolate the two costs:
 //!
 //! * **trivial jobs** (`submit_with(|| Ok(vec![]))`) measure the scheduler's
-//!   own overhead — table insert, pool hand-off, condvar wake — i.e. the
-//!   per-request floor the service adds on top of solving;
+//!   own overhead — table insert and queue push, a worker's condvar wake
+//!   and claim, the completion wake — i.e. the per-request floor the
+//!   service adds on top of solving;
 //! * **solver jobs** (`ring:20 2ecss`, the service's real job runner) measure
 //!   end-to-end submit→result latency for a small but genuine request.
 //!

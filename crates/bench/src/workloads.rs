@@ -7,7 +7,7 @@
 //! * [`Topology::Random`] — random k-edge-connected graphs with small
 //!   diameter (the "well-connected data-centre" regime);
 //! * [`Topology::RingOfCliques`] — high-diameter backbones, the regime where
-//!   `O((D + √n) log² n)` separates from the `O(h_MST + √n)` baseline of [1];
+//!   `O((D + √n) log² n)` separates from the `O(h_MST + √n)` baseline of \[1\];
 //! * [`Topology::Torus`] — bounded-degree, `D = Θ(√n)` instances.
 
 use graphs::{generators, EdgeSet, Graph, Weight};

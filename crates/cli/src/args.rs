@@ -145,7 +145,8 @@ pub enum Command {
     Serve {
         /// Address to bind (`host:port`; port 0 picks an ephemeral port).
         addr: String,
-        /// Scheduler pool workers.
+        /// Scheduler worker threads (standalone servers and fleet workers;
+        /// the coordinator refuses `--threads`).
         threads: usize,
         /// Maximum jobs in flight (queued + running) before `BUSY`.
         queue_depth: usize,
@@ -377,20 +378,30 @@ ids, 8 bytes per edge). `solve --output` writes and `verify --solution`
 reads either, picked by extension.
 ";
 
+/// Reads `--key value` pairs into a map, refusing any flag not in
+/// `accepted`: a misspelled or inapplicable flag is an error, never silently
+/// ignored.
 fn flag_map<'a>(
     rest: &[&'a String],
+    accepted: &[&str],
 ) -> Result<std::collections::HashMap<&'a str, &'a str>, CliError> {
     let mut map = std::collections::HashMap::new();
     let mut i = 0;
     while i < rest.len() {
         let key = rest[i].as_str();
-        if !key.starts_with("--") {
+        let Some(name) = key.strip_prefix("--") else {
             return Err(CliError::Usage(format!("expected a --flag, found '{key}'")));
+        };
+        if !accepted.contains(&name) {
+            return Err(CliError::Usage(format!(
+                "unknown flag '{key}' (expected --{})",
+                accepted.join(", --")
+            )));
         }
         let Some(value) = rest.get(i + 1) else {
             return Err(CliError::Usage(format!("flag '{key}' is missing a value")));
         };
-        map.insert(key.trim_start_matches("--"), value.as_str());
+        map.insert(name, value.as_str());
         i += 2;
     }
     Ok(map)
@@ -412,7 +423,7 @@ fn parse_number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, CliEr
 }
 
 fn parse_generate(rest: &[&String]) -> Result<Command, CliError> {
-    let map = flag_map(rest)?;
+    let map = flag_map(rest, &["family", "n", "k", "max-weight", "seed", "output"])?;
     Ok(Command::Generate {
         family: parse_family(required(&map, "family")?)?,
         n: parse_number("n", required(&map, "n")?)?,
@@ -436,7 +447,20 @@ fn parse_generate(rest: &[&String]) -> Result<Command, CliError> {
 }
 
 fn parse_solve(rest: &[&String]) -> Result<Command, CliError> {
-    let map = flag_map(rest)?;
+    let map = flag_map(
+        rest,
+        &[
+            "input",
+            "algorithm",
+            "k",
+            "seed",
+            "threads",
+            "enumerator",
+            "strategy",
+            "output",
+            "trace",
+        ],
+    )?;
     Ok(Command::Solve {
         input: required(&map, "input")?.to_string(),
         algorithm: parse_algorithm(required(&map, "algorithm")?)?,
@@ -477,7 +501,7 @@ fn parse_number_list<T: std::str::FromStr>(key: &str, value: &str) -> Result<Vec
 }
 
 fn parse_convert(rest: &[&String]) -> Result<Command, CliError> {
-    let map = flag_map(rest)?;
+    let map = flag_map(rest, &["input", "output"])?;
     Ok(Command::Convert {
         input: required(&map, "input")?.to_string(),
         output: required(&map, "output")?.to_string(),
@@ -485,7 +509,23 @@ fn parse_convert(rest: &[&String]) -> Result<Command, CliError> {
 }
 
 fn parse_sweep(rest: &[&String]) -> Result<Command, CliError> {
-    let map = flag_map(rest)?;
+    let map = flag_map(
+        rest,
+        &[
+            "family",
+            "n",
+            "input",
+            "k",
+            "max-weight",
+            "algorithms",
+            "seeds",
+            "base-seed",
+            "threads",
+            "enumerator",
+            "strategy",
+            "trace",
+        ],
+    )?;
     let algorithms = match map.get("algorithms") {
         Some(value) => {
             let names: Vec<&str> = value.split(',').filter(|s| !s.is_empty()).collect();
@@ -568,7 +608,23 @@ fn parse_bool_flag(
 }
 
 fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
-    let map = flag_map(rest)?;
+    let map = flag_map(
+        rest,
+        &[
+            "role",
+            "addr",
+            "threads",
+            "queue-depth",
+            "max-requests-per-conn",
+            "write-queue-limit",
+            "coordinator",
+            "worker-id",
+            "heartbeat-ms",
+            "advertise",
+            "heartbeat-timeout-ms",
+            "max-retries",
+        ],
+    )?;
     let role_name = map.get("role").copied().unwrap_or("standalone");
     // Role-specific flags on the wrong role are almost certainly a mistake
     // (a worker flag silently ignored by a coordinator would strand the
@@ -599,8 +655,16 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
             ServeRole::Standalone
         }
         "coordinator" => {
+            // The coordinator solves nothing itself: `--threads` sizes a
+            // standalone server's or a worker's scheduler.
             reject(
-                &["coordinator", "worker-id", "heartbeat-ms", "advertise"],
+                &[
+                    "coordinator",
+                    "worker-id",
+                    "heartbeat-ms",
+                    "advertise",
+                    "threads",
+                ],
                 "coordinator",
             )?;
             ServeRole::Coordinator {
@@ -682,14 +746,31 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
 }
 
 fn parse_fleet_status(rest: &[&String]) -> Result<Command, CliError> {
-    let map = flag_map(rest)?;
+    let map = flag_map(rest, &["addr"])?;
     Ok(Command::FleetStatus {
         addr: required(&map, "addr")?.to_string(),
     })
 }
 
 fn parse_submit(rest: &[&String]) -> Result<Command, CliError> {
-    let map = flag_map(rest)?;
+    let map = flag_map(
+        rest,
+        &[
+            "addr",
+            "shutdown",
+            "metrics",
+            "instance",
+            "k",
+            "algorithm",
+            "enumerator",
+            "strategy",
+            "seed",
+            "no-wait",
+            "timeout-secs",
+            "payload-only",
+            "binary",
+        ],
+    )?;
     let addr = required(&map, "addr")?.to_string();
     if parse_bool_flag(&map, "shutdown")? {
         return Ok(Command::Submit {
@@ -737,7 +818,7 @@ fn parse_submit(rest: &[&String]) -> Result<Command, CliError> {
 }
 
 fn parse_verify(rest: &[&String]) -> Result<Command, CliError> {
-    let map = flag_map(rest)?;
+    let map = flag_map(rest, &["input", "solution", "k"])?;
     Ok(Command::Verify {
         input: required(&map, "input")?.to_string(),
         solution: required(&map, "solution")?.to_string(),
@@ -1358,5 +1439,69 @@ mod tests {
         ]))
         .is_err());
         assert!(parse(&argv(&["nonsense"])).is_err());
+        // A flag the command does not read is refused, naming the flag, so
+        // a typo cannot fall back to a default unnoticed.
+        for (line, typo) in [
+            ("generate --family ring --n 8 --output x --sede 3", "--sede"),
+            (
+                "solve --input g --algorithm kecss --k 2 --enumarator ks --thraeds 4",
+                "--enumarator",
+            ),
+            ("verify --input g --solution s --k 2 --kk 3", "--kk"),
+            (
+                "convert --input a.graph --output b.graphb --famliy ring",
+                "--famliy",
+            ),
+            ("sweep --family ring --n 8,16 --seed 4", "--seed"),
+            ("serve --queue-dpeth 4", "--queue-dpeth"),
+            (
+                "submit --addr x:1 --instance ring:20 --k 2 --timeout 5",
+                "--timeout",
+            ),
+            ("fleet-status --addr x:1 --watch true", "--watch"),
+        ] {
+            let parsed = parse(&argv(&line.split(' ').collect::<Vec<_>>()));
+            assert!(
+                matches!(&parsed, Err(CliError::Usage(m)) if m.contains(typo)),
+                "{line}: {parsed:?}"
+            );
+        }
+        // The coordinator solves nothing itself, so it has no --threads.
+        let parsed = parse(&argv(&["serve", "--role", "coordinator", "--threads", "4"]));
+        assert!(
+            matches!(&parsed, Err(CliError::Usage(m)) if m.contains("threads")),
+            "{parsed:?}"
+        );
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_text_is_accepted() {
+        for line in USAGE
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("kecss "))
+        {
+            let words: Vec<&str> = line
+                .split_whitespace()
+                .map(|w| w.trim_matches(|c| matches!(c, '[' | ']' | '(' | ')' | '|')))
+                .collect();
+            let mut args = vec![words[0]];
+            for pair in words.windows(2).filter(|p| p[0].starts_with("--")) {
+                // Placeholders get a value of the right shape; literals
+                // (`--role coordinator`, `--metrics true`) stay.
+                args.extend([
+                    pair[0],
+                    if pair[1].starts_with('<') {
+                        "1"
+                    } else {
+                        pair[1]
+                    },
+                ]);
+            }
+            let parsed = parse(&argv(&args));
+            assert!(
+                !matches!(&parsed, Err(CliError::Usage(m)) if m.contains("unknown flag")),
+                "{line}: {parsed:?}"
+            );
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! Execution of the parsed CLI commands.
 
 use crate::args::{Algorithm, Command, Family, ServeRole, SubmitAction, SweepSource};
-use crate::graph_io;
 use crate::CliError;
 use graphs::{connectivity, EdgeSet, Graph};
 use kecss::cuts::EnumeratorPolicy;
@@ -37,7 +36,7 @@ pub fn execute<W: Write>(command: Command, out: &mut W) -> Result<(), CliError> 
             output,
         } => {
             let graph = generate(family, n, k, max_weight, seed)?;
-            graph_io::write_graph(Path::new(&output), &graph)?;
+            graphs::io::write_graph(Path::new(&output), &graph)?;
             writeln!(
                 out,
                 "wrote {}: n = {}, m = {}, edge connectivity >= {}, total weight {}",
@@ -60,20 +59,20 @@ pub fn execute<W: Write>(command: Command, out: &mut W) -> Result<(), CliError> 
             trace,
         } => {
             let _trace = TraceSink::install(trace.as_deref())?;
-            let graph = graph_io::read_graph(Path::new(&input))?;
+            let graph = graphs::io::read_graph(Path::new(&input))?;
             let exec = Executor::from_threads(threads);
             let (edges, rounds, label) =
                 job::dispatch(&graph, algorithm, k, seed, &exec, enumerator)?;
             report(out, &graph, &edges, rounds, label, algorithm.certified_k(k))?;
             if let Some(path) = output {
-                graph_io::write_solution(Path::new(&path), &graph, &edges)?;
+                graphs::io::write_solution(Path::new(&path), &graph, &edges)?;
                 writeln!(out, "solution written to {path}")?;
             }
             Ok(())
         }
         Command::Convert { input, output } => {
-            let graph = graph_io::read_graph(Path::new(&input))?;
-            graph_io::write_graph(Path::new(&output), &graph)?;
+            let graph = graphs::io::read_graph(Path::new(&input))?;
+            graphs::io::write_graph(Path::new(&output), &graph)?;
             writeln!(
                 out,
                 "converted {input} -> {output}: n = {}, m = {}, total weight {}",
@@ -201,8 +200,8 @@ pub fn execute<W: Write>(command: Command, out: &mut W) -> Result<(), CliError> 
             Ok(())
         }
         Command::Verify { input, solution, k } => {
-            let graph = graph_io::read_graph(Path::new(&input))?;
-            let edges = graph_io::read_solution(Path::new(&solution), &graph)?;
+            let graph = graphs::io::read_graph(Path::new(&input))?;
+            let edges = graphs::io::read_solution(Path::new(&solution), &graph)?;
             let ok = connectivity::is_k_edge_connected_in(&graph, &edges, k);
             writeln!(
                 out,
@@ -388,7 +387,7 @@ fn run_sweep<W: Write>(
     let loaded: Option<Graph> = match source {
         SweepSource::Grid { .. } => None,
         SweepSource::File(path) => {
-            let graph = graph_io::read_graph(Path::new(path))?;
+            let graph = graphs::io::read_graph(Path::new(path))?;
             graph.freeze();
             Some(graph)
         }
@@ -967,9 +966,9 @@ mod tests {
         }
         // Both files decode to the same edge set, and the binary one is the
         // canonical 12 + 8·len encoding.
-        let graph = graph_io::read_graph(Path::new(&instance)).unwrap();
-        let from_text = graph_io::read_solution(Path::new(&sol_text), &graph).unwrap();
-        let from_bin = graph_io::read_solution(Path::new(&sol_bin), &graph).unwrap();
+        let graph = graphs::io::read_graph(Path::new(&instance)).unwrap();
+        let from_text = graphs::io::read_solution(Path::new(&sol_text), &graph).unwrap();
+        let from_bin = graphs::io::read_solution(Path::new(&sol_bin), &graph).unwrap();
         assert_eq!(from_text, from_bin);
         let bytes = std::fs::read(&sol_bin).unwrap();
         assert_eq!(&bytes[0..4], b"KGS1");

@@ -1,7 +1,8 @@
 //! Library backing the `kecss` command-line tool.
 //!
 //! The binary is a thin wrapper around [`run`]; everything else lives here so
-//! that argument parsing, instance I/O and command execution are unit-tested.
+//! that argument parsing and command execution are unit-tested. Instance and
+//! solution files are read and written by [`graphs::io`].
 //!
 //! Supported commands (see `kecss help`):
 //!
@@ -21,8 +22,8 @@
 
 pub mod args;
 pub mod commands;
-pub mod graph_io;
 
+use graphs::io::GraphIoError;
 use std::fmt;
 
 /// Errors surfaced to the command-line user.
@@ -67,6 +68,18 @@ impl From<kecss::Error> for CliError {
     }
 }
 
+/// Instance and solution files are read and written by [`graphs::io`]
+/// (shared with the service's `file:` instances); `?` turns its errors into
+/// these.
+impl From<GraphIoError> for CliError {
+    fn from(value: GraphIoError) -> Self {
+        match value {
+            GraphIoError::Io(e) => CliError::Io(e),
+            GraphIoError::Format(msg) => CliError::Format(msg),
+        }
+    }
+}
+
 /// Parses the arguments and runs the corresponding command, writing its
 /// report to `out`.
 ///
@@ -91,6 +104,20 @@ mod tests {
         assert!(text.contains("generate"));
         assert!(text.contains("solve"));
         assert!(text.contains("verify"));
+    }
+
+    #[test]
+    fn text_in_a_graphb_file_is_a_format_error() {
+        // The binary reader refuses a text file rather than mis-parsing it,
+        // and the command surfaces that as a format error.
+        let dir = std::env::temp_dir().join("kecss-cli-lib-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (input, output) = (dir.join("textual.graphb"), dir.join("converted.graph"));
+        std::fs::write(&input, "3\n0 1 5\n").unwrap();
+        let (input, output) = (input.to_str().unwrap(), output.to_str().unwrap());
+        let argv = ["convert", "--input", input, "--output", output].map(String::from);
+        let err = run(&argv, &mut Vec::new()).unwrap_err();
+        assert!(matches!(err, CliError::Format(_)), "{err:?}");
     }
 
     #[test]

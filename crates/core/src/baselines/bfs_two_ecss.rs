@@ -1,5 +1,5 @@
 //! The `O(D)`-round 2-approximation for *unweighted* 2-ECSS of
-//! Censor-Hillel & Dory ([1] in the paper).
+//! Censor-Hillel & Dory (\[1\] in the paper).
 //!
 //! Build a BFS tree `T`, then cover every tree edge: processing vertices
 //! bottom-up, an uncovered tree edge `{v, p(v)}` is covered by adding the

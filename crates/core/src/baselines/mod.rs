@@ -5,9 +5,9 @@
 //!   (the algorithm the paper's framework parallelizes); an `O(log n)`
 //!   approximation that serves as the quality reference.
 //! * [`thurimella`] — the sparse-certificate 2-approximation for *unweighted*
-//!   k-ECSS ([36] in the paper): k rounds of maximal spanning forests.
+//!   k-ECSS (\[36\] in the paper): k rounds of maximal spanning forests.
 //! * [`bfs_two_ecss`] — the `O(D)`-round 2-approximation for unweighted
-//!   2-ECSS of [1], used both as a baseline and as the starting subgraph of
+//!   2-ECSS of \[1\], used both as a baseline and as the starting subgraph of
 //!   the unweighted 3-ECSS algorithm (Section 5).
 //! * [`exact`] — branch-and-bound exact solvers for small instances, used to
 //!   measure true approximation ratios.

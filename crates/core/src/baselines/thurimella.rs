@@ -1,5 +1,5 @@
 //! Thurimella's sparse-certificate 2-approximation for unweighted k-ECSS
-//! ([36] in the paper).
+//! (\[36\] in the paper).
 //!
 //! Repeatedly compute a maximal spanning forest of the remaining graph and
 //! remove its edges; the union of the first `k` forests is k-edge-connected

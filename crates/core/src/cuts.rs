@@ -440,7 +440,7 @@ fn seed_candidates(graph: &Graph, h: &EdgeSet, size: usize, candidates: &mut BTr
 /// repeatedly contract uniformly random edges of `h` until two
 /// super-vertices remain; the crossing edges form an induced cut, kept when
 /// its size matches. The deterministic candidate seeds of
-/// [`seed_candidates`] run first. Every candidate is still verified by the
+/// `seed_candidates` run first. Every candidate is still verified by the
 /// exact removal test.
 ///
 /// With `trials = Θ(n² log n)` every minimum cut is found w.h.p. (each
@@ -469,7 +469,7 @@ impl ContractEnumerator {
     }
 
     /// The default trial count for an `n`-vertex subgraph: `2 n² ⌈ln n⌉`,
-    /// at least 512, with the log computed by the integer bound [`ceil_ln`]
+    /// at least 512, with the log computed by the integer bound `ceil_ln`
     /// (no floats on the hot path).
     pub fn default_trials(n: usize) -> u64 {
         let n = n as u64;

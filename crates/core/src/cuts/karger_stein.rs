@@ -452,7 +452,7 @@ thread_local! {
 /// super-vertices, recurse twice with independent path-derived seeds,
 /// enumerate bipartitions exhaustively on `≤ 6` super-vertices, dedupe in a
 /// `BTreeSet` and verify every candidate with the exact removal test. The
-/// deterministic seeds of [`seed_candidates`] run first, as in the flat
+/// deterministic seeds of `seed_candidates` run first, as in the flat
 /// enumerator.
 ///
 /// Repetition roots run in parallel on the [`Executor`] and merge in

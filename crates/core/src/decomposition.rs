@@ -10,7 +10,7 @@
 //! descendant `d_S`) such that only `r_S` and `d_S` touch other segments. The
 //! *skeleton tree* contracts every highway to a single virtual edge.
 //!
-//! Construction (following the paper, which follows [14] with deterministic
+//! Construction (following the paper, which follows \[14\] with deterministic
 //! fragment selection):
 //!
 //! 1. **Fragments** — the spanning tree is cut into `O(√n)` fragments of

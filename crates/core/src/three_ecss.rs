@@ -7,7 +7,7 @@
 //! cycle-space sampling:
 //!
 //! 1. Build a 2-edge-connected subgraph `H`: the `O(D)`-round unweighted
-//!    2-ECSS 2-approximation of [1] for the unweighted problem, or
+//!    2-ECSS 2-approximation of \[1\] for the unweighted problem, or
 //!    MST + weighted TAP (Theorem 1.1) for the weighted variant.
 //! 2. Repeatedly: sample an `O(log n)`-bit circulation of `H ∪ A` over the
 //!    spanning tree `T` of `H` (`O(depth(T))` rounds), from which every edge

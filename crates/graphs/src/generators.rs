@@ -12,7 +12,7 @@
 //!   real choices to make.
 //! * [`ring_of_cliques`] produces high-diameter 2-edge-connected graphs, the
 //!   regime where the `O((D+sqrt(n)) log^2 n)` bound of Theorem 1.1 separates
-//!   from the `O(h_MST + sqrt(n))` baseline of [1].
+//!   from the `O(h_MST + sqrt(n))` baseline of \[1\].
 //! * [`torus`] gives 4-edge-connected bounded-degree graphs with diameter
 //!   `Theta(sqrt(n))`.
 //! * [`hypercube`] gives `log2(n)`-regular graphs with edge connectivity

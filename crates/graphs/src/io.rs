@@ -615,6 +615,25 @@ mod tests {
     }
 
     #[test]
+    fn comments_and_blank_lines_are_ignored() {
+        let g = read_text("# header\n\n4\n# an edge\n0 1 5\n\n2 3 7\n").unwrap();
+        assert_eq!(g.n(), 4);
+        assert_eq!(g.m(), 2);
+        assert_eq!(g.total_weight(), 12);
+    }
+
+    #[test]
+    fn solutions_with_unknown_edges_are_rejected() {
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 1);
+        // No such edge, a vertex out of range, and the one 0-1 edge listed
+        // twice.
+        for text in ["1 2 1\n", "0 7 1\n", "0 1 1\n0 1 1\n"] {
+            assert!(read_solution_text(text.as_bytes(), &g).is_err(), "{text:?}");
+        }
+    }
+
+    #[test]
     fn solution_text_streams() {
         let g = sample(6);
         let set = g.full_edge_set();

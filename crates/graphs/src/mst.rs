@@ -40,7 +40,7 @@ pub fn kruskal_in(graph: &Graph, edges: &EdgeSet) -> EdgeSet {
 /// A maximal spanning forest (ignoring weights) of the subgraph `(V, edges)`.
 ///
 /// This is the building block of Thurimella's sparse-certificate baseline
-/// ([36] in the paper): repeatedly extract maximal spanning forests and remove
+/// (\[36\] in the paper): repeatedly extract maximal spanning forests and remove
 /// them from the graph.
 pub fn maximal_spanning_forest_in(graph: &Graph, edges: &EdgeSet) -> EdgeSet {
     let mut dsu = DisjointSets::new(graph.n());

@@ -19,8 +19,8 @@
 //! Nothing in this crate feeds back into solver state: recording is atomic
 //! stores on the side, spans only read the monotonic clock, and the sink only
 //! ever *writes*. Result payloads and protocol replies are byte-identical
-//! with instrumentation enabled, disabled ([`set_enabled`]) or compiled out
-//! (the `noop` feature) — `tests/determinism.rs` proves it.
+//! with recording enabled or disabled ([`set_enabled`], the one off switch)
+//! — `tests/determinism.rs` proves it.
 //!
 //! The crate is std-only (atomics + `Instant`), matching the workspace's
 //! no-crates.io discipline.
@@ -67,14 +67,10 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 /// changes any payload bytes — only whether the side tables move.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Returns whether recording is active. With the `noop` feature this is a
-/// constant `false` and the optimizer removes every recording path.
+/// Returns whether recording is active.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        return false;
-    }
     ENABLED.load(Ordering::Relaxed)
 }
 

@@ -166,9 +166,6 @@ mod tests {
     #[test]
     fn spans_and_events_stream_as_jsonl() {
         let _serial = crate::test_guard();
-        if !crate::enabled() {
-            return;
-        }
         let buffer = Buffer::default();
         install_trace_sink(Box::new(buffer.clone()));
         {

@@ -12,9 +12,8 @@
 //!
 //! * [`Executor`] — the execution policy (`Sequential` / `Threaded(n)`)
 //!   threaded through the cut-verification routines and the sweep drivers;
-//! * [`sweep`] — job-granular scheduling: [`sweep::run_jobs`] for fixed
-//!   grids (`kecss sweep`) and [`JobPool`] for open-ended job streams such
-//!   as the `kecss serve` front-end.
+//! * [`sweep`] — job-granular scheduling of fixed grids
+//!   ([`sweep::run_jobs`], behind `kecss sweep`).
 //!
 //! # Example
 //!
@@ -35,4 +34,3 @@ pub mod executor;
 pub mod sweep;
 
 pub use executor::Executor;
-pub use sweep::JobPool;

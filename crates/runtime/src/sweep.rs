@@ -12,16 +12,9 @@
 //! Results still come out in grid order (each result is placed by its cell
 //! index after the scoped workers join), so the output is bit-identical to a
 //! sequential loop for pure cell functions.
-//!
-//! For open-ended streams of work — where jobs arrive over time instead of as
-//! a fixed grid — [`JobPool`] keeps a set of persistent workers draining a
-//! shared queue. This is the seam the `kecss serve` front-end schedules
-//! request jobs onto.
 
 use crate::executor::Executor;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Runs `f` on every cell of the grid with **job-granular self-scheduling**:
 /// each of the executor's workers repeatedly claims the next unclaimed cell
@@ -76,136 +69,6 @@ where
         .into_iter()
         .map(|s| s.expect("every cell was claimed exactly once"))
         .collect()
-}
-
-/// A set of persistent worker threads draining a shared FIFO queue of boxed
-/// jobs: the job-granular scheduling seam for open-ended work streams.
-///
-/// Where [`run_jobs`] schedules a *fixed* grid, a `JobPool` accepts jobs over
-/// time — the `kecss serve` front-end submits one job per accepted request —
-/// and executes them FIFO across `threads` workers. The pool itself imposes no
-/// ordering on completions and no bound on the queue; callers that need
-/// backpressure (the server's bounded job table) or deterministic result
-/// ordering (each job writes into its own slot keyed by job id) layer it on
-/// top, which keeps this type a plain work conveyor.
-///
-/// [`JobPool::shutdown`] drains the queue (already-submitted jobs still run)
-/// and joins the workers; dropping the pool does the same.
-pub struct JobPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-/// A queued unit of work.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signalled when a job is pushed or shutdown begins.
-    available: Condvar,
-}
-
-struct PoolState {
-    queue: VecDeque<Job>,
-    shutting_down: bool,
-}
-
-impl JobPool {
-    /// Spawns a pool with `threads` persistent workers (at least one).
-    pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                shutting_down: false,
-            }),
-            available: Condvar::new(),
-        });
-        let workers = (0..threads.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        JobPool { shared, workers }
-    }
-
-    /// The number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueues a job. Returns `false` (without running the job) if the pool
-    /// is already shutting down.
-    pub fn submit(&self, job: Job) -> bool {
-        let mut state = self.shared.state.lock().expect("pool lock poisoned");
-        if state.shutting_down {
-            return false;
-        }
-        state.queue.push_back(job);
-        let depth = state.queue.len();
-        drop(state);
-        // Observability only: the gauge mirrors the queue length (last
-        // writer wins under contention, which is fine for a depth gauge).
-        kecss_obs::gauge("runtime_pool_queue_depth").set(depth as i64);
-        self.shared.available.notify_one();
-        true
-    }
-
-    /// Jobs enqueued but not yet claimed by a worker.
-    pub fn queued(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("pool lock poisoned")
-            .queue
-            .len()
-    }
-
-    /// Stops accepting new jobs, drains the queue and joins the workers.
-    /// Jobs submitted before the call are all executed.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        for worker in self.workers.drain(..) {
-            worker.join().expect("pool worker panicked");
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        self.shared
-            .state
-            .lock()
-            .expect("pool lock poisoned")
-            .shutting_down = true;
-        self.shared.available.notify_all();
-    }
-}
-
-impl Drop for JobPool {
-    fn drop(&mut self) {
-        self.begin_shutdown();
-        for worker in self.workers.drain(..) {
-            worker.join().expect("pool worker panicked");
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let job = {
-            let mut state = shared.state.lock().expect("pool lock poisoned");
-            loop {
-                if let Some(job) = state.queue.pop_front() {
-                    kecss_obs::gauge("runtime_pool_queue_depth").set(state.queue.len() as i64);
-                    break job;
-                }
-                if state.shutting_down {
-                    return;
-                }
-                state = shared.available.wait(state).expect("pool lock poisoned");
-            }
-        };
-        job();
-    }
 }
 
 /// The cartesian product of three dimensions, in row-major order.
@@ -270,60 +133,5 @@ mod tests {
             x
         });
         assert_eq!(out, cells);
-    }
-
-    #[test]
-    fn job_pool_runs_all_submitted_jobs() {
-        use std::sync::atomic::AtomicU64;
-        let pool = JobPool::new(4);
-        assert_eq!(pool.threads(), 4);
-        let sum = Arc::new(AtomicU64::new(0));
-        for i in 1..=100u64 {
-            let sum = Arc::clone(&sum);
-            assert!(pool.submit(Box::new(move || {
-                sum.fetch_add(i, Ordering::Relaxed);
-            })));
-        }
-        pool.shutdown();
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
-    }
-
-    #[test]
-    fn job_pool_shutdown_drains_then_rejects() {
-        use std::sync::atomic::AtomicU64;
-        let pool = JobPool::new(1);
-        let done = Arc::new(AtomicU64::new(0));
-        for _ in 0..10 {
-            let done = Arc::clone(&done);
-            pool.submit(Box::new(move || {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                done.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        let shared = Arc::clone(&pool.shared);
-        pool.shutdown();
-        // Every pre-shutdown job ran; post-shutdown submissions are refused.
-        assert_eq!(done.load(Ordering::Relaxed), 10);
-        assert!(shared.state.lock().unwrap().shutting_down);
-        let orphan = JobPool::new(1);
-        orphan.begin_shutdown();
-        assert!(!orphan.submit(Box::new(|| {})));
-    }
-
-    #[test]
-    fn job_pool_drop_joins_workers() {
-        use std::sync::atomic::AtomicU64;
-        let done = Arc::new(AtomicU64::new(0));
-        {
-            let pool = JobPool::new(2);
-            for _ in 0..8 {
-                let done = Arc::clone(&done);
-                pool.submit(Box::new(move || {
-                    done.fetch_add(1, Ordering::Relaxed);
-                }));
-            }
-        }
-        // Drop drained the queue before joining.
-        assert_eq!(done.load(Ordering::Relaxed), 8);
     }
 }

@@ -812,24 +812,6 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// The fetched-once terminal reply for a fleet job, or `None` while it is in
-/// flight: `Done` is consumed into `Gone` on first fetch; `Failed` and
-/// `Cancelled` are repeatable diagnoses (unchanged since DESIGN.md §13).
-fn fleet_outcome_response(id: JobId, job: &mut FleetJob) -> Option<Response> {
-    let outcome = job.outcome.as_mut()?;
-    Some(match outcome {
-        Outcome::Done(_) => {
-            let Outcome::Done(payload) = std::mem::replace(outcome, Outcome::Gone) else {
-                unreachable!("matched Outcome::Done above")
-            };
-            Response::Result { id, payload }
-        }
-        Outcome::Gone => Response::Gone(id),
-        Outcome::Failed(message) => Response::Err(format!("job {id} failed: {message}")),
-        Outcome::Cancelled => Response::Err(kecss::Error::JobCancelled { job: id }.to_string()),
-    })
-}
-
 /// The coordinator role behind the readiness loop: the coordinator-side
 /// analogue of the server's responder — same verbs, same reply bytes, same
 /// fetched-once `RESULT` semantics, with the fleet table instead of the
@@ -878,8 +860,8 @@ impl Service for CoordinatorService {
                 let mut table = shared.lock();
                 match table.jobs.get_mut(&id) {
                     None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                    Some(job) => match fleet_outcome_response(id, job) {
-                        Some(response) => ServiceReply::Line(response),
+                    Some(job) => match job.outcome.as_mut() {
+                        Some(outcome) => ServiceReply::Line(outcome.fetch().into_response(id)),
                         None => ServiceReply::Line(Response::Wait {
                             id,
                             state: job.state.wire_name(),
@@ -965,7 +947,7 @@ impl Service for CoordinatorService {
     fn result_reply(&self, id: JobId) -> Option<Response> {
         let mut table = self.shared.lock();
         let job = table.jobs.get_mut(&id)?;
-        let response = fleet_outcome_response(id, job)?;
+        let response = job.outcome.as_mut()?.fetch().into_response(id);
         classify_response(&response);
         Some(response)
     }

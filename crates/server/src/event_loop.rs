@@ -18,7 +18,7 @@
 //! ```
 //!
 //! **The event thread never blocks**: solver work runs on the scheduler's
-//! `kecss_runtime::JobPool` (or on fleet workers); reads and writes are
+//! worker threads (or on fleet workers); reads and writes are
 //! nonblocking with pending bytes parked in per-connection buffers.
 //!
 //! **Push-on-complete**: a `RESULT WAIT` subscribes its connection to the

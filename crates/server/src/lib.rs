@@ -1,5 +1,4 @@
-//! `kecss_server` — a long-running solver service over the `kecss_runtime`
-//! pool.
+//! `kecss_server` — a long-running solver service.
 //!
 //! The workspace's solvers are batch functions; this crate turns them into an
 //! always-on request-serving layer (ROADMAP "Async / service front-end"):
@@ -18,9 +17,9 @@
 //! * [`job`] — job specs and the **pure job runner**: build instance → solve
 //!   → verify exactly → serialize a canonical payload. Purity in the spec is
 //!   what makes concurrent serving byte-deterministic (DESIGN.md §9).
-//! * [`scheduler`] — a bounded job table over [`kecss_runtime::JobPool`]:
-//!   at most `queue_depth` jobs in flight, `BUSY` beyond that, cancellation
-//!   of queued jobs, drain-on-shutdown.
+//! * [`scheduler`] — a bounded job table with its own worker threads: at
+//!   most `queue_depth` jobs in flight, `BUSY` beyond that, FIFO dispatch,
+//!   cancellation of queued jobs, drain-on-shutdown.
 //! * [`server`] — the TCP accept loop behind `kecss serve`.
 //! * [`client`] — a blocking client (`kecss submit`, tests, CI smoke).
 //! * [`coordinator`] / [`worker`] — the fleet control plane (DESIGN.md §13):

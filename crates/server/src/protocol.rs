@@ -12,14 +12,18 @@
 //! RESULT WAIT <id>  -> RESULT <id> <len>\n<payload> | GONE <id> | ERR <msg>   (pushed on completion)
 //! CANCEL <id>                                             -> OK <id> CANCELLED | ERR <msg>
 //! METRICS        -> METRICS <len>\n<text exposition>
+//! HEARTBEAT <worker-id> <host:port>                       -> OK <worker-id> REGISTERED|ALIVE | ERR <msg>
+//! FLEET          -> FLEET <len>\n<fleet status text> | ERR <msg>
 //! SHUTDOWN                                                -> OK SHUTDOWN
 //! ```
 //!
-//! `<STATE>` is one of `QUEUED`, `RUNNING`, `DONE`, `FAILED`, `CANCELLED`.
+//! `HEARTBEAT` and `FLEET` are the coordinator's (DESIGN.md §13); the other
+//! roles answer them with `ERR`. `<STATE>` is one of `QUEUED`, `RUNNING`,
+//! `DONE`, `FAILED`, `CANCELLED`, and on a coordinator also `ASSIGNED`.
 //! Result payloads are **fetched-once**: a successful `RESULT` evicts the
-//! payload from the job table (bounding a long-lived server's memory), and
-//! every later `RESULT` for that id answers `GONE <id>` while `STATUS` still
-//! reports `DONE`.
+//! payload from the job table, so a long-lived server keeps each payload
+//! only until its first fetch, and every later `RESULT` for that id answers
+//! `GONE <id>` while `STATUS` still reports `DONE`.
 //!
 //! `RESULT WAIT <id>` is the push variant: instead of answering `WAIT` for an
 //! unfinished job, the server parks the connection's request and pushes the

@@ -1,10 +1,14 @@
-//! The job scheduler: a bounded job table dispatching onto a
-//! [`kecss_runtime::JobPool`].
+//! The job scheduler: a bounded job table and the worker threads that run
+//! its jobs.
 //!
 //! Backpressure is enforced at submission: at most `queue_depth` jobs may be
 //! *in flight* (queued or running) at once; submissions beyond that are
 //! rejected with [`kecss::Error::JobQueueFull`] — the server turns this into
 //! a `BUSY` response — **without touching the jobs already in flight**.
+//!
+//! Each admitted job is queued once, as its id in the table's FIFO queue.
+//! The scheduler's own workers pop the oldest id under the table lock, skip
+//! ids cancelled while queued, and run the job outside the lock.
 //!
 //! Determinism: the scheduler stores whatever bytes [`crate::job::run`]
 //! produced. Since that function is pure in the job spec, the scheduler's
@@ -12,10 +16,12 @@
 //! result payloads — only *when* they become available. See DESIGN.md §9.
 
 use crate::job::{self, JobSpec};
+use crate::protocol::Response;
 use kecss_obs::{Counter, Gauge, Histogram};
-use kecss_runtime::{Executor, JobPool};
-use std::collections::HashMap;
+use kecss_runtime::Executor;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Cached handles into the global registry, resolved once: the submit path
@@ -211,6 +217,28 @@ pub enum Outcome {
     Gone,
 }
 
+impl Outcome {
+    /// The fetched-once read both roles answer `RESULT` with: a payload is
+    /// handed over once and leaves [`Outcome::Gone`] in its place; `Failed`
+    /// and `Cancelled` are small and kept for repeat diagnosis.
+    pub fn fetch(&mut self) -> Outcome {
+        match self {
+            Outcome::Done(_) => std::mem::replace(self, Outcome::Gone),
+            other => other.clone(),
+        }
+    }
+
+    /// The reply to a `RESULT` for job `id` that fetched this outcome.
+    pub fn into_response(self, id: JobId) -> Response {
+        match self {
+            Outcome::Done(payload) => Response::Result { id, payload },
+            Outcome::Gone => Response::Gone(id),
+            Outcome::Failed(message) => Response::Err(format!("job {id} failed: {message}")),
+            Outcome::Cancelled => Response::Err(kecss::Error::JobCancelled { job: id }.to_string()),
+        }
+    }
+}
+
 /// One slot of the job table.
 enum Slot {
     Queued(Box<JobFn>),
@@ -240,18 +268,22 @@ pub struct ServeSummary {
 struct Table {
     next_id: JobId,
     slots: HashMap<JobId, Slot>,
+    /// Queued ids, oldest first. An id cancelled while queued stays here
+    /// until a worker pops and skips it.
+    queue: VecDeque<JobId>,
     /// Observability timestamps, removed when a job goes terminal.
     times: HashMap<JobId, JobTimes>,
     /// Jobs queued or running; the quantity the depth bound applies to.
     inflight: usize,
-    /// Set by [`Scheduler::close`]: no further submissions are admitted.
-    /// Checked under the same lock that admits jobs, so a drain that starts
-    /// after `close` can never miss a concurrently-admitted job.
+    /// Set by [`Scheduler::close`] and on drop: no further submissions are
+    /// admitted. Checked under the same lock that admits jobs, so a drain
+    /// that starts after `close` can never miss a concurrently-admitted job.
+    /// A worker exits once the table is closed and the queue is empty.
     closed: bool,
     summary: ServeSummary,
 }
 
-/// Instrumentation invoked on a pool worker right after it claims a job
+/// Instrumentation invoked on a worker right after it claims a job
 /// (status `Running`) and before the job's work runs. Production servers pass
 /// `None`; the integration tests use it to hold a worker deterministically so
 /// backpressure and cancellation can be exercised without timing races.
@@ -267,6 +299,8 @@ struct State {
     table: Mutex<Table>,
     /// Signalled whenever a job reaches a terminal state.
     changed: Condvar,
+    /// Signalled when a job is queued, and on drop.
+    queued: Condvar,
     queue_depth: usize,
     start_hook: Option<StartHook>,
     /// See [`CompletionHook`]. Behind its own lock (not the table lock): the
@@ -290,15 +324,16 @@ impl State {
     }
 }
 
-/// The scheduler: job table + worker pool. Cheap to share via `Arc`.
+/// The scheduler: job table + its workers. Cheap to share via `Arc`.
+/// Dropping it runs every queued job and joins the workers.
 pub struct Scheduler {
     state: Arc<State>,
-    pool: JobPool,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Scheduler {
-    /// Creates a scheduler with `threads` pool workers and an in-flight bound
-    /// of `queue_depth` jobs (both at least 1).
+    /// Creates a scheduler with `threads` workers and an in-flight bound of
+    /// `queue_depth` jobs (both at least 1).
     pub fn new(threads: usize, queue_depth: usize) -> Self {
         Scheduler::with_start_hook(threads, queue_depth, None)
     }
@@ -309,28 +344,29 @@ impl Scheduler {
         queue_depth: usize,
         start_hook: Option<StartHook>,
     ) -> Self {
-        Scheduler {
-            state: Arc::new(State {
-                table: Mutex::new(Table {
-                    next_id: 1,
-                    slots: HashMap::new(),
-                    times: HashMap::new(),
-                    inflight: 0,
-                    closed: false,
-                    summary: ServeSummary::default(),
-                }),
-                changed: Condvar::new(),
-                queue_depth: queue_depth.max(1),
-                start_hook,
-                completion_hook: Mutex::new(None),
+        let state = Arc::new(State {
+            table: Mutex::new(Table {
+                next_id: 1,
+                slots: HashMap::new(),
+                queue: VecDeque::new(),
+                times: HashMap::new(),
+                inflight: 0,
+                closed: false,
+                summary: ServeSummary::default(),
             }),
-            pool: JobPool::new(threads),
-        }
-    }
-
-    /// The in-flight bound.
-    pub fn queue_depth(&self) -> usize {
-        self.state.queue_depth
+            changed: Condvar::new(),
+            queued: Condvar::new(),
+            queue_depth: queue_depth.max(1),
+            start_hook,
+            completion_hook: Mutex::new(None),
+        });
+        let workers = (0..threads.max(1))
+            .map(|_| {
+                let state = Arc::clone(&state);
+                std::thread::spawn(move || work(&state))
+            })
+            .collect();
+        Scheduler { state, workers }
     }
 
     /// Jobs currently queued or running (the quantity the depth bound
@@ -354,7 +390,7 @@ impl Scheduler {
     }
 
     /// Submits a solver job. Every job runs [`job::run`] with a sequential
-    /// within-job executor: the service parallelizes *across* jobs (one pool
+    /// within-job executor: the service parallelizes *across* jobs (one
     /// worker each), which keeps worker counts predictable and results
     /// byte-deterministic either way.
     ///
@@ -374,36 +410,34 @@ impl Scheduler {
     /// [`kecss::Error::JobQueueFull`] when `queue_depth` jobs are already in
     /// flight.
     pub fn submit_with(&self, work: Box<JobFn>) -> kecss::error::Result<JobId> {
-        let id = {
-            let mut table = self.state.table.lock().expect("scheduler lock poisoned");
-            if table.closed {
-                return Err(kecss::Error::ServiceShuttingDown);
-            }
-            if table.inflight >= self.state.queue_depth {
-                table.summary.rejected += 1;
-                metrics().rejected.inc();
-                return Err(kecss::Error::JobQueueFull {
-                    depth: self.state.queue_depth,
-                });
-            }
-            let id = table.next_id;
-            table.next_id += 1;
-            table.inflight += 1;
-            table.summary.submitted += 1;
-            table.slots.insert(id, Slot::Queued(work));
-            table.times.insert(
-                id,
-                JobTimes {
-                    submitted: now_if_recording(),
-                    started: None,
-                },
-            );
-            metrics().submitted.inc();
-            metrics().inflight.set(table.inflight as i64);
-            id
-        };
-        let state = Arc::clone(&self.state);
-        self.pool.submit(Box::new(move || execute(&state, id)));
+        let mut table = self.state.table.lock().expect("scheduler lock poisoned");
+        if table.closed {
+            return Err(kecss::Error::ServiceShuttingDown);
+        }
+        if table.inflight >= self.state.queue_depth {
+            table.summary.rejected += 1;
+            metrics().rejected.inc();
+            return Err(kecss::Error::JobQueueFull {
+                depth: self.state.queue_depth,
+            });
+        }
+        let id = table.next_id;
+        table.next_id += 1;
+        table.inflight += 1;
+        table.summary.submitted += 1;
+        table.slots.insert(id, Slot::Queued(work));
+        table.queue.push_back(id);
+        table.times.insert(
+            id,
+            JobTimes {
+                submitted: now_if_recording(),
+                started: None,
+            },
+        );
+        metrics().submitted.inc();
+        metrics().inflight.set(table.inflight as i64);
+        drop(table);
+        self.state.queued.notify_one();
         Ok(id)
     }
 
@@ -420,33 +454,16 @@ impl Scheduler {
         })
     }
 
-    /// The job's terminal outcome, or `None` while it is still in flight (or
-    /// for an unknown id — disambiguate with [`Scheduler::status`]). Never
-    /// evicts; an already-evicted payload reads as [`Outcome::Gone`].
-    pub fn outcome(&self, id: JobId) -> Option<Outcome> {
-        let table = self.state.table.lock().expect("scheduler lock poisoned");
-        match table.slots.get(&id) {
-            Some(Slot::Finished(outcome)) => Some(outcome.clone()),
-            _ => None,
-        }
-    }
-
-    /// Fetched-once variant of [`Scheduler::outcome`]: returns the terminal
-    /// outcome and, when it is a payload, **drops it from the job table** —
-    /// the next call (and every later one) returns [`Outcome::Gone`]. This
-    /// is what the server's `RESULT` handler uses, so a long-lived server
-    /// retains each result only until its first fetch. `Failed` and
-    /// `Cancelled` outcomes are small and kept for repeat diagnosis.
+    /// The job's terminal outcome, fetched once ([`Outcome::fetch`]): a
+    /// payload is **dropped from the job table**, so the next call (and
+    /// every later one) returns [`Outcome::Gone`]. This is what the server's
+    /// `RESULT` handler uses, so a long-lived server retains each payload
+    /// only until its first fetch. `None` while the job is in flight, or for
+    /// an unknown id — disambiguate with [`Scheduler::status`].
     pub fn take_result(&self, id: JobId) -> Option<Outcome> {
         let mut table = self.state.table.lock().expect("scheduler lock poisoned");
         match table.slots.get_mut(&id) {
-            Some(Slot::Finished(outcome)) => {
-                let fetched = match outcome {
-                    Outcome::Done(_) => std::mem::replace(outcome, Outcome::Gone),
-                    other => other.clone(),
-                };
-                Some(fetched)
-            }
+            Some(Slot::Finished(outcome)) => Some(outcome.fetch()),
             _ => None,
         }
     }
@@ -531,39 +548,61 @@ impl Scheduler {
             .summary
     }
 
-    /// Drains in-flight jobs, stops the pool workers and returns the final
+    /// Drains in-flight jobs, stops the workers and returns the final
     /// counters.
     pub fn shutdown(self) -> ServeSummary {
         self.drain();
-        let summary = self.summary();
-        self.pool.shutdown();
-        summary
+        self.summary()
     }
 }
 
-/// The pool-side half of a job: claim the slot (unless it was cancelled
-/// while queued), run the work outside the lock, store the outcome.
-fn execute(state: &State, id: JobId) {
-    let work = {
-        let mut table = state.table.lock().expect("scheduler lock poisoned");
-        match table.slots.get_mut(&id) {
-            // Cancelled (or somehow vanished) while queued: nothing to run.
-            Some(slot @ Slot::Queued(_)) => {
-                let Slot::Queued(work) = std::mem::replace(slot, Slot::Running) else {
-                    unreachable!("matched Slot::Queued above")
-                };
-                let started = now_if_recording();
-                if let Some(times) = table.times.get_mut(&id) {
-                    times.started = started;
-                    if let Some(wait) = elapsed_ns(times.submitted, started) {
-                        metrics().wait_ns.record(wait);
-                    }
-                }
-                work
-            }
-            _ => return,
+impl Drop for Scheduler {
+    fn drop(&mut self) {
+        self.close();
+        self.state.queued.notify_all();
+        for worker in self.workers.drain(..) {
+            // Jobs run under `catch_unwind`, so only a panicking hook ends a
+            // worker early; the panic hook has already printed it, and a
+            // second panic here could abort an unwinding caller.
+            let _ = worker.join();
         }
-    };
+    }
+}
+
+/// A worker's loop: pop the oldest queued id and claim its slot (skipping
+/// ids cancelled while queued), run the job outside the lock, repeat; exit
+/// once the table is closed and the queue is empty.
+fn work(state: &State) {
+    let mut table = state.table.lock().expect("scheduler lock poisoned");
+    loop {
+        let Some(id) = table.queue.pop_front() else {
+            if table.closed {
+                return;
+            }
+            table = state.queued.wait(table).expect("scheduler lock poisoned");
+            continue;
+        };
+        let Some(slot @ Slot::Queued(_)) = table.slots.get_mut(&id) else {
+            continue;
+        };
+        let Slot::Queued(job) = std::mem::replace(slot, Slot::Running) else {
+            unreachable!("matched Slot::Queued above")
+        };
+        let started = now_if_recording();
+        if let Some(times) = table.times.get_mut(&id) {
+            times.started = started;
+            if let Some(wait) = elapsed_ns(times.submitted, started) {
+                metrics().wait_ns.record(wait);
+            }
+        }
+        drop(table);
+        execute(state, id, job);
+        table = state.table.lock().expect("scheduler lock poisoned");
+    }
+}
+
+/// Runs a claimed job and stores its outcome. Called with no lock held.
+fn execute(state: &State, id: JobId, work: Box<JobFn>) {
     if let Some(hook) = &state.start_hook {
         hook(id);
     }
@@ -618,6 +657,7 @@ fn execute(state: &State, id: JobId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
     /// A job that blocks until the returned sender is dropped or signalled.
@@ -789,9 +829,9 @@ mod tests {
         let id = scheduler
             .submit_with(Box::new(|| Ok(b"big payload".to_vec())))
             .unwrap();
-        scheduler.wait(id);
-        // Peeking never evicts.
-        assert!(matches!(scheduler.outcome(id), Some(Outcome::Done(_))));
+        // Waiting peeks and never evicts.
+        assert!(matches!(scheduler.wait(id), Some(Outcome::Done(_))));
+        assert!(matches!(scheduler.wait(id), Some(Outcome::Done(_))));
         // The first take returns the payload and drops it from the table.
         match scheduler.take_result(id) {
             Some(Outcome::Done(bytes)) => assert_eq!(bytes.as_slice(), b"big payload"),
@@ -799,7 +839,7 @@ mod tests {
         }
         // Every later fetch sees Gone; the job still reads as Done.
         assert_eq!(scheduler.take_result(id), Some(Outcome::Gone));
-        assert_eq!(scheduler.outcome(id), Some(Outcome::Gone));
+        assert_eq!(scheduler.wait(id), Some(Outcome::Gone));
         assert_eq!(scheduler.status(id), Some(JobStatus::Done));
         // Failures are kept for repeat diagnosis.
         let failed = scheduler
@@ -814,7 +854,7 @@ mod tests {
             scheduler.take_result(failed),
             Some(Outcome::Failed("boom".into()))
         );
-        // In-flight and unknown ids read as None, as with `outcome`.
+        // Unknown ids read as None.
         assert_eq!(scheduler.take_result(999), None);
         scheduler.shutdown();
     }
@@ -921,11 +961,93 @@ mod tests {
     fn outcome_is_none_while_in_flight() {
         let scheduler = Scheduler::new(1, 2);
         let (id, tx) = blocking_job(&scheduler);
-        assert_eq!(scheduler.outcome(id), None);
+        assert_eq!(scheduler.take_result(id), None);
         assert!(!scheduler.status(id).unwrap().is_terminal());
         drop(tx);
         assert!(scheduler.wait(id).is_some());
         assert!(scheduler.status(id).unwrap().is_terminal());
+        assert!(matches!(scheduler.take_result(id), Some(Outcome::Done(_))));
         scheduler.shutdown();
+    }
+
+    /// A job that records `tag` into `log` when it runs.
+    fn logging_job(scheduler: &Scheduler, log: &Arc<Mutex<Vec<usize>>>, tag: usize) -> JobId {
+        let log = Arc::clone(log);
+        scheduler
+            .submit_with(Box::new(move || {
+                log.lock().unwrap().push(tag);
+                Ok(Vec::new())
+            }))
+            .unwrap()
+    }
+
+    #[test]
+    fn one_worker_runs_queued_jobs_in_submission_order() {
+        let scheduler = Scheduler::new(1, 8);
+        let (running, tx) = blocking_job(&scheduler);
+        wait_until_running(&scheduler, running);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let queued: Vec<JobId> = (0..5)
+            .map(|tag| logging_job(&scheduler, &log, tag))
+            .collect();
+        drop(tx);
+        for id in queued {
+            assert!(matches!(scheduler.wait(id), Some(Outcome::Done(_))));
+        }
+        assert_eq!(*log.lock().unwrap(), [0, 1, 2, 3, 4]);
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn dropping_a_scheduler_runs_its_queued_jobs_and_joins_its_workers() {
+        /// Counts the worker threads that claimed a job, once they exit: a
+        /// thread-local's destructor runs before its thread can be joined.
+        struct OnExit(Arc<AtomicUsize>);
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
+        }
+        let exited = Arc::new(AtomicUsize::new(0));
+        let on_start = Arc::clone(&exited);
+        let scheduler = Scheduler::with_start_hook(
+            1,
+            8,
+            Some(Arc::new(move |_| {
+                ON_EXIT.with(|slot| {
+                    slot.borrow_mut()
+                        .get_or_insert_with(|| OnExit(Arc::clone(&on_start)));
+                });
+            })),
+        );
+        let (running, tx) = blocking_job(&scheduler);
+        wait_until_running(&scheduler, running);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let queued: Vec<JobId> = (0..4)
+            .map(|tag| logging_job(&scheduler, &log, tag))
+            .collect();
+        for &id in &queued {
+            assert_eq!(scheduler.status(id), Some(JobStatus::Queued));
+        }
+        // Free the single worker only once the drop has closed the table,
+        // so every job above is still queued when the drop begins.
+        let state = Arc::clone(&scheduler.state);
+        let release = std::thread::spawn(move || {
+            while !state.table.lock().unwrap().closed {
+                std::thread::yield_now();
+            }
+            drop(tx);
+        });
+        drop(scheduler);
+        assert_eq!(*log.lock().unwrap(), [0, 1, 2, 3]);
+        assert_eq!(
+            exited.load(Ordering::SeqCst),
+            1,
+            "the worker was not joined"
+        );
+        release.join().unwrap();
     }
 }

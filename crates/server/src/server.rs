@@ -11,7 +11,7 @@
 
 use crate::event_loop::{run_event_loop, EventLoopConfig, Service, ServiceReply};
 use crate::protocol::{Request, Response};
-use crate::scheduler::{CompletionHook, JobId, Outcome, Scheduler, ServeSummary};
+use crate::scheduler::{CompletionHook, JobId, Scheduler, ServeSummary};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
@@ -161,18 +161,6 @@ struct ServerService {
     scheduler: Arc<Scheduler>,
 }
 
-impl ServerService {
-    /// Maps a fetched terminal outcome to its reply.
-    fn outcome_response(id: JobId, outcome: Outcome) -> Response {
-        match outcome {
-            Outcome::Done(payload) => Response::Result { id, payload },
-            Outcome::Gone => Response::Gone(id),
-            Outcome::Failed(message) => Response::Err(format!("job {id} failed: {message}")),
-            Outcome::Cancelled => Response::Err(kecss::Error::JobCancelled { job: id }.to_string()),
-        }
-    }
-}
-
 /// Counts the reply-classification metrics (`BUSY`/`GONE`/request-`ERR`),
 /// shared by immediate and pushed replies of both roles.
 pub(crate) fn classify_response(response: &Response) {
@@ -228,9 +216,7 @@ impl Service for ServerService {
                     }),
                     // Fetched-once: `take_result` dropped the payload from
                     // the table; a repeat RESULT for this id answers GONE.
-                    (_, Some(outcome)) => {
-                        ServiceReply::Line(ServerService::outcome_response(id, outcome))
-                    }
+                    (_, Some(outcome)) => ServiceReply::Line(outcome.into_response(id)),
                 }
             }
             Request::ResultWait(id) => match self.scheduler.status(id) {
@@ -276,11 +262,7 @@ impl Service for ServerService {
     }
 
     fn result_reply(&self, id: JobId) -> Option<Response> {
-        if !self.scheduler.status(id)?.is_terminal() {
-            return None;
-        }
-        let outcome = self.scheduler.take_result(id)?;
-        let response = ServerService::outcome_response(id, outcome);
+        let response = self.scheduler.take_result(id)?.into_response(id);
         classify_response(&response);
         Some(response)
     }

@@ -28,7 +28,7 @@ fn spawn(threads: usize, queue_depth: usize) -> ServerHandle {
 }
 
 /// A gate the scheduler's start hook blocks on: lets a test hold job 1 on the
-/// single pool worker deterministically (no timing races) while it probes
+/// scheduler's single worker deterministically (no timing races) while it probes
 /// backpressure or cancellation, then release it.
 struct Gate {
     open: Mutex<bool>,
