@@ -422,6 +422,19 @@ fn parse_number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, CliEr
         .map_err(|_| CliError::Usage(format!("flag --{key} expects a number, got '{value}'")))
 }
 
+/// An address a coordinator can dial back: `HOST:PORT` with a non-empty host
+/// and a port other than 0. Host names (`worker-a:7461`) are valid.
+fn parse_dialable(key: &str, value: &str) -> Result<String, CliError> {
+    match value.rsplit_once(':') {
+        Some((host, port)) if !host.is_empty() && port.parse::<u16>().is_ok_and(|p| p != 0) => {
+            Ok(value.to_string())
+        }
+        _ => Err(CliError::Usage(format!(
+            "flag --{key} expects HOST:PORT with a port other than 0, got '{value}'"
+        ))),
+    }
+}
+
 fn parse_generate(rest: &[&String]) -> Result<Command, CliError> {
     let map = flag_map(rest, &["family", "n", "k", "max-weight", "seed", "output"])?;
     Ok(Command::Generate {
@@ -701,7 +714,10 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
                     .map(|v| parse_number("heartbeat-ms", v))
                     .transpose()?
                     .unwrap_or(500),
-                advertise: map.get("advertise").map(|s| s.to_string()),
+                advertise: map
+                    .get("advertise")
+                    .map(|v| parse_dialable("advertise", v))
+                    .transpose()?,
             }
         }
         other => {
@@ -1312,6 +1328,45 @@ mod tests {
             "3"
         ]))
         .is_err());
+    }
+
+    #[test]
+    fn a_worker_advertises_only_a_dialable_address() {
+        let worker = |advertise: &str| {
+            parse(&argv(&[
+                "serve",
+                "--role",
+                "worker",
+                "--coordinator",
+                "127.0.0.1:7460",
+                "--advertise",
+                advertise,
+            ]))
+        };
+        for ok in ["worker-a:7461", "10.0.0.7:9000", "[::1]:7461"] {
+            let Ok(Command::Serve {
+                role: ServeRole::Worker { advertise, .. },
+                ..
+            }) = worker(ok)
+            else {
+                panic!("`{ok}` must parse");
+            };
+            assert_eq!(advertise.as_deref(), Some(ok));
+        }
+        for bad in [
+            "127.0.0.1:0",
+            "worker-a",
+            "worker-a:",
+            ":7461",
+            "h:70000",
+            "h:x",
+        ] {
+            let refused = worker(bad);
+            assert!(
+                matches!(&refused, Err(CliError::Usage(m)) if m.contains("--advertise")),
+                "`{bad}`: {refused:?}"
+            );
+        }
     }
 
     #[test]

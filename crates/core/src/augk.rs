@@ -36,6 +36,7 @@
 use crate::cover::Rounded;
 use crate::cuts::{AutoEnumerator, CutEnumerator, CutFamily};
 use crate::error::{Error, Result};
+use crate::verification;
 use congest::{CostModel, RoundLedger};
 use graphs::dsu::DisjointSets;
 use graphs::{connectivity, EdgeId, EdgeSet, Graph};
@@ -216,6 +217,27 @@ pub fn augment_with_enumerator<R: Rng>(
     enumerator: &dyn CutEnumerator,
 ) -> Result<AugkSolution> {
     validate(graph, h, k)?;
+    augment_proven(graph, h, k, model, rng, exec, enumerator)
+}
+
+/// [`augment_with_enumerator`] for a caller that has already proved what
+/// `validate` checks: `k >= 2`, `graph` k-edge-connected and `h` a spanning
+/// `(k-1)`-edge-connected subgraph. The k-ECSS driver has: its precheck
+/// proves the first for every level, and each level's certify proves the
+/// second for the next.
+///
+/// # Errors
+///
+/// Same conditions as [`augment_with_enumerator`], less the input checks.
+pub(crate) fn augment_proven<R: Rng>(
+    graph: &Graph,
+    h: &EdgeSet,
+    k: usize,
+    model: CostModel,
+    rng: &mut R,
+    exec: &Executor,
+    enumerator: &dyn CutEnumerator,
+) -> Result<AugkSolution> {
     let mut ledger = RoundLedger::new(model);
 
     // All vertices learn the complete structure of H (|H| = O(kn) edges).
@@ -291,7 +313,7 @@ pub fn augment_with_enumerator<R: Rng>(
         // randomized) enumeration missed nothing that matters.
         let certified = {
             let _span = kecss_obs::span("certify");
-            connectivity::is_k_edge_connected_in(graph, &h.union(&added), k)
+            verification::is_k_edge_connected_in(graph, &h.union(&added), k)
         };
         if certified {
             break;
@@ -449,12 +471,12 @@ fn validate(graph: &Graph, h: &EdgeSet, k: usize) -> Result<()> {
         // is no upper limit: the pluggable enumerators handle any cut size.
         return Err(Error::UnsupportedK { k, min: 2 });
     }
-    if !connectivity::is_k_edge_connected_in(graph, h, k - 1) {
+    if !verification::is_k_edge_connected_in(graph, h, k - 1) {
         return Err(Error::InvalidSubgraph {
             reason: format!("H must be ({}-edge-connected and spanning", k - 1),
         });
     }
-    if !connectivity::is_k_edge_connected(graph, k) {
+    if !verification::is_k_edge_connected_in(graph, &graph.full_edge_set(), k) {
         return Err(Error::InsufficientConnectivity {
             required: k,
             actual: connectivity::edge_connectivity(graph),

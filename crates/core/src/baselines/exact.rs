@@ -12,6 +12,7 @@
 //! makes the exclude-first invariant sound.
 
 use super::BaselineSolution;
+use crate::verification;
 use graphs::{connectivity, EdgeId, EdgeSet, Graph};
 
 /// Maximum number of *free* (branchable) edges the exact solvers accept; above
@@ -23,12 +24,12 @@ pub const MAX_FREE_EDGES: usize = 26;
 /// Returns `None` if the graph is not k-edge-connected or has more than
 /// [`MAX_FREE_EDGES`] edges.
 pub fn min_k_ecss(graph: &Graph, k: usize) -> Option<BaselineSolution> {
-    if !connectivity::is_k_edge_connected(graph, k) {
+    if !verification::is_k_edge_connected_in(graph, &graph.full_edge_set(), k) {
         return None;
     }
     let allowed: Vec<EdgeId> = graph.edge_ids().collect();
     minimum_feasible_subset(graph, &graph.empty_edge_set(), allowed, |edges| {
-        connectivity::is_k_edge_connected_in(graph, edges, k)
+        verification::is_k_edge_connected_in(graph, edges, k)
     })
 }
 
@@ -64,12 +65,12 @@ pub fn min_tap(graph: &Graph, tree_edges: &EdgeSet) -> Option<BaselineSolution> 
 /// Returns `None` if the whole graph is not k-edge-connected or there are more
 /// than [`MAX_FREE_EDGES`] edges outside `h`.
 pub fn min_augmentation(graph: &Graph, h: &EdgeSet, k: usize) -> Option<BaselineSolution> {
-    if !connectivity::is_k_edge_connected(graph, k) {
+    if !verification::is_k_edge_connected_in(graph, &graph.full_edge_set(), k) {
         return None;
     }
     let allowed: Vec<EdgeId> = graph.edge_ids().filter(|id| !h.contains(*id)).collect();
     minimum_feasible_subset(graph, h, allowed, |edges| {
-        connectivity::is_k_edge_connected_in(graph, edges, k)
+        verification::is_k_edge_connected_in(graph, edges, k)
     })
     .map(|sol| {
         let augmentation = sol.edges.difference(h);

@@ -10,7 +10,8 @@ use super::BaselineSolution;
 use crate::cover;
 use crate::cuts::{AutoEnumerator, CutEnumerator, CutFamily};
 use crate::error::{Error, Result};
-use graphs::{connectivity, EdgeSet, Graph, RootedTree};
+use crate::verification;
+use graphs::{EdgeSet, Graph, RootedTree};
 
 /// Greedy weighted TAP: cover all tree edges of `tree_edges` with non-tree
 /// edges, always picking the edge maximizing (newly covered) / weight.
@@ -197,7 +198,7 @@ pub fn k_ecss_with_enumerator(
             )?;
             let added = augment_cuts(graph, &h, &family);
             h.union_with(&added.edges);
-            if connectivity::is_k_edge_connected_in(graph, &h, level) {
+            if verification::is_k_edge_connected_in(graph, &h, level) {
                 break;
             }
             attempt += 1;

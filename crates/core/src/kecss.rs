@@ -10,6 +10,7 @@
 use crate::augk;
 use crate::cuts::{AutoEnumerator, CutEnumerator};
 use crate::error::{Error, Result};
+use crate::verification;
 use congest::{CostModel, RoundLedger};
 use graphs::{connectivity, mst, EdgeSet, Graph};
 use kecss_runtime::Executor;
@@ -146,9 +147,11 @@ pub fn solve_with_enumerator<R: Rng>(
     // Phase spans are observational only (DESIGN.md §11): they time scopes
     // and stream traces, but never feed back into the solution bytes.
     let _solve_span = kecss_obs::span("solve");
+    // The precheck is the only proof that G is k-edge-connected, hence
+    // i-edge-connected for every level i: each level trusts it.
     {
         let _span = kecss_obs::span("connectivity_check");
-        if !connectivity::is_k_edge_connected(graph, k) {
+        if !verification::is_k_edge_connected_in(graph, &graph.full_edge_set(), k) {
             return Err(Error::InsufficientConnectivity {
                 required: k,
                 actual: connectivity::edge_connectivity(graph),
@@ -172,10 +175,11 @@ pub fn solve_with_enumerator<R: Rng>(
         iterations: 0,
     });
 
-    // Levels 2..=k: Aug_i.
+    // Levels 2..=k: Aug_i. H is (i-1)-edge-connected at level i: the MST
+    // is connected, and each level's certify proved the level before.
     for level in 2..=k {
         let _span = kecss_obs::span("augment");
-        let aug = augk::augment_with_enumerator(graph, &h, level, model, rng, exec, enumerator)?;
+        let aug = augk::augment_proven(graph, &h, level, model, rng, exec, enumerator)?;
         levels.push(LevelReport {
             level,
             edges_added: aug.added.len(),

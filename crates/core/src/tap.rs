@@ -75,6 +75,24 @@ pub fn solve_with_model<R: Rng>(
     rng: &mut R,
 ) -> Result<TapSolution> {
     validate(graph, tree_edges)?;
+    solve_proven(graph, tree_edges, model, rng)
+}
+
+/// [`solve_with_model`] for a caller that has already proved what
+/// `validate` checks: `graph` 2-edge-connected (so `n >= 2`) and
+/// `tree_edges` a spanning tree of it. The 2- and 3-ECSS drivers have:
+/// their precheck proves the first, and a minimum spanning tree of a
+/// connected graph is the second.
+///
+/// # Errors
+///
+/// Same conditions as [`solve_with_model`], less the input checks.
+pub(crate) fn solve_proven<R: Rng>(
+    graph: &Graph,
+    tree_edges: &EdgeSet,
+    model: CostModel,
+    rng: &mut R,
+) -> Result<TapSolution> {
     let root = 0;
     let tree = RootedTree::new(graph, tree_edges, root);
     let decomposition = Decomposition::build(graph, &tree);

@@ -29,6 +29,7 @@ use crate::cover::Rounded;
 use crate::cycle_space::{labelling_rounds, Circulation};
 use crate::error::{Error, Result};
 use crate::tap;
+use crate::verification;
 use congest::{CostModel, RoundLedger};
 use graphs::{connectivity, EdgeSet, Graph, NodeId, RootedTree};
 use rand::Rng;
@@ -149,7 +150,7 @@ pub fn solve_weighted_with_model<R: Rng>(
     ledger.charge("3ecss/mst", model.mst_kutten_peleg());
     let tap_solution = {
         let _span = kecss_obs::span("tap");
-        tap::solve_with_model(graph, &mst_edges, model, rng)?
+        tap::solve_proven(graph, &mst_edges, model, rng)?
     };
     ledger.absorb(&tap_solution.ledger);
     let h = mst_edges.union(&tap_solution.augmentation);
@@ -169,7 +170,7 @@ pub fn solve_weighted_with_model<R: Rng>(
 }
 
 fn ensure_three_connected(graph: &Graph) -> Result<()> {
-    if !connectivity::is_k_edge_connected(graph, 3) {
+    if !verification::is_k_edge_connected_in(graph, &graph.full_edge_set(), 3) {
         return Err(Error::InsufficientConnectivity {
             required: 3,
             actual: connectivity::edge_connectivity(graph),

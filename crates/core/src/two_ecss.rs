@@ -73,10 +73,11 @@ pub fn solve_with_model<R: Rng>(
     };
     ledger.charge("2ecss/mst", model.mst_kutten_peleg());
 
-    // Step 2: weighted TAP on the MST.
+    // Step 2: weighted TAP on the MST (the precheck proved what TAP's input
+    // checks would).
     let tap_solution = {
         let _span = kecss_obs::span("tap");
-        tap::solve_with_model(graph, &tree, model, rng)?
+        tap::solve_proven(graph, &tree, model, rng)?
     };
     ledger.absorb(&tap_solution.ledger);
 

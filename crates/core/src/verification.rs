@@ -14,14 +14,30 @@
 //! Both checks have one-sided error: a "not k-edge-connected" verdict is
 //! always correct (real bridges / cut pairs always produce the witnessing
 //! labels), while a "k-edge-connected" verdict holds with probability at
-//! least `1 − n⁻ᶜ` for `Ω(log n)`-bit labels. The functions below therefore
-//! also expose an exact mode that double-checks positive verdicts with the
-//! max-flow verifier, which is what the test-suite uses.
+//! least `1 − n⁻ᶜ` for `Ω(log n)`-bit labels.
+//!
+//! The service's exact mode, [`verify_exact`], runs no labels. Its verdict
+//! is the deterministic max-flow check's alone: a label rejection is always
+//! correct and a label acceptance would be re-checked, so the labels can
+//! never change it. It charges the label verifier's rounds all the same,
+//! from the one output the ledger reads, the height of a BFS tree of `H`
+//! (DESIGN.md §2).
 
 use crate::cycle_space::{labelling_rounds, Circulation};
 use congest::{CostModel, RoundLedger};
 use graphs::{connectivity, EdgeSet, Graph, RootedTree};
 use rand::Rng;
+
+/// The exact k-edge-connectivity check every solver and verifier in this
+/// crate runs. At `k >= 3` it is a *sweep* of `n - 1` capped max-flows, the
+/// costliest check there is, so each one is counted in the
+/// `solver_connectivity_sweeps_total` counter.
+pub(crate) fn is_k_edge_connected_in(graph: &Graph, h: &EdgeSet, k: usize) -> bool {
+    if k >= 3 {
+        kecss_obs::counter("solver_connectivity_sweeps_total").inc();
+    }
+    connectivity::is_k_edge_connected_in(graph, h, k)
+}
 
 /// The verdict of a connectivity verification, together with the CONGEST
 /// rounds the distributed verifier would spend.
@@ -101,32 +117,39 @@ pub fn verify_three_edge_connected<R: Rng>(graph: &Graph, h: &EdgeSet, rng: &mut
     }
 }
 
-/// Exact verification: runs the randomized verifier and, on acceptance,
-/// certifies the verdict with the deterministic max-flow verifier (local
-/// computation, used by the test-suite and the examples). For k ∉ {2, 3}
-/// there is no label verifier, and the max-flow check alone decides.
-pub fn verify_exact<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -> Verdict {
-    let mut verdict = match k {
-        2 => verify_two_edge_connected(graph, h, rng),
-        3 => verify_three_edge_connected(graph, h, rng),
-        _ => {
-            let model = default_model(graph);
-            let mut ledger = RoundLedger::new(model);
-            ledger.charge("verify/exact_fallback", model.broadcast(h.len() as u64));
-            return Verdict {
-                accepted: connectivity::is_k_edge_connected_in(graph, h, k),
-                witness: None,
-                ledger,
-            };
-        }
-    };
-    if verdict.accepted && !connectivity::is_k_edge_connected_in(graph, h, k) {
-        // A label collision slipped through (essentially impossible at 64
-        // bits, but the exact mode promises certainty).
-        verdict.accepted = false;
-        verdict.witness = None;
+/// Exact verification: the deterministic max-flow check decides, and the
+/// ledger charges what the distributed verifier would spend.
+///
+/// For k ∈ {2, 3} that is the label verifier of
+/// [`verify_two_edge_connected`] / [`verify_three_edge_connected`]: a BFS
+/// tree, labels in its height plus one round (capped at two BFS sweeps) and
+/// one aggregation. Those charges need only the height of a BFS tree of `h`,
+/// so no label is sampled. For other k there is no label verifier, and `h`
+/// is broadcast instead. A disconnected `h` is rejected, for every k.
+///
+/// `_rng` is not read: the verdict and the charges are deterministic.
+pub fn verify_exact<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, _rng: &mut R) -> Verdict {
+    let model = default_model(graph);
+    let mut ledger = RoundLedger::new(model);
+    if matches!(k, 2 | 3) {
+        let height = match graph.n() {
+            0 => 0,
+            _ => graphs::bfs::bfs_in(graph, h, 0).eccentricity() as u64,
+        };
+        ledger.charge("verify/bfs_tree", model.bfs_construction());
+        ledger.charge(
+            "verify/labels",
+            (height + 1).min(2 * model.bfs_construction()),
+        );
+        ledger.charge("verify/aggregate", model.convergecast(1));
+    } else {
+        ledger.charge("verify/exact_fallback", model.broadcast(h.len() as u64));
     }
-    verdict
+    Verdict {
+        accepted: is_k_edge_connected_in(graph, h, k),
+        witness: None,
+        ledger,
+    }
 }
 
 fn default_model(graph: &Graph) -> CostModel {
@@ -234,6 +257,81 @@ mod tests {
                 let verdict = verify_exact(&g, &g.full_edge_set(), k, &mut rng);
                 assert_eq!(verdict.accepted, connectivity::is_k_edge_connected(&g, k));
             }
+        }
+    }
+
+    /// [`verify_exact`] as first written: the label verifier, its
+    /// acceptance re-checked by the max-flow verifier. The oracle for the
+    /// exact mode that samples no labels.
+    fn verify_exact_with_labels<R: Rng>(
+        graph: &Graph,
+        h: &EdgeSet,
+        k: usize,
+        rng: &mut R,
+    ) -> Verdict {
+        let mut verdict = match k {
+            2 => verify_two_edge_connected(graph, h, rng),
+            3 => verify_three_edge_connected(graph, h, rng),
+            _ => {
+                let model = default_model(graph);
+                let mut ledger = RoundLedger::new(model);
+                ledger.charge("verify/exact_fallback", model.broadcast(h.len() as u64));
+                return Verdict {
+                    accepted: connectivity::is_k_edge_connected_in(graph, h, k),
+                    witness: None,
+                    ledger,
+                };
+            }
+        };
+        if verdict.accepted && !connectivity::is_k_edge_connected_in(graph, h, k) {
+            verdict.accepted = false;
+            verdict.witness = None;
+        }
+        verdict
+    }
+
+    #[test]
+    fn exact_mode_matches_the_label_verifier_it_replaces() {
+        use rand::Rng as _;
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let mut verdicts = [0usize; 2];
+        for seed in 0..16u64 {
+            let mut inner = ChaCha8Rng::seed_from_u64(seed);
+            let n = 8 + 3 * seed as usize;
+            let g = generators::random_k_edge_connected(n, 4, 2 * n, &mut inner);
+            // A random connected spanning subgraph: a spanning tree plus
+            // each other edge with probability 1/2.
+            let mut h = graphs::mst::kruskal(&g);
+            for id in g.edge_ids() {
+                if inner.gen_bool(0.5) {
+                    h.insert(id);
+                }
+            }
+            for k in 1..=5 {
+                let fast = verify_exact(&g, &h, k, &mut rng);
+                let oracle = verify_exact_with_labels(&g, &h, k, &mut rng);
+                assert_eq!(fast.accepted, oracle.accepted, "seed {seed}, k = {k}");
+                assert_eq!(
+                    fast.ledger.breakdown(),
+                    oracle.ledger.breakdown(),
+                    "seed {seed}, k = {k}"
+                );
+                verdicts[usize::from(fast.accepted)] += 1;
+            }
+        }
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+    }
+
+    #[test]
+    fn exact_mode_rejects_a_disconnected_subgraph_for_every_k() {
+        let g = generators::harary(4, 12, 1);
+        let mut h = g.full_edge_set();
+        for &(_, e) in g.neighbors(5) {
+            h.remove(e);
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        for k in 1..=6 {
+            assert!(!verify_exact(&g, &h, k, &mut rng).accepted, "k = {k}");
         }
     }
 

@@ -283,11 +283,15 @@ pub const EXACT_DIAMETER_MAX_N: usize = 4096;
 /// solve itself (charged CONGEST rounds stay within a factor 2 of the
 /// exact-`D` charge). Deterministic for a given graph. Returns `None` when
 /// disconnected.
+///
+/// The double sweep is cached on the graph like the exact value (reset by
+/// [`Graph::add_edge`]), so the solver's cost model and the verifier's share
+/// one computation.
 pub fn diameter_hint(graph: &Graph) -> Option<usize> {
     if graph.n() <= EXACT_DIAMETER_MAX_N {
         diameter(graph)
     } else {
-        approx_diameter(graph)
+        graph.cached_diameter_hint(approx_diameter)
     }
 }
 

@@ -6,6 +6,7 @@
 //! certify `H` with [`is_k_edge_connected_in`] (exact, max-flow based) before
 //! any approximation ratio is measured.
 
+use crate::bfs;
 use crate::dsu::DisjointSets;
 use crate::graph::{EdgeId, EdgeSet, Graph, NodeId};
 use crate::maxflow;
@@ -189,6 +190,14 @@ pub fn edge_connectivity(graph: &Graph) -> usize {
 /// soon as a cut smaller than `k` is certain.
 ///
 /// `k == 0` is trivially true; `k == 1` reduces to connectivity.
+///
+/// For `k >= 3` this runs `n - 1` capped max-flows, one between each vertex
+/// and its parent in a BFS tree of the subgraph. That is exact: local edge
+/// connectivity satisfies `λ(u, w) >= min(λ(u, v), λ(v, w))`, and every cut
+/// of the subgraph separates the endpoints of some tree edge, so a cut
+/// smaller than `k` shows up as a tree edge whose flow is below `k`. The
+/// endpoints of a tree edge are adjacent, so on graphs with short cycles
+/// each augmenting search stays near them.
 pub fn is_k_edge_connected_in(graph: &Graph, edges: &EdgeSet, k: usize) -> bool {
     if k == 0 {
         return true;
@@ -198,26 +207,38 @@ pub fn is_k_edge_connected_in(graph: &Graph, edges: &EdgeSet, k: usize) -> bool 
         // the paper's instances always have n >= 2.
         return true;
     }
-    if !is_connected_in(graph, edges) {
+    if k <= 2 {
+        // Linear-time special case at k = 2: 2-edge-connected = connected +
+        // bridgeless (Tarjan), instead of n - 1 capped max-flows. This is
+        // what makes `kecss verify --k 2` feasible on 10⁶-edge instances.
+        return is_connected_in(graph, edges) && (k == 1 || bridges_in(graph, edges).is_empty());
+    }
+    // The BFS tree decides connectivity and orders the flows.
+    let tree = bfs::bfs_in(graph, edges, 0);
+    if tree.order.len() < graph.n() {
         return false;
-    }
-    if k == 1 {
-        return true;
-    }
-    if k == 2 {
-        // Linear-time special case: 2-edge-connected = connected + bridgeless
-        // (Tarjan), instead of n - 1 capped max-flows. This is what makes
-        // `kecss verify --k 2` feasible on 10⁶-edge instances.
-        return bridges_in(graph, edges).is_empty();
     }
     let k = k as u32;
     let mut flow = maxflow::UnitFlow::new(graph, edges);
-    for t in 1..graph.n() {
-        if flow.max_flow_capped(0, t, k) < k {
-            return false;
-        }
+    tree.order[1..].iter().all(|&v| {
+        let parent = tree.parent[v].expect("a non-root vertex of a BFS tree has a parent");
+        flow.max_flow_capped(v, parent, k) >= k
+    })
+}
+
+/// [`is_k_edge_connected_in`]'s sweep as first written, one capped flow from
+/// vertex 0 to every other vertex: the oracle for the tree-ordered sweep.
+#[cfg(test)]
+fn is_k_edge_connected_in_star(graph: &Graph, edges: &EdgeSet, k: usize) -> bool {
+    if k == 0 || graph.n() <= 1 {
+        return true;
     }
-    true
+    if !is_connected_in(graph, edges) {
+        return false;
+    }
+    let k = k as u32;
+    let mut flow = maxflow::UnitFlow::new(graph, edges);
+    (1..graph.n()).all(|t| flow.max_flow_capped(0, t, k) >= k)
 }
 
 /// Whether the whole graph is k-edge-connected.
@@ -313,6 +334,48 @@ mod tests {
             assert!(is_k_edge_connected(&g, k), "should be {k}-edge-connected");
         }
         assert!(!is_k_edge_connected(&g, 4));
+    }
+
+    #[test]
+    fn a_weak_vertex_last_in_bfs_order_is_caught() {
+        // K5 plus vertex 5 hanging off 3 and 4: vertex 5 is the last vertex
+        // of the BFS from 0, and its two edges are the only cut below 3.
+        let k5 = (0..5).flat_map(|u| (u + 1..5).map(move |v| (u, v, 1)));
+        let g = Graph::from_edges(6, k5.chain([(3, 5, 1), (4, 5, 1)]));
+        assert_eq!(bfs::bfs(&g, 0).order.last(), Some(&5));
+        assert!(is_k_edge_connected(&g, 2));
+        assert!(!is_k_edge_connected(&g, 3));
+        assert_eq!(edge_connectivity(&g), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 96,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// The tree-ordered sweep agrees with the sweep from vertex 0 on
+        /// random multigraphs and random edge subsets of them.
+        #[test]
+        fn tree_sweep_matches_the_star_sweep(
+            n in 1usize..14,
+            m in 0usize..70,
+            keep in 50u32..101,
+            seed in 0u64..1_000_000,
+        ) {
+            let (g, edges) = if n == 1 {
+                (Graph::new(1), EdgeSet::new(0))
+            } else {
+                crate::maxflow::tests::random_masked(n, m, keep, seed)
+            };
+            for k in 0..=6 {
+                proptest::prop_assert_eq!(
+                    is_k_edge_connected_in(&g, &edges, k),
+                    is_k_edge_connected_in_star(&g, &edges, k),
+                    "k = {}", k
+                );
+            }
+        }
     }
 
     #[test]

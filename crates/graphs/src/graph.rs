@@ -7,8 +7,9 @@
 //!   built lazily on the first adjacency query (or eagerly via
 //!   [`Graph::freeze`]) and invalidated by [`Graph::add_edge`]. Queries hand
 //!   out plain slices — no per-vertex heap allocations, no pointer chasing.
-//!   The exact hop diameter ([`crate::bfs::diameter`]) is cached next to it
-//!   under the same contract.
+//!   The exact hop diameter ([`crate::bfs::diameter`]) and the accounting
+//!   diameter ([`crate::bfs::diameter_hint`]) are cached next to it under
+//!   the same contract.
 //! * [`EdgeSet`] is a **word-packed bitset** over edge ids: 64 edges per
 //!   `u64`, popcount-backed counting, word-wise set algebra and a
 //!   trailing-zeros iterator, so masked scans cost `m / 64` word loads
@@ -158,7 +159,9 @@ impl Csr {
 ///
 /// The exact hop diameter is cached the same way: computed on the first
 /// [`crate::bfs::diameter`] call, reset by [`Graph::add_edge`], kept by
-/// [`Graph::set_weight`] (hops ignore weights) and by `clone`.
+/// [`Graph::set_weight`] (hops ignore weights) and by `clone`. So is the
+/// double-sweep figure [`crate::bfs::diameter_hint`] computes above
+/// [`crate::bfs::EXACT_DIAMETER_MAX_N`] vertices.
 ///
 /// # Example
 ///
@@ -183,6 +186,10 @@ pub struct Graph {
     /// The exact hop diameter (`None` when disconnected or empty), filled by
     /// [`crate::bfs::diameter`] and reset by `add_edge` like `csr`.
     diameter: OnceLock<Option<usize>>,
+    /// The double-sweep diameter figure, filled by
+    /// [`crate::bfs::diameter_hint`] on graphs too large for the exact one,
+    /// and reset by `add_edge` like `csr`.
+    diameter_hint: OnceLock<Option<usize>>,
 }
 
 /// Equality is structural on `(n, edge list)`; whether the CSR and diameter
@@ -203,6 +210,7 @@ impl Graph {
             edges: Vec::new(),
             csr: OnceLock::new(),
             diameter: OnceLock::new(),
+            diameter_hint: OnceLock::new(),
         }
     }
 
@@ -226,6 +234,7 @@ impl Graph {
             edges,
             csr,
             diameter: OnceLock::new(),
+            diameter_hint: OnceLock::new(),
         }
     }
 
@@ -261,7 +270,7 @@ impl Graph {
     /// Adds the undirected edge `{u, v}` with the given weight and returns its id.
     ///
     /// Invalidates the frozen adjacency (rebuilt on the next query) and the
-    /// cached diameter.
+    /// cached diameters.
     ///
     /// # Panics
     ///
@@ -274,6 +283,7 @@ impl Graph {
         self.edges.push(Edge { u, v, weight });
         self.csr = OnceLock::new();
         self.diameter = OnceLock::new();
+        self.diameter_hint = OnceLock::new();
         id
     }
 
@@ -317,6 +327,15 @@ impl Graph {
         *self.diameter.get_or_init(|| compute(self))
     }
 
+    /// The cached double-sweep diameter figure, under the same contract as
+    /// [`Graph::cached_diameter`].
+    pub(crate) fn cached_diameter_hint(
+        &self,
+        compute: impl FnOnce(&Graph) -> Option<usize>,
+    ) -> Option<usize> {
+        *self.diameter_hint.get_or_init(|| compute(self))
+    }
+
     /// The edge with the given id.
     ///
     /// # Panics
@@ -334,7 +353,7 @@ impl Graph {
     }
 
     /// Overwrites the weight of an edge (does not invalidate the adjacency or
-    /// the cached diameter: neither depends on weights).
+    /// the cached diameters: none depends on weights).
     pub fn set_weight(&mut self, id: EdgeId, weight: Weight) {
         self.edges[id.0].weight = weight;
     }
@@ -767,6 +786,30 @@ mod tests {
         assert_eq!(crate::bfs::diameter(&h), Some(3));
         // Equality ignores whether the cache is filled.
         let fresh = Graph::from_edges(4, [(0, 1, 1), (1, 2, 50), (2, 3, 1)]);
+        assert_eq!(fresh, h);
+    }
+
+    #[test]
+    fn diameter_hint_cache_follows_the_freeze_contract() {
+        // A path just past the exact limit: the hint is the double sweep.
+        let n = crate::bfs::EXACT_DIAMETER_MAX_N + 1;
+        let mut g = Graph::from_edges(n, (1..n).map(|v| (v - 1, v, 1)));
+        assert_eq!(g.diameter_hint.get(), None);
+        assert_eq!(crate::bfs::diameter_hint(&g), Some(n - 1));
+        assert_eq!(g.diameter_hint.get(), Some(&Some(n - 1)));
+        assert_eq!(g.diameter.get(), None, "the exact kernel never ran");
+        g.set_weight(EdgeId(3), 50);
+        assert_eq!(g.diameter_hint.get(), Some(&Some(n - 1)));
+        let h = g.clone();
+        assert_eq!(h.diameter_hint.get(), Some(&Some(n - 1)));
+        // add_edge resets it; the next call recomputes.
+        g.add_edge(0, n - 1, 1);
+        assert_eq!(g.diameter_hint.get(), None);
+        assert_eq!(crate::bfs::diameter_hint(&g), Some(n / 2));
+        assert_eq!(crate::bfs::diameter_hint(&h), Some(n - 1));
+        // Equality ignores whether the cache is filled.
+        let mut fresh = Graph::from_edges(n, (1..n).map(|v| (v - 1, v, 1)));
+        fresh.set_weight(EdgeId(3), 50);
         assert_eq!(fresh, h);
     }
 

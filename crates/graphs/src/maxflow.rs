@@ -8,7 +8,6 @@
 //! exact.
 
 use crate::graph::{EdgeSet, Graph, NodeId};
-use std::collections::VecDeque;
 
 /// A residual arc in the unit-capacity flow network.
 #[derive(Clone, Copy, Debug)]
@@ -26,6 +25,11 @@ struct Arc {
 /// The per-vertex arc lists are stored CSR-style (offsets into one contiguous
 /// arc-index array) so the BFS inner loop walks flat memory: no per-vertex
 /// `Vec`s, built with a counting sort over the masked edge set.
+///
+/// The augmenting-path BFS allocates nothing: its predecessor arcs, its
+/// visited marks and its queue live here and are reused by every path. A
+/// vertex is visited in the current search when its mark equals `stamp`,
+/// which each search advances, so no search clears the marks of the last.
 #[derive(Clone, Debug)]
 pub struct UnitFlow {
     n: usize,
@@ -34,6 +38,15 @@ pub struct UnitFlow {
     head_offsets: Vec<usize>,
     /// Arc-arena indices, grouped by owning vertex.
     head_arcs: Vec<usize>,
+    /// `pred[v]` is the arc the current search reached `v` by; meaningful
+    /// only for vertices whose mark is `stamp`.
+    pred: Vec<usize>,
+    /// `seen[v] == stamp` marks `v` visited by the current search.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// The BFS queue, scanned front to back by index: each vertex enters it
+    /// at most once per search.
+    queue: Vec<NodeId>,
 }
 
 impl UnitFlow {
@@ -76,6 +89,10 @@ impl UnitFlow {
             arcs,
             head_offsets,
             head_arcs,
+            pred: vec![0; n],
+            seen: vec![0; n],
+            stamp: 0,
+            queue: Vec::with_capacity(n),
         }
     }
 
@@ -122,10 +139,60 @@ impl UnitFlow {
 
     /// Finds one augmenting path by BFS and pushes one unit along it.
     fn augment(&mut self, s: NodeId, t: NodeId) -> bool {
+        let stamp = self.next_stamp();
+        self.seen[s] = stamp;
+        self.queue.clear();
+        self.queue.push(s);
+        let mut head = 0;
+        'bfs: while head < self.queue.len() {
+            let v = self.queue[head];
+            head += 1;
+            for &ai in &self.head_arcs[self.head_offsets[v]..self.head_offsets[v + 1]] {
+                let arc = self.arcs[ai];
+                if arc.cap > 0 && self.seen[arc.to] != stamp {
+                    self.seen[arc.to] = stamp;
+                    self.pred[arc.to] = ai;
+                    if arc.to == t {
+                        break 'bfs;
+                    }
+                    self.queue.push(arc.to);
+                }
+            }
+        }
+        if self.seen[t] != stamp {
+            return false;
+        }
+        // Walk back from t, pushing one unit.
+        let mut v = t;
+        while v != s {
+            let ai = self.pred[v];
+            self.arcs[ai].cap -= 1;
+            let rev = self.arcs[ai].rev;
+            self.arcs[rev].cap += 1;
+            v = self.arcs[rev].to;
+        }
+        true
+    }
+
+    /// Advances the visited stamp. When it would wrap, every mark is cleared
+    /// once so that no stale mark can equal a reused stamp.
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.seen.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.stamp
+    }
+
+    /// The search as first written, allocating its buffers per path: the
+    /// oracle for [`UnitFlow::augment`].
+    #[cfg(test)]
+    fn augment_allocating(&mut self, s: NodeId, t: NodeId) -> bool {
         let mut pred: Vec<Option<usize>> = vec![None; self.n];
         let mut seen = vec![false; self.n];
         seen[s] = true;
-        let mut queue = VecDeque::new();
+        let mut queue = std::collections::VecDeque::new();
         queue.push_back(s);
         'bfs: while let Some(v) = queue.pop_front() {
             for &ai in self.head(v) {
@@ -143,7 +210,6 @@ impl UnitFlow {
         if !seen[t] {
             return false;
         }
-        // Walk back from t, pushing one unit.
         let mut v = t;
         while v != s {
             let ai = pred[v].expect("predecessor must exist on augmenting path");
@@ -153,6 +219,17 @@ impl UnitFlow {
             v = self.arcs[rev].to;
         }
         true
+    }
+
+    /// [`UnitFlow::max_flow_capped`] over [`UnitFlow::augment_allocating`].
+    #[cfg(test)]
+    fn max_flow_capped_allocating(&mut self, s: NodeId, t: NodeId, limit: u32) -> u32 {
+        self.reset();
+        let mut flow = 0;
+        while flow < limit && self.augment_allocating(s, t) {
+            flow += 1;
+        }
+        flow
     }
 }
 
@@ -174,7 +251,7 @@ pub fn local_edge_connectivity_capped(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::generators;
 
@@ -244,5 +321,78 @@ mod tests {
         assert_eq!(f.max_flow(0, 2), 2);
         assert_eq!(f.max_flow(1, 3), 2);
         assert_eq!(f.max_flow(0, 2), 2);
+    }
+
+    #[test]
+    fn the_visited_stamp_survives_its_wrap() {
+        let g = generators::harary(4, 12, 1);
+        let all = g.full_edge_set();
+        let mut f = UnitFlow::new(&g, &all);
+        // Two searches before the wrap. Every mark the wrap leaves behind
+        // equals the first stamp after it, so a mark that survived the wrap
+        // would block the search that reuses it.
+        f.stamp = u32::MAX - 2;
+        f.seen.fill(1);
+        for (s, t) in [(0, 6), (3, 9), (1, 2), (5, 11)] {
+            let mut oracle = f.clone();
+            assert_eq!(
+                f.max_flow_capped(s, t, 8),
+                oracle.max_flow_capped_allocating(s, t, 8),
+                "{s} -> {t} across the wrap"
+            );
+        }
+        assert!(f.stamp < 64, "the stamp wrapped: {}", f.stamp);
+    }
+
+    /// A random multigraph on `n` vertices with `m` edges, and a random
+    /// subset of its edges.
+    pub(crate) fn random_masked(n: usize, m: usize, keep: u32, seed: u64) -> (Graph, EdgeSet) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut g = Graph::new(n);
+        for _ in 0..m {
+            let u = rng.gen_range(0..n);
+            let v = (u + rng.gen_range(1..n)) % n;
+            g.add_edge(u, v, 1);
+        }
+        let edges = g
+            .edge_ids()
+            .filter(|_| rng.gen_range(0..100u32) < keep)
+            .collect();
+        (g, edges)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 64,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// The allocation-free search pushes the same flow as the search
+        /// that allocated its buffers per path.
+        #[test]
+        fn capped_flow_matches_the_allocating_search(
+            n in 2usize..24,
+            m in 0usize..90,
+            keep in 40u32..101,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let (g, edges) = random_masked(n, m, keep, seed);
+            let mut fast = UnitFlow::new(&g, &edges);
+            let mut oracle = UnitFlow::new(&g, &edges);
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(!seed);
+            for _ in 0..12 {
+                let (s, t, limit) = (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(0..9u32));
+                if s == t {
+                    continue;
+                }
+                proptest::prop_assert_eq!(
+                    fast.max_flow_capped(s, t, limit),
+                    oracle.max_flow_capped_allocating(s, t, limit),
+                    "{} -> {} capped at {}", s, t, limit
+                );
+            }
+        }
     }
 }

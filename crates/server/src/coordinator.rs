@@ -897,6 +897,13 @@ impl Service for CoordinatorService {
                 let text = kecss_obs::Registry::global().render();
                 ServiceReply::Line(Response::Metrics(Arc::new(text.into_bytes())))
             }
+            // An address with no port to dial would register a worker that
+            // is listed live but can never take a job.
+            Request::Heartbeat { worker, addr } if !dialable(&addr) => {
+                ServiceReply::Line(Response::Err(format!(
+                    "worker {worker} advertises '{addr}', which has no port to dial"
+                )))
+            }
             Request::Heartbeat { worker, addr } => {
                 let mut table = shared.lock();
                 let now = Instant::now();
@@ -963,6 +970,13 @@ impl Service for CoordinatorService {
 
 /// Renders the machine-parseable `FLEET` status text (grammar in
 /// DESIGN.md §13).
+/// Whether `addr` is `HOST:PORT` with a non-empty host and a port other
+/// than 0: an address a dispatch link can dial.
+fn dialable(addr: &str) -> bool {
+    addr.rsplit_once(':')
+        .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok_and(|p| p != 0))
+}
+
 fn render_fleet(table: &FleetTable) -> String {
     let now = Instant::now();
     let mut text = String::from("# kecss fleet status v1\n");

@@ -148,8 +148,10 @@ impl JobSpec {
 /// discipline as the CLI sweep driver).
 pub const SOLVER_SEED_SALT: u64 = 0x0005_EED5_01CE;
 
-/// Salt applied to the job seed before it seeds the verifier's label
-/// sampling.
+/// Salt applied to the job seed before it seeds the RNG handed to
+/// [`verification::verify_exact`]. The exact verifier samples no labels, so
+/// nothing reads that RNG; the constant stays because kbench's replay passes
+/// it.
 pub const VERIFY_SEED_SALT: u64 = 0x0007_E21F_1E55;
 
 /// Runs `algorithm` on `graph`; returns the edge set, the charged CONGEST

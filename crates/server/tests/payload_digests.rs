@@ -8,6 +8,11 @@
 //! 64 vertices with `n` not a multiple of 64, and two have more than 256
 //! (one pass of the BFS), so a bug at a word or pass boundary shows up here.
 //!
+//! The two `ring:5000` jobs have more than `EXACT_DIAMETER_MAX_N` vertices,
+//! so their charged rounds come from the double-sweep diameter figure, and
+//! the thurimella job's verifier charges its labels from the height of a
+//! BFS tree there too.
+//!
 //! The three `kecss` jobs at k ≥ 4 cover the cut enumerators over circulation
 //! labels: XOR-zero triples at k = 4, a size-4 label enumeration that
 //! completes, and one that overflows its budget and falls back to
@@ -41,6 +46,8 @@ const PINNED: &[(&str, u64)] = &[
     ("random:48:100 4 kecss auto 2", 0x2080_04ca_852a_0c61),
     ("hypercube:32 5 kecss auto 3", 0xa6d1_4faa_b66a_84dc),
     ("harary:40 6 kecss auto 1", 0x031e_eaf9_5a6a_8423),
+    ("ring:5000 2 thurimella auto 1", 0x72a0_52fd_a80f_911e),
+    ("ring:5000 1 mst auto 2", 0x0367_4a49_f839_c214),
 ];
 
 /// Pinned specs that reach the label enumerator, and whether one of its

@@ -589,6 +589,25 @@ fn busy_workers_back_off_without_charging_the_retry_budget() {
 }
 
 #[test]
+fn a_heartbeat_with_no_port_to_dial_registers_no_worker() {
+    let coordinator = spawn_coordinator(4, Duration::from_secs(3));
+    let addr = coordinator.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    for bad in ["127.0.0.1:0", "worker-a"] {
+        let reply = client.request_line(&format!("HEARTBEAT w {bad}")).unwrap();
+        assert!(
+            matches!(&reply, kecss_server::client::Reply::Err(_)),
+            "`{bad}`: {reply:?}"
+        );
+    }
+    let fleet = client.fleet_status().unwrap();
+    assert!(fleet.contains("workers 0 live 0\n"), "{fleet}");
+    assert!(!fleet.lines().any(|l| l.starts_with("worker ")), "{fleet}");
+    client.shutdown().unwrap();
+    coordinator.join();
+}
+
+#[test]
 fn a_fleet_with_no_workers_queues_jobs_until_one_registers() {
     let coordinator = spawn_coordinator(4, Duration::from_secs(3));
     let addr = coordinator.addr().to_string();

@@ -14,9 +14,11 @@
 //! * the streaming two-pass readers agree byte-for-byte with the in-memory
 //!   readers at chunk capacities that straddle every record boundary, and
 //!   solutions round-trip between the text and `KGS1` binary encodings;
-//! * the word-parallel exact diameter agrees with one BFS per vertex.
+//! * the word-parallel exact diameter agrees with one BFS per vertex;
+//! * the file decoders return `Ok` or `Err`, never panic, on random bytes,
+//!   bit-flipped and truncated encodings.
 
-use graphs::stream::{BinaryCursor, TextCursor};
+use graphs::stream::{BinaryCursor, RecordCursor, TextCursor};
 use graphs::{connectivity, generators, mst, EdgeId, EdgeSet, Graph, RootedTree};
 use kecss::cover::Rounded;
 use kecss::cycle_space::Circulation;
@@ -509,6 +511,73 @@ proptest! {
         };
         prop_assert_eq!(graphs::bfs::diameter(&graph), expected, "n = {n}, core = {core}");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Every file decoder returns `Ok` or `Err` and never panics: on random
+    /// bytes, on random text over the formats' alphabet, and on each valid
+    /// encoding (text and `KGB1` graphs, text and `KGS1` solutions) with
+    /// one bit flipped or cut short. The streaming cursors are drained at
+    /// chunk capacities that split every record.
+    #[test]
+    fn decoders_never_panic_on_corrupt_input(
+        n in 3usize..12,
+        extra in 0usize..12,
+        seed in 0u64..1_000_000,
+        flip in 0usize..1_000_000,
+        cut in 0usize..1_000_000,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let graph = generators::random_weighted_k_edge_connected(n, 2, extra, 50, &mut rng);
+        let solution = mst::kruskal(&graph);
+        let mut encodings = vec![Vec::new(); 4];
+        graphs::io::write_text(&mut encodings[0], &graph).unwrap();
+        graphs::io::write_binary(&mut encodings[1], &graph).unwrap();
+        graphs::io::write_solution_text(&mut encodings[2], &graph, &solution).unwrap();
+        graphs::io::write_solution_binary(&mut encodings[3], &solution).unwrap();
+
+        let len = rng.gen_range(0..96usize);
+        decode_everything(&(0..len).map(|_| rng.gen::<u8>()).collect::<Vec<_>>(), &graph);
+        let alphabet = b"0123456789 \n#-KGBS1";
+        let text: Vec<u8> = (0..len).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect();
+        decode_everything(&text, &graph);
+        for valid in &encodings {
+            let mut flipped = valid.clone();
+            let bit = flip % (8 * flipped.len());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decode_everything(&flipped, &graph);
+            decode_everything(&valid[..cut % (valid.len() + 1)], &graph);
+        }
+    }
+}
+
+/// Runs every decoder on `bytes`; solutions decode against `graph`.
+fn decode_everything(bytes: &[u8], graph: &Graph) {
+    let _ = graphs::io::read_binary(bytes);
+    if let Ok(text) = std::str::from_utf8(bytes) {
+        let _ = graphs::io::read_text(text);
+    }
+    let _ = graphs::io::read_solution_binary(bytes, graph);
+    let _ = graphs::io::read_solution_text(bytes, graph);
+    for capacity in [1usize, 5, 16] {
+        let source = || Throttled {
+            inner: bytes,
+            max: capacity,
+        };
+        if let Ok(cursor) = BinaryCursor::with_chunk_capacity(source(), capacity) {
+            drain(cursor);
+        }
+        if let Ok(cursor) = TextCursor::with_chunk_capacity(source(), capacity) {
+            drain(cursor);
+        }
+    }
+}
+
+/// Reads records until the end of input or the first error.
+fn drain(mut cursor: impl RecordCursor) {
+    while let Ok(Some(_)) = cursor.next_record() {}
 }
 
 /// A reader handing out at most `max` bytes per call: forces streamed
