@@ -100,3 +100,39 @@ fn solve_rejects_missing_file() {
     .expect_err("missing input must fail");
     assert!(matches!(err, kecss_cli::CliError::Io(_)));
 }
+
+#[test]
+fn greedy_refuses_bad_input_with_a_solver_error() {
+    // A 6-cycle is exactly 2-edge-connected.
+    let instance = TempFile::new("cycle.graph");
+    std::fs::write(
+        instance.as_str(),
+        "6\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 0 1\n",
+    )
+    .unwrap();
+    for (k, expected) in [
+        (
+            "3",
+            kecss::Error::InsufficientConnectivity {
+                required: 3,
+                actual: 2,
+            },
+        ),
+        ("0", kecss::Error::ZeroK),
+    ] {
+        let err = run(&[
+            "solve",
+            "--input",
+            instance.as_str(),
+            "--algorithm",
+            "greedy",
+            "--k",
+            k,
+        ])
+        .expect_err("an unsolvable request must fail");
+        assert!(
+            matches!(&err, kecss_cli::CliError::Solver(e) if *e == expected),
+            "k = {k}: {err}"
+        );
+    }
+}

@@ -137,8 +137,9 @@ impl ProbabilitySchedule {
 /// * [`Error::InsufficientConnectivity`] if `graph` itself is not
 ///   k-edge-connected.
 pub fn augment<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -> Result<AugkSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    augment_with_model(graph, h, k, CostModel::new(graph.n(), diameter), rng)
+    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
+    let auto = AutoEnumerator::default();
+    augment_with_enumerator(graph, h, k, model, rng, &Executor::Sequential, &auto)
 }
 
 /// Same as [`augment`], running the cut enumeration/verification and the
@@ -156,43 +157,12 @@ pub fn augment_with_exec<R: Rng>(
     rng: &mut R,
     exec: &Executor,
 ) -> Result<AugkSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    augment_with_model_exec(graph, h, k, CostModel::new(graph.n(), diameter), rng, exec)
-}
-
-/// Same as [`augment`] with an explicit cost model.
-///
-/// # Errors
-///
-/// Same conditions as [`augment`].
-pub fn augment_with_model<R: Rng>(
-    graph: &Graph,
-    h: &EdgeSet,
-    k: usize,
-    model: CostModel,
-    rng: &mut R,
-) -> Result<AugkSolution> {
-    augment_with_model_exec(graph, h, k, model, rng, &Executor::Sequential)
-}
-
-/// The most general entry point: explicit cost model *and* executor, with
-/// the default [`AutoEnumerator`] cut strategy.
-///
-/// # Errors
-///
-/// Same conditions as [`augment`].
-pub fn augment_with_model_exec<R: Rng>(
-    graph: &Graph,
-    h: &EdgeSet,
-    k: usize,
-    model: CostModel,
-    rng: &mut R,
-    exec: &Executor,
-) -> Result<AugkSolution> {
+    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
     augment_with_enumerator(graph, h, k, model, rng, exec, &AutoEnumerator::default())
 }
 
-/// [`augment_with_model_exec`] with an explicit [`CutEnumerator`] strategy.
+/// The most general entry point: [`augment_with_exec`] with an explicit
+/// cost model and [`CutEnumerator`] strategy.
 ///
 /// Randomized enumerators (contraction) may miss cuts; this driver is
 /// nevertheless *exact*: after the covering loop it certifies
@@ -880,7 +850,7 @@ mod tests {
             let h = mst::kruskal(&g);
             let sol = augment(&g, &h, 2, &mut rng).unwrap();
             let family = CutFamily::enumerate(&g, &h, 1).unwrap();
-            let greedy = baselines::greedy::augment_cuts(&g, &h, &family);
+            let greedy = baselines::greedy::augment_cuts(&g, &h, &family).unwrap();
             if greedy.weight > 0 {
                 worst = worst.max(sol.weight as f64 / greedy.weight as f64);
             }

@@ -12,6 +12,7 @@ use crate::cuts::{AutoEnumerator, CutEnumerator, CutFamily};
 use crate::error::{Error, Result};
 use crate::verification;
 use graphs::{EdgeSet, Graph, RootedTree};
+use kecss_runtime::Executor;
 
 /// Greedy weighted TAP: cover all tree edges of `tree_edges` with non-tree
 /// edges, always picking the edge maximizing (newly covered) / weight.
@@ -76,11 +77,9 @@ pub fn tap(graph: &Graph, tree_edges: &EdgeSet) -> BaselineSolution {
 /// of the family with edges outside `h`, maximizing (newly covered) / weight.
 ///
 /// This is the sequential counterpart of `Aug_k` with `size = k - 1`.
-///
-/// # Panics
-///
-/// Panics if some cut cannot be covered by any edge of the graph.
-pub fn augment_cuts(graph: &Graph, h: &EdgeSet, family: &CutFamily) -> BaselineSolution {
+/// Returns `None` when some cut of the family has no covering edge outside
+/// `h`: that cut is then a cut of `graph` as well.
+pub fn augment_cuts(graph: &Graph, h: &EdgeSet, family: &CutFamily) -> Option<BaselineSolution> {
     let mut covered = vec![false; family.len()];
     let mut uncovered = family.len();
     let mut chosen = graph.empty_edge_set();
@@ -113,7 +112,7 @@ pub fn augment_cuts(graph: &Graph, h: &EdgeSet, family: &CutFamily) -> BaselineS
                 best_covers = covers;
             }
         }
-        let (_, id) = best.expect("every cut must be coverable by some graph edge");
+        let (_, id) = best?;
         chosen.insert(id);
         for c in best_covers {
             covered[c] = true;
@@ -122,10 +121,10 @@ pub fn augment_cuts(graph: &Graph, h: &EdgeSet, family: &CutFamily) -> BaselineS
     }
 
     let weight = graph.weight_of(&chosen);
-    BaselineSolution {
+    Some(BaselineSolution {
         edges: chosen,
         weight,
-    }
+    })
 }
 
 /// Greedy weighted k-ECSS: MST for the first connectivity level, then greedy
@@ -135,49 +134,38 @@ pub fn augment_cuts(graph: &Graph, h: &EdgeSet, family: &CutFamily) -> BaselineS
 ///
 /// # Panics
 ///
-/// Panics if the graph is not k-edge-connected or the cut enumeration fails.
+/// Panics where [`k_ecss_with_enumerator`] returns an error: `k == 0`, or a
+/// graph that is not k-edge-connected.
 pub fn k_ecss(graph: &Graph, k: usize) -> BaselineSolution {
-    k_ecss_with_exec(graph, k, &kecss_runtime::Executor::Sequential)
-}
-
-/// Same as [`k_ecss`], running the per-level cut enumeration through `exec`.
-/// Bit-identical to [`k_ecss`] for every executor (the greedy selection
-/// itself is deterministic and stays sequential).
-///
-/// # Panics
-///
-/// Same conditions as [`k_ecss`].
-pub fn k_ecss_with_exec(
-    graph: &Graph,
-    k: usize,
-    exec: &kecss_runtime::Executor,
-) -> BaselineSolution {
-    k_ecss_with_enumerator(graph, k, exec, &AutoEnumerator::default())
-        .expect("greedy k-ECSS on a k-edge-connected graph cannot fail with the auto enumerator")
+    k_ecss_with_enumerator(graph, k, &Executor::Sequential, &AutoEnumerator::default())
+        .expect("greedy k-ECSS needs k >= 1 and a k-edge-connected graph")
 }
 
 /// The most general greedy entry point: explicit executor and
 /// [`CutEnumerator`] strategy. Like `Aug_k`, each level's cover is certified
 /// exactly and re-enumerated with a fresh salt if a randomized enumerator
 /// missed a cut, so the returned subgraph is always genuinely
-/// k-edge-connected.
+/// k-edge-connected. Bit-identical for every executor (the greedy selection
+/// itself is deterministic and stays sequential).
 ///
 /// # Errors
 ///
-/// Whatever the enumerator reports, plus [`Error::IncompleteEnumeration`] if
-/// certification keeps failing.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or the graph is not k-edge-connected (some cut has no
-/// covering edge).
+/// * [`Error::ZeroK`] if `k == 0`;
+/// * [`Error::InsufficientConnectivity`] if the graph is not
+///   k-edge-connected. No extra check finds this: at level `i`, a cut of
+///   the `(i-1)`-edge-connected `H` that no edge covers is an `(i-1)`-cut of
+///   the graph, so the graph is exactly `(i-1)`-edge-connected;
+/// * whatever the enumerator reports, and [`Error::IncompleteEnumeration`]
+///   if certification keeps failing.
 pub fn k_ecss_with_enumerator(
     graph: &Graph,
     k: usize,
-    exec: &kecss_runtime::Executor,
+    exec: &Executor,
     enumerator: &dyn CutEnumerator,
 ) -> Result<BaselineSolution> {
-    assert!(k >= 1, "k must be at least 1");
+    if k == 0 {
+        return Err(Error::ZeroK);
+    }
     // Observational only (DESIGN.md §11) — never feeds back into the bytes.
     let _solve_span = kecss_obs::span("solve");
     const MAX_ATTEMPTS: u64 = 8;
@@ -196,7 +184,11 @@ pub fn k_ecss_with_enumerator(
                 attempt,
                 exec,
             )?;
-            let added = augment_cuts(graph, &h, &family);
+            let added =
+                augment_cuts(graph, &h, &family).ok_or(Error::InsufficientConnectivity {
+                    required: k,
+                    actual: level - 1,
+                })?;
             h.union_with(&added.edges);
             if verification::is_k_edge_connected_in(graph, &h, level) {
                 break;
@@ -298,9 +290,39 @@ mod tests {
         let h = mst::kruskal(&g2);
         // Augment connectivity 1 -> 2: cover all bridges of H.
         let family = CutFamily::enumerate(&g2, &h, 1).unwrap();
-        let sol = augment_cuts(&g2, &h, &family);
+        let sol = augment_cuts(&g2, &h, &family).unwrap();
         let union = h.union(&sol.edges);
         assert!(connectivity::is_two_edge_connected_in(&g2, &union));
         drop(g);
+    }
+
+    #[test]
+    fn greedy_k_ecss_rejects_bad_input_with_an_error() {
+        let cycle = generators::cycle(6, 1);
+        let exec = Executor::Sequential;
+        let auto = AutoEnumerator::default();
+        assert_eq!(
+            k_ecss_with_enumerator(&cycle, 0, &exec, &auto).unwrap_err(),
+            Error::ZeroK
+        );
+        for k in 3..=4 {
+            assert_eq!(
+                k_ecss_with_enumerator(&cycle, k, &exec, &auto).unwrap_err(),
+                Error::InsufficientConnectivity {
+                    required: k,
+                    actual: 2
+                }
+            );
+        }
+        // On a 3-edge-connected graph, levels 2 and 3 succeed and level 4
+        // meets the first cut no edge covers.
+        let harary = generators::harary(3, 10, 1);
+        assert_eq!(
+            k_ecss_with_enumerator(&harary, 5, &exec, &auto).unwrap_err(),
+            Error::InsufficientConnectivity {
+                required: 5,
+                actual: 3
+            }
+        );
     }
 }

@@ -46,15 +46,7 @@ impl From<ThurimellaSolution> for BaselineSolution {
 /// all-pairs-BFS-bound.
 pub fn sparse_certificate(graph: &Graph, k: usize) -> ThurimellaSolution {
     let diameter = graphs::bfs::diameter_hint(graph).unwrap_or(graph.n());
-    sparse_certificate_with_model(graph, k, CostModel::new(graph.n(), diameter))
-}
-
-/// Same as [`sparse_certificate`] with an explicit cost model.
-pub fn sparse_certificate_with_model(
-    graph: &Graph,
-    k: usize,
-    model: CostModel,
-) -> ThurimellaSolution {
+    let model = CostModel::new(graph.n(), diameter);
     // Observational only (DESIGN.md §11) — never feeds back into the bytes.
     let _solve_span = kecss_obs::span("solve");
     let mut ledger = RoundLedger::new(model);

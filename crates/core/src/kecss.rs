@@ -51,8 +51,9 @@ pub struct KEcssSolution {
 ///   [`CutEnumerator`] strategies lifted the former `k <= 4` cap);
 /// * [`Error::InsufficientConnectivity`] if the graph is not k-edge-connected.
 pub fn solve<R: Rng>(graph: &Graph, k: usize, rng: &mut R) -> Result<KEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model(graph, k, CostModel::new(graph.n(), diameter), rng)
+    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
+    let auto = AutoEnumerator::default();
+    solve_with_enumerator(graph, k, model, rng, &Executor::Sequential, &auto)
 }
 
 /// Same as [`solve`], running the per-level cut verification through `exec`
@@ -68,8 +69,8 @@ pub fn solve_with_exec<R: Rng>(
     rng: &mut R,
     exec: &Executor,
 ) -> Result<KEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model_exec(graph, k, CostModel::new(graph.n(), diameter), rng, exec)
+    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
+    solve_with_enumerator(graph, k, model, rng, exec, &AutoEnumerator::default())
 }
 
 /// Same as [`solve_with_exec`] with an explicit [`CutEnumerator`] strategy,
@@ -94,36 +95,6 @@ pub fn solve_with_exec_enumerator<R: Rng>(
         exec,
         enumerator,
     )
-}
-
-/// Same as [`solve`] with an explicit cost model.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub fn solve_with_model<R: Rng>(
-    graph: &Graph,
-    k: usize,
-    model: CostModel,
-    rng: &mut R,
-) -> Result<KEcssSolution> {
-    solve_with_model_exec(graph, k, model, rng, &Executor::Sequential)
-}
-
-/// Explicit cost model *and* executor, with the default [`AutoEnumerator`]
-/// cut strategy.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub fn solve_with_model_exec<R: Rng>(
-    graph: &Graph,
-    k: usize,
-    model: CostModel,
-    rng: &mut R,
-    exec: &Executor,
-) -> Result<KEcssSolution> {
-    solve_with_enumerator(graph, k, model, rng, exec, &AutoEnumerator::default())
 }
 
 /// The most general entry point: explicit cost model, executor *and*

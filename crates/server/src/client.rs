@@ -4,62 +4,22 @@
 //! Speaks both wire modes over the same helpers: [`Client::connect`] uses the
 //! text line protocol; [`Client::connect_binary`] negotiates `KGW1` binary
 //! frames with the 4-byte preamble and then encodes/decodes every request
-//! through [`crate::wire`]. Waiting for a result is push-based in both modes:
-//! [`Client::wait_result`] sends one `RESULT WAIT` and blocks until the
-//! server pushes the terminal reply — no client code path polls.
+//! through [`crate::wire`]. Replies in both modes decode to the
+//! [`Response`] the server rendered them from ([`Response::read_text`] reads
+//! a text reply, [`crate::wire::decode_response`] a frame), so the helpers
+//! and their callers match on that one type. Waiting for a result is
+//! push-based in both modes: [`Client::wait_result`] sends one `RESULT WAIT`
+//! and blocks until the server pushes the terminal reply — no client code
+//! path polls.
 
 use crate::job::JobSpec;
 use crate::protocol::{Request, Response};
 use crate::scheduler::JobId;
 use crate::wire;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A parsed server response.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Reply {
-    /// `OK ...` — the words after `OK`.
-    Ok(Vec<String>),
-    /// `BUSY <depth>` — the submission was rejected by backpressure.
-    Busy {
-        /// The server's configured queue depth.
-        depth: usize,
-    },
-    /// `WAIT <id> <state>` — the result is not ready yet.
-    Wait {
-        /// The job id.
-        id: JobId,
-        /// The job's current state word.
-        state: String,
-    },
-    /// `RESULT <id> <len>` + payload — the finished result.
-    Result {
-        /// The job id.
-        id: JobId,
-        /// The payload bytes.
-        payload: Vec<u8>,
-    },
-    /// `GONE <id>` — the job completed but its payload was already fetched
-    /// and evicted (results are fetched-once).
-    Gone {
-        /// The job id.
-        id: JobId,
-    },
-    /// `METRICS <len>` + payload — the metrics text exposition.
-    Metrics {
-        /// The exposition text.
-        text: String,
-    },
-    /// `FLEET <len>` + payload — the coordinator's fleet status text.
-    Fleet {
-        /// The fleet status text (`# kecss fleet status v1`, DESIGN.md §13).
-        text: String,
-    },
-    /// `ERR <message>`.
-    Err(String),
-}
 
 /// The wire mode this client negotiated at connect time.
 enum WireMode {
@@ -131,8 +91,8 @@ impl Client {
     /// Connects in `KGW1` binary frame mode: sends the 4-byte preamble, after
     /// which every request goes out as a binary frame (inline instances as
     /// zero-parse `KGB1` edge records) and every reply comes back as one.
-    /// The replies decode to the same [`Reply`] values as text mode, so all
-    /// helpers work identically.
+    /// The replies decode to the same [`Response`] values as text mode, so
+    /// all helpers work identically.
     ///
     /// # Errors
     ///
@@ -164,10 +124,13 @@ impl Client {
     /// # Errors
     ///
     /// I/O failures and protocol violations.
-    pub fn request_line(&mut self, line: &str) -> Result<Reply, ClientError> {
+    pub fn request_line(&mut self, line: &str) -> Result<Response, ClientError> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
-        self.read_reply()
+        Response::read_text(&mut self.reader).map_err(|e| match e.kind() {
+            ErrorKind::InvalidData => ClientError::Protocol(e.to_string()),
+            _ => ClientError::Io(e),
+        })
     }
 
     /// Sends a typed request in the connection's wire mode.
@@ -175,7 +138,7 @@ impl Client {
     /// # Errors
     ///
     /// I/O failures and protocol violations.
-    pub fn request(&mut self, request: &Request) -> Result<Reply, ClientError> {
+    pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         match self.mode {
             WireMode::Text => self.request_line(&request.to_line()),
             WireMode::Binary => {
@@ -192,18 +155,7 @@ impl Client {
     ///
     /// I/O failures, protocol violations, and server-side `ERR` replies.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<Result<JobId, usize>, ClientError> {
-        match self.request(&Request::Submit(spec.clone()))? {
-            Reply::Ok(words) => {
-                let id = words
-                    .first()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| ClientError::Protocol("OK reply without a job id".into()))?;
-                Ok(Ok(id))
-            }
-            Reply::Busy { depth } => Ok(Err(depth)),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        admission(self.request(&Request::Submit(spec.clone()))?)
     }
 
     /// Queries a job's state word (`QUEUED`, `RUNNING`, ...).
@@ -212,14 +164,7 @@ impl Client {
     ///
     /// I/O failures, protocol violations, and server-side `ERR` replies.
     pub fn status(&mut self, id: JobId) -> Result<String, ClientError> {
-        match self.request(&Request::Status(id))? {
-            Reply::Ok(words) => words
-                .get(1)
-                .cloned()
-                .ok_or_else(|| ClientError::Protocol("OK status without a state".into())),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        second_word(self.request(&Request::Status(id))?)
     }
 
     /// Fetches a result: `Some(payload)` when done, `None` while in flight.
@@ -232,13 +177,8 @@ impl Client {
     /// replies (including failed and cancelled jobs).
     pub fn result(&mut self, id: JobId) -> Result<Option<Vec<u8>>, ClientError> {
         match self.request(&Request::Result(id))? {
-            Reply::Result { payload, .. } => Ok(Some(payload)),
-            Reply::Wait { .. } => Ok(None),
-            Reply::Gone { id } => Err(ClientError::Server(format!(
-                "job {id}: the result was already fetched and evicted (GONE)"
-            ))),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            Response::Wait { .. } => Ok(None),
+            other => payload(other).map(Some),
         }
     }
 
@@ -258,14 +198,7 @@ impl Client {
         // Restore unbounded reads so later requests on this client are not
         // silently bounded by a stale wait deadline.
         self.set_read_timeout(None)?;
-        match outcome.map_err(|e| timed_out(e, id))? {
-            Reply::Result { payload, .. } => Ok(payload),
-            Reply::Gone { id } => Err(ClientError::Server(format!(
-                "job {id}: the result was already fetched and evicted (GONE)"
-            ))),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        payload(outcome.map_err(|e| timed_out(e, id))?)
     }
 
     /// Submits and waits for the payload in as few requests as the wire
@@ -312,25 +245,12 @@ impl Client {
         &mut self,
         spec: &JobSpec,
     ) -> Result<Result<(JobId, Vec<u8>), usize>, ClientError> {
-        let id = match self.request(&Request::SubmitWait(spec.clone()))? {
-            Reply::Ok(words) => words
-                .first()
-                .and_then(|w| w.parse::<JobId>().ok())
-                .ok_or_else(|| ClientError::Protocol("OK reply without a job id".into()))?,
-            Reply::Busy { depth } => return Ok(Err(depth)),
-            Reply::Err(msg) => return Err(ClientError::Server(msg)),
-            other => {
-                return Err(ClientError::Protocol(format!("unexpected reply {other:?}")));
-            }
+        let id = match admission(self.request(&Request::SubmitWait(spec.clone()))?)? {
+            Ok(id) => id,
+            Err(depth) => return Ok(Err(depth)),
         };
-        match read_reply_frame(&mut self.reader).map_err(|e| timed_out(e, id))? {
-            Reply::Result { payload, .. } => Ok(Ok((id, payload))),
-            Reply::Gone { id } => Err(ClientError::Server(format!(
-                "job {id}: the result was already fetched and evicted (GONE)"
-            ))),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        let reply = read_reply_frame(&mut self.reader).map_err(|e| timed_out(e, id))?;
+        payload(reply).map(|payload| Ok((id, payload)))
     }
 
     /// Cancels a queued job.
@@ -340,11 +260,8 @@ impl Client {
     /// I/O failures, protocol violations, and server-side `ERR` replies
     /// (running or finished jobs).
     pub fn cancel(&mut self, id: JobId) -> Result<(), ClientError> {
-        match self.request(&Request::Cancel(id))? {
-            Reply::Ok(_) => Ok(()),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        second_word(self.request(&Request::Cancel(id))?)?;
+        Ok(())
     }
 
     /// Fetches the server's metrics registry as a text exposition.
@@ -354,9 +271,8 @@ impl Client {
     /// I/O failures, protocol violations, and server-side `ERR` replies.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         match self.request(&Request::Metrics)? {
-            Reply::Metrics { text } => Ok(text),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            Response::Metrics(text) => utf8(text, "METRICS"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -373,14 +289,7 @@ impl Client {
             worker: worker.to_string(),
             addr: addr.to_string(),
         };
-        match self.request(&request)? {
-            Reply::Ok(words) => words
-                .get(1)
-                .cloned()
-                .ok_or_else(|| ClientError::Protocol("OK heartbeat without a word".into())),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        second_word(self.request(&request)?)
     }
 
     /// Fetches the coordinator's fleet status text (`FLEET`).
@@ -391,9 +300,8 @@ impl Client {
     /// (e.g. the peer is not a coordinator).
     pub fn fleet_status(&mut self) -> Result<String, ClientError> {
         match self.request(&Request::Fleet)? {
-            Reply::Fleet { text } => Ok(text),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            Response::Fleet(text) => utf8(text, "FLEET"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -404,80 +312,63 @@ impl Client {
     /// I/O failures and protocol violations.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         match self.request(&Request::Shutdown)? {
-            Reply::Ok(_) => Ok(()),
-            Reply::Err(msg) => Err(ClientError::Server(msg)),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            Response::Ok(_) => Ok(()),
+            other => Err(unexpected(other)),
         }
     }
+}
 
-    fn read_reply(&mut self) -> Result<Reply, ClientError> {
-        let mut line = String::new();
-        let read = self.reader.read_line(&mut line)?;
-        if read == 0 {
-            return Err(ClientError::Protocol("server closed the connection".into()));
-        }
-        let line = line.trim_end();
-        let (verb, rest) = line.split_once(' ').unwrap_or((line, ""));
-        match verb {
-            "OK" => Ok(Reply::Ok(
-                rest.split_whitespace().map(String::from).collect(),
-            )),
-            "BUSY" => {
-                let depth = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| ClientError::Protocol(format!("malformed BUSY '{line}'")))?;
-                Ok(Reply::Busy { depth })
-            }
-            "WAIT" => {
-                let mut words = rest.split_whitespace();
-                let id = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| ClientError::Protocol(format!("malformed WAIT '{line}'")))?;
-                let state = words.next().unwrap_or("UNKNOWN").to_string();
-                Ok(Reply::Wait { id, state })
-            }
-            "GONE" => {
-                let id = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| ClientError::Protocol(format!("malformed GONE '{line}'")))?;
-                Ok(Reply::Gone { id })
-            }
-            "RESULT" => {
-                let mut words = rest.split_whitespace();
-                let id: JobId = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| ClientError::Protocol(format!("malformed RESULT '{line}'")))?;
-                let len: usize = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| ClientError::Protocol(format!("malformed RESULT '{line}'")))?;
-                let mut payload = vec![0u8; len];
-                self.reader.read_exact(&mut payload)?;
-                Ok(Reply::Result { id, payload })
-            }
-            "METRICS" | "FLEET" => {
-                let len: usize = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| ClientError::Protocol(format!("malformed {verb} '{line}'")))?;
-                let mut payload = vec![0u8; len];
-                self.reader.read_exact(&mut payload)?;
-                let text = String::from_utf8(payload)
-                    .map_err(|_| ClientError::Protocol(format!("{verb} payload is not UTF-8")))?;
-                Ok(if verb == "METRICS" {
-                    Reply::Metrics { text }
-                } else {
-                    Reply::Fleet { text }
-                })
-            }
-            "ERR" => Ok(Reply::Err(rest.to_string())),
-            _ => Err(ClientError::Protocol(format!("unknown reply '{line}'"))),
-        }
+/// The `ERR` a server answered, or a reply the helper did not expect.
+fn unexpected(response: Response) -> ClientError {
+    match response {
+        Response::Err(message) => ClientError::Server(message),
+        other => ClientError::Protocol(format!("unexpected reply {other:?}")),
     }
+}
+
+/// The word after the id (or worker id) of an `OK` reply: a `STATUS`
+/// state, `CANCELLED`, or a heartbeat's `REGISTERED`/`ALIVE`.
+fn second_word(response: Response) -> Result<String, ClientError> {
+    match response {
+        Response::Ok(words) => words
+            .split_whitespace()
+            .nth(1)
+            .map(String::from)
+            .ok_or_else(|| ClientError::Protocol(format!("OK reply '{words}' lacks a word"))),
+        other => Err(unexpected(other)),
+    }
+}
+
+/// A `SUBMIT` reply: `Ok(id)` for the ack, `Err(depth)` for `BUSY`.
+fn admission(response: Response) -> Result<Result<JobId, usize>, ClientError> {
+    match response {
+        Response::Ok(words) => words
+            .split_whitespace()
+            .next()
+            .and_then(|w| w.parse().ok())
+            .map(Ok)
+            .ok_or_else(|| ClientError::Protocol("OK reply without a job id".into())),
+        Response::Busy(depth) => Ok(Err(usize::try_from(depth).unwrap_or(usize::MAX))),
+        other => Err(unexpected(other)),
+    }
+}
+
+/// The payload of a terminal `RESULT` reply; `GONE` is a server error like
+/// `ERR`.
+fn payload(response: Response) -> Result<Vec<u8>, ClientError> {
+    match response {
+        Response::Result { payload, .. } => Ok(Arc::unwrap_or_clone(payload)),
+        Response::Gone(id) => Err(ClientError::Server(format!(
+            "job {id}: the result was already fetched and evicted (GONE)"
+        ))),
+        other => Err(unexpected(other)),
+    }
+}
+
+/// A `METRICS` or `FLEET` payload as text.
+fn utf8(text: Arc<Vec<u8>>, verb: &str) -> Result<String, ClientError> {
+    String::from_utf8(Arc::unwrap_or_clone(text))
+        .map_err(|_| ClientError::Protocol(format!("{verb} payload is not UTF-8")))
 }
 
 /// Turns a read that ran past its timeout into [`ClientError::Timeout`] for
@@ -496,53 +387,17 @@ fn timed_out(error: ClientError, id: JobId) -> ClientError {
     }
 }
 
-/// Reads one binary reply frame — header, body, then decode — into the same
-/// [`Reply`] values the text parser produces. A binary-mode [`Client`] and
-/// the coordinator's worker links both read their replies through this.
-pub(crate) fn read_reply_frame(reader: &mut impl Read) -> Result<Reply, ClientError> {
+/// Reads one binary reply frame — header, body, then decode. A binary-mode
+/// [`Client`] and the coordinator's worker links both read their replies
+/// through this.
+pub(crate) fn read_reply_frame(reader: &mut impl Read) -> Result<Response, ClientError> {
     let mut header = [0u8; wire::FRAME_HEADER_BYTES];
     reader.read_exact(&mut header)?;
     let (opcode, _flags, body_len) =
         wire::parse_frame_header(&header).map_err(ClientError::Protocol)?;
     let mut body = vec![0u8; body_len];
     reader.read_exact(&mut body)?;
-    let response = wire::decode_response(opcode, &body).map_err(ClientError::Protocol)?;
-    reply_from_response(response)
-}
-
-/// Maps a decoded binary [`Response`] onto the same [`Reply`] values the text
-/// parser produces, so the helper methods are wire-mode agnostic.
-fn reply_from_response(response: Response) -> Result<Reply, ClientError> {
-    let unwrap_bytes = |bytes: Arc<Vec<u8>>| -> Vec<u8> {
-        Arc::try_unwrap(bytes).unwrap_or_else(|shared| (*shared).clone())
-    };
-    let text_of = |bytes: Arc<Vec<u8>>, what: &str| -> Result<String, ClientError> {
-        String::from_utf8(unwrap_bytes(bytes))
-            .map_err(|_| ClientError::Protocol(format!("{what} payload is not UTF-8")))
-    };
-    Ok(match response {
-        Response::Ok(words) => Reply::Ok(words.split_whitespace().map(String::from).collect()),
-        Response::Busy(depth) => Reply::Busy {
-            depth: usize::try_from(depth)
-                .map_err(|_| ClientError::Protocol("BUSY depth overflows usize".into()))?,
-        },
-        Response::Wait { id, state } => Reply::Wait {
-            id,
-            state: state.to_string(),
-        },
-        Response::Result { id, payload } => Reply::Result {
-            id,
-            payload: unwrap_bytes(payload),
-        },
-        Response::Gone(id) => Reply::Gone { id },
-        Response::Err(message) => Reply::Err(message),
-        Response::Metrics(bytes) => Reply::Metrics {
-            text: text_of(bytes, "METRICS")?,
-        },
-        Response::Fleet(bytes) => Reply::Fleet {
-            text: text_of(bytes, "FLEET")?,
-        },
-    })
+    wire::decode_response(opcode, &body).map_err(ClientError::Protocol)
 }
 
 /// Polls the coordinator's `FLEET` status until at least `workers` workers
@@ -586,5 +441,36 @@ pub fn wait_for_live_workers(
             return Err(ClientError::Timeout { id: 0 });
         }
         std::thread::sleep(poll);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead;
+    use std::net::TcpListener;
+
+    /// A server that reads one request line and answers it with `reply`.
+    fn fake_server(reply: &'static [u8]) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).unwrap();
+            stream.write_all(reply).unwrap();
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn a_reply_naming_a_length_past_the_frame_cap_is_a_protocol_error() {
+        let (addr, server) = fake_server(b"RESULT 1 18446744073709551615\n");
+        let mut client = Client::connect(&addr).unwrap();
+        match client.result(1) {
+            Err(ClientError::Protocol(message)) => assert!(message.contains("cap"), "{message}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        server.join().unwrap();
     }
 }

@@ -5,19 +5,20 @@
 //! # Design
 //!
 //! * **Clients see no new protocol.** `SUBMIT`/`STATUS`/`RESULT`/`CANCEL`/
-//!   `METRICS`/`SHUTDOWN` behave exactly as against a standalone server; the
-//!   only client-visible novelty is the additive `ASSIGNED` state word and
-//!   the coordinator-only `FLEET` status verb.
+//!   `METRICS`/`SHUTDOWN` are answered by the same responder as on a
+//!   standalone server ([`crate::event_loop`]), over this role's job table;
+//!   the only client-visible novelty is the `ASSIGNED` state word and the
+//!   coordinator-only `HEARTBEAT` and `FLEET` verbs.
 //! * **Workers are plain servers.** The coordinator is a protocol *client*
 //!   of each worker: it keeps one persistent `KGW1` link per live worker and
 //!   dispatches a job as one wait-flagged `SUBMIT` frame on it. The worker
 //!   acks, then pushes the terminal reply on the same link, so no code path
 //!   polls and no thread or connection is made per job. One thread per link
 //!   dials it on first use (frames sent meanwhile wait in the link), then
-//!   decodes the replies and writes every outcome back through
-//!   `FleetTable::complete`. Workers register by sending `HEARTBEAT <id>
-//!   <addr>` periodically.
-//! * **Lifecycle.** Every job walks the [`FleetState`] machine
+//!   decodes the replies into [`Response`]s and writes every outcome back
+//!   through `FleetTable::complete`. Workers register by sending
+//!   `HEARTBEAT <id> <addr>` periodically.
+//! * **Lifecycle.** Every job walks the [`JobState`] machine
 //!   (`QUEUED → ASSIGNED → RUNNING → DONE/FAILED`, with the two loss
 //!   transitions back to `QUEUED`); illegal transitions panic rather than
 //!   corrupt the table.
@@ -39,12 +40,11 @@
 //! back only under the epoch its `SUBMIT` carried, so a stale link can never
 //! clobber the table.
 
-use crate::client::{read_reply_frame, Reply};
-use crate::event_loop::{run_event_loop, EventLoopConfig, Service, ServiceReply};
+use crate::client::read_reply_frame;
+use crate::event_loop::{run_event_loop, EventLoopConfig, Service};
 use crate::job::JobSpec;
 use crate::protocol::{Request, Response};
-use crate::scheduler::{CompletionHook, FleetState, JobId, Outcome};
-use crate::server::classify_response;
+use crate::scheduler::{CompletionHook, JobId, JobState, Outcome};
 use crate::wire;
 use kecss_obs::{Counter, Gauge, Histogram};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -137,7 +137,7 @@ const BUSY_BACKOFF: Duration = Duration::from_millis(25);
 /// One fleet job's table entry.
 struct FleetJob {
     spec: JobSpec,
-    state: FleetState,
+    state: JobState,
     /// The worker currently (or last) responsible, by id.
     worker: Option<String>,
     /// Bumped on every (re)assignment and every re-queue; a link reply
@@ -154,8 +154,8 @@ struct FleetJob {
 }
 
 impl FleetJob {
-    /// Moves the job to `to`, enforcing the [`FleetState`] transition table.
-    fn transition(&mut self, to: FleetState) {
+    /// Moves the job to `to`, enforcing the [`JobState`] transition table.
+    fn transition(&mut self, to: JobState) {
         assert!(
             self.state.can_transition(to),
             "illegal fleet transition {:?} -> {to:?}",
@@ -186,7 +186,7 @@ enum Answer {
     Busy,
     /// The terminal push: `Done` with the payload, or `Failed` with the
     /// worker's failure text.
-    Finished(FleetState, Outcome),
+    Finished(JobState, Outcome),
 }
 
 #[derive(Default)]
@@ -234,7 +234,7 @@ impl FleetTable {
         let now = Instant::now();
         let job = FleetJob {
             spec,
-            state: FleetState::Queued,
+            state: JobState::Queued,
             worker: None,
             epoch: 0,
             retries: 0,
@@ -267,14 +267,14 @@ impl FleetTable {
             .copied()
             .filter(|id| {
                 let job = &self.jobs[id];
-                job.state == FleetState::Queued && job.not_before <= now
+                job.state == JobState::Queued && job.not_before <= now
             })
             .collect();
         let mut sends = Vec::with_capacity(ready.len());
         for id in ready {
             let worker = &live[(splitmix64(id) % live.len() as u64) as usize];
             let job = self.jobs.get_mut(&id).expect("open job exists");
-            job.transition(FleetState::Assigned);
+            job.transition(JobState::Assigned);
             job.worker = Some(worker.clone());
             job.epoch += 1;
             if kecss_obs::enabled() {
@@ -301,9 +301,9 @@ impl FleetTable {
             return;
         };
         match answer {
-            Answer::Acked => job.transition(FleetState::Running),
+            Answer::Acked => job.transition(JobState::Running),
             Answer::Busy => {
-                job.transition(FleetState::Queued);
+                job.transition(JobState::Queued);
                 job.epoch += 1;
                 job.not_before = Instant::now() + BUSY_BACKOFF;
                 let worker = job.worker.take();
@@ -325,7 +325,7 @@ impl FleetTable {
 
     /// Marks a job terminal: transition, store the outcome, release its
     /// worker and its open slot, count it.
-    fn finish(&mut self, id: JobId, to: FleetState, outcome: Outcome) {
+    fn finish(&mut self, id: JobId, to: JobState, outcome: Outcome) {
         let job = self.jobs.get_mut(&id).expect("finishing a known job");
         job.transition(to);
         job.outcome = Some(outcome);
@@ -334,9 +334,9 @@ impl FleetTable {
         self.open.remove(&id);
         self.pending_terminal.push(id);
         let (count, counter) = match to {
-            FleetState::Done => (&mut self.summary.completed, &metrics().completed),
-            FleetState::Failed => (&mut self.summary.failed, &metrics().failed),
-            FleetState::Cancelled => (&mut self.summary.cancelled, &metrics().cancelled),
+            JobState::Done => (&mut self.summary.completed, &metrics().completed),
+            JobState::Failed => (&mut self.summary.failed, &metrics().failed),
+            JobState::Cancelled => (&mut self.summary.cancelled, &metrics().cancelled),
             _ => unreachable!("finish is only called with terminal states"),
         };
         *count += 1;
@@ -387,9 +387,9 @@ impl FleetTable {
                     "worker lost {} times (last: {cause}); retry budget {max_retries} spent",
                     job.retries
                 );
-                self.finish(id, FleetState::Failed, Outcome::Failed(message));
+                self.finish(id, JobState::Failed, Outcome::Failed(message));
             } else {
-                job.transition(FleetState::Queued);
+                job.transition(JobState::Queued);
                 job.not_before = Instant::now();
                 job.worker = None;
                 self.detach(Some(worker));
@@ -407,7 +407,7 @@ impl FleetTable {
         }
         let queued = self.open.iter().map(|id| &self.jobs[id]);
         let next = queued
-            .filter(|j| j.state == FleetState::Queued)
+            .filter(|j| j.state == JobState::Queued)
             .map(|j| j.not_before)
             .min();
         next.map_or(tick, |t| {
@@ -524,24 +524,24 @@ fn run_link(shared: &Shared, worker: &str, link: &Arc<Link>, addr: &str) {
     let cause = loop {
         let answer = match read_reply_frame(&mut reader) {
             Err(e) => break e.to_string(),
-            Ok(Reply::Ok(words)) => {
-                let wid = words.first().and_then(|w| w.parse().ok());
+            Ok(Response::Ok(words)) => {
+                let wid = words.split_whitespace().next().and_then(|w| w.parse().ok());
                 let front = link.queue().unacked.pop_front();
                 front.zip(wid).map(|((id, epoch, _), wid)| {
                     acked.insert(wid, (id, epoch));
                     (id, epoch, Answer::Acked)
                 })
             }
-            Ok(Reply::Busy { .. }) => link
+            Ok(Response::Busy(_)) => link
                 .queue()
                 .unacked
                 .pop_front()
                 .map(|(id, epoch, _)| (id, epoch, Answer::Busy)),
-            Ok(Reply::Result { id: wid, payload }) => acked.remove(&wid).map(|(id, epoch)| {
-                let outcome = Outcome::Done(Arc::new(payload));
-                (id, epoch, Answer::Finished(FleetState::Done, outcome))
+            Ok(Response::Result { id: wid, payload }) => acked.remove(&wid).map(|(id, epoch)| {
+                let outcome = Outcome::Done(payload);
+                (id, epoch, Answer::Finished(JobState::Done, outcome))
             }),
-            Ok(Reply::Err(message)) => {
+            Ok(Response::Err(message)) => {
                 let job = terminal_err_job(&message).and_then(|w| Some((w, acked.remove(&w)?)));
                 let Some((wid, (id, epoch))) = job else {
                     break format!("worker refused the link: {message}");
@@ -550,7 +550,7 @@ fn run_link(shared: &Shared, worker: &str, link: &Arc<Link>, addr: &str) {
                     .strip_prefix(&format!("job {wid} failed: "))
                     .unwrap_or(&message);
                 let outcome = Outcome::Failed(failure.to_string());
-                Some((id, epoch, Answer::Finished(FleetState::Failed, outcome)))
+                Some((id, epoch, Answer::Finished(JobState::Failed, outcome)))
             }
             Ok(other) => break format!("worker answered outside the protocol: {other:?}"),
         };
@@ -700,13 +700,10 @@ impl Coordinator {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || dispatcher_loop(&shared))
         };
-        let service: Arc<dyn Service> = Arc::new(CoordinatorService {
-            shared: Arc::clone(&self.shared),
-        });
         // The loop returns only once every admitted job is terminal (its
-        // drain condition asks `CoordinatorService::idle`); dispatch and
-        // retries keep running on the threads behind it meanwhile.
-        run_event_loop(self.listener, &service, &self.loop_config)
+        // drain condition asks `Shared::idle`); dispatch and retries keep
+        // running on the threads behind it meanwhile.
+        run_event_loop(self.listener, &*self.shared, &self.loop_config)
             .expect("readiness loop failed to start");
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.update(|t| t.kicked = true);
@@ -812,164 +809,97 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// The coordinator role behind the readiness loop: the coordinator-side
-/// analogue of the server's responder — same verbs, same reply bytes, same
-/// fetched-once `RESULT` semantics, with the fleet table instead of the
-/// scheduler behind it.
-struct CoordinatorService {
-    shared: Arc<Shared>,
-}
+/// The coordinator's job table: the fleet table, behind the same responder
+/// as the standalone scheduler, with the same fetched-once `RESULT`.
+impl Service for Shared {
+    fn requests_metric(&self) -> &'static str {
+        "fleet_requests_total"
+    }
 
-impl CoordinatorService {
-    /// Admits one submission into the fleet table (or refuses it). With
-    /// `wait` the admitted reply also parks the connection for the terminal
-    /// push — refusals never subscribe.
-    fn admit(&self, spec: JobSpec, wait: bool) -> ServiceReply {
-        let mut table = self.shared.lock();
+    fn submit(&self, spec: JobSpec) -> kecss::error::Result<JobId> {
+        let mut table = self.lock();
         if table.closed {
-            return ServiceReply::Line(Response::Err(
-                kecss::Error::ServiceShuttingDown.to_string(),
-            ));
+            return Err(kecss::Error::ServiceShuttingDown);
         }
-        let admitted = table.admit(spec, self.shared.config.queue_depth);
-        self.shared.release(table);
-        match admitted {
-            Err(depth) => ServiceReply::Line(Response::Busy(depth as u64)),
-            Ok(id) if wait => {
-                ServiceReply::LineAndSubscribe(Response::Ok(format!("{id} QUEUED")), id)
-            }
-            Ok(id) => ServiceReply::Line(Response::Ok(format!("{id} QUEUED"))),
-        }
-    }
-}
-
-impl Service for CoordinatorService {
-    fn respond(&self, request: Request) -> ServiceReply {
-        kecss_obs::counter_with("fleet_requests_total", &[("verb", request.verb())]).inc();
-        let shared = &self.shared;
-        let reply = match request {
-            Request::Submit(spec) => self.admit(spec, false),
-            Request::SubmitWait(spec) => self.admit(spec, true),
-            Request::Status(id) => match shared.lock().jobs.get(&id) {
-                Some(job) => {
-                    ServiceReply::Line(Response::Ok(format!("{id} {}", job.state.wire_name())))
-                }
-                None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-            },
-            Request::Result(id) => {
-                let mut table = shared.lock();
-                match table.jobs.get_mut(&id) {
-                    None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                    Some(job) => match job.outcome.as_mut() {
-                        Some(outcome) => ServiceReply::Line(outcome.fetch().into_response(id)),
-                        None => ServiceReply::Line(Response::Wait {
-                            id,
-                            state: job.state.wire_name(),
-                        }),
-                    },
-                }
-            }
-            // Known job: park the connection. Already-terminal jobs are
-            // answered by the subscribe-time re-check in the loop.
-            Request::ResultWait(id) => match shared.lock().jobs.get(&id) {
-                None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                Some(_) => ServiceReply::Subscribe(id),
-            },
-            Request::Cancel(id) => {
-                let mut table = shared.lock();
-                match table.jobs.get(&id).map(|job| job.state) {
-                    None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                    Some(FleetState::Queued) => {
-                        table.finish(id, FleetState::Cancelled, Outcome::Cancelled);
-                        shared.release(table);
-                        ServiceReply::Line(Response::Ok(format!("{id} CANCELLED")))
-                    }
-                    Some(state) if state.is_terminal() => {
-                        ServiceReply::Line(Response::Err(format!("job {id} already finished")))
-                    }
-                    Some(state) => ServiceReply::Line(Response::Err(format!(
-                        "job {id} is already {}",
-                        state.wire_name().to_lowercase()
-                    ))),
-                }
-            }
-            Request::Metrics => {
-                let text = kecss_obs::Registry::global().render();
-                ServiceReply::Line(Response::Metrics(Arc::new(text.into_bytes())))
-            }
-            // An address with no port to dial would register a worker that
-            // is listed live but can never take a job.
-            Request::Heartbeat { worker, addr } if !dialable(&addr) => {
-                ServiceReply::Line(Response::Err(format!(
-                    "worker {worker} advertises '{addr}', which has no port to dial"
-                )))
-            }
-            Request::Heartbeat { worker, addr } => {
-                let mut table = shared.lock();
-                let now = Instant::now();
-                // A new worker enters dead, so its first beat registers it.
-                let entry = table
-                    .workers
-                    .entry(worker.clone())
-                    .or_insert_with(|| WorkerEntry {
-                        addr: String::new(),
-                        last_beat: now,
-                        live: false,
-                        dispatched: 0,
-                        inflight: 0,
-                        link: None,
-                    });
-                let registered = !entry.live;
-                if kecss_obs::enabled() && !registered {
-                    let gap = now.duration_since(entry.last_beat).as_nanos();
-                    metrics()
-                        .heartbeat_gap_ns
-                        .record(u64::try_from(gap).unwrap_or(u64::MAX));
-                }
-                (entry.addr, entry.last_beat, entry.live) = (addr, now, true);
-                table.kicked |= registered;
-                table.update_live_gauge();
-                shared.release(table);
-                let word = if registered { "REGISTERED" } else { "ALIVE" };
-                ServiceReply::Line(Response::Ok(format!("{worker} {word}")))
-            }
-            Request::Fleet => {
-                let text = render_fleet(&shared.lock());
-                ServiceReply::Line(Response::Fleet(Arc::new(text.into_bytes())))
-            }
-            Request::Shutdown => {
-                shared.lock().closed = true;
-                ServiceReply::Shutdown(Response::Ok("SHUTDOWN".into()))
-            }
-        };
-        if let ServiceReply::Line(response)
-        | ServiceReply::Shutdown(response)
-        | ServiceReply::LineAndSubscribe(response, _) = &reply
-        {
-            classify_response(response);
-        }
-        reply
+        let admitted = table.admit(spec, self.config.queue_depth);
+        self.release(table);
+        admitted.map_err(|depth| kecss::Error::JobQueueFull { depth })
     }
 
-    fn result_reply(&self, id: JobId) -> Option<Response> {
-        let mut table = self.shared.lock();
-        let job = table.jobs.get_mut(&id)?;
-        let response = job.outcome.as_mut()?.fetch().into_response(id);
-        classify_response(&response);
-        Some(response)
+    fn status(&self, id: JobId) -> Option<JobState> {
+        self.lock().jobs.get(&id).map(|job| job.state)
+    }
+
+    fn fetch(&self, id: JobId) -> Option<Outcome> {
+        Some(self.lock().jobs.get_mut(&id)?.outcome.as_mut()?.fetch())
+    }
+
+    fn cancel(&self, id: JobId) -> Result<(), Option<JobState>> {
+        let mut table = self.lock();
+        match table.jobs.get(&id).map(|job| job.state) {
+            Some(JobState::Queued) => {
+                table.finish(id, JobState::Cancelled, Outcome::Cancelled);
+                self.release(table);
+                Ok(())
+            }
+            state => Err(state),
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
     }
 
     fn idle(&self) -> bool {
-        self.shared.lock().open.is_empty()
+        self.lock().open.is_empty()
     }
 
-    fn install_completion_hook(&self, hook: CompletionHook) {
-        let _ = self.shared.completion_hook.set(hook);
+    fn set_completion_hook(&self, hook: CompletionHook) {
+        let _ = self.completion_hook.set(hook);
+    }
+
+    fn heartbeat(&self, worker: String, addr: String) -> Response {
+        // An address with no port to dial would register a worker that is
+        // listed live but can never take a job.
+        if !dialable(&addr) {
+            return Response::Err(format!(
+                "worker {worker} advertises '{addr}', which has no port to dial"
+            ));
+        }
+        let mut table = self.lock();
+        let now = Instant::now();
+        // A new worker enters dead, so its first beat registers it.
+        let entry = table
+            .workers
+            .entry(worker.clone())
+            .or_insert_with(|| WorkerEntry {
+                addr: String::new(),
+                last_beat: now,
+                live: false,
+                dispatched: 0,
+                inflight: 0,
+                link: None,
+            });
+        let registered = !entry.live;
+        if kecss_obs::enabled() && !registered {
+            let gap = now.duration_since(entry.last_beat).as_nanos();
+            metrics()
+                .heartbeat_gap_ns
+                .record(u64::try_from(gap).unwrap_or(u64::MAX));
+        }
+        (entry.addr, entry.last_beat, entry.live) = (addr, now, true);
+        table.kicked |= registered;
+        table.update_live_gauge();
+        self.release(table);
+        let word = if registered { "REGISTERED" } else { "ALIVE" };
+        Response::Ok(format!("{worker} {word}"))
+    }
+
+    fn fleet(&self) -> Response {
+        Response::Fleet(Arc::new(render_fleet(&self.lock()).into_bytes()))
     }
 }
 
-/// Renders the machine-parseable `FLEET` status text (grammar in
-/// DESIGN.md §13).
 /// Whether `addr` is `HOST:PORT` with a non-empty host and a port other
 /// than 0: an address a dispatch link can dial.
 fn dialable(addr: &str) -> bool {
@@ -977,6 +907,8 @@ fn dialable(addr: &str) -> bool {
         .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok_and(|p| p != 0))
 }
 
+/// Renders the machine-parseable `FLEET` status text (grammar in
+/// DESIGN.md §13).
 fn render_fleet(table: &FleetTable) -> String {
     let now = Instant::now();
     let mut text = String::from("# kecss fleet status v1\n");
@@ -998,13 +930,13 @@ fn render_fleet(table: &FleetTable) -> String {
         s.submitted, s.completed, s.failed, s.cancelled, s.rejected, s.retries
     ));
     let open = || table.open.iter().map(|id| (id, &table.jobs[id]));
-    let count = |state: FleetState| open().filter(|(_, j)| j.state == state).count();
+    let count = |state: JobState| open().filter(|(_, j)| j.state == state).count();
     text.push_str(&format!(
         "inflight {} queued {} assigned {} running {}\n",
         table.open.len(),
-        count(FleetState::Queued),
-        count(FleetState::Assigned),
-        count(FleetState::Running),
+        count(JobState::Queued),
+        count(JobState::Assigned),
+        count(JobState::Running),
     ));
     for (id, job) in open() {
         text.push_str(&format!(
@@ -1118,7 +1050,7 @@ mod tests {
             2,
             FleetJob {
                 spec: ring_spec(),
-                state: FleetState::Running,
+                state: JobState::Running,
                 worker: Some("w1".into()),
                 epoch: 2,
                 retries: 1,
@@ -1165,7 +1097,7 @@ mod tests {
         assert_eq!(table.admit(ring_spec(), 3), Err(3));
         assert_eq!(table.summary.rejected, 1);
         // Cancel one while it is queued.
-        table.finish(c, FleetState::Cancelled, Outcome::Cancelled);
+        table.finish(c, JobState::Cancelled, Outcome::Cancelled);
         assert_open_set(&table);
         // Assign the other two.
         let sends = table.assign_ready(Instant::now());
@@ -1176,17 +1108,17 @@ mod tests {
         // BUSY backs b off, uncharged, and a stale answer for it is dropped.
         table.complete(b, b_epoch, Answer::Busy);
         table.complete(b, b_epoch, Answer::Acked);
-        assert_eq!(table.jobs[&b].state, FleetState::Queued);
+        assert_eq!(table.jobs[&b].state, JobState::Queued);
         assert_eq!((table.jobs[&b].retries, table.summary.retries), (0, 0));
         assert!(table.assign_ready(Instant::now()).is_empty(), "backed off");
         assert_open_set(&table);
         // The ack is a's RUNNING hop.
         table.complete(a, a_epoch, Answer::Acked);
-        assert_eq!(table.jobs[&a].state, FleetState::Running);
+        assert_eq!(table.jobs[&a].state, JobState::Running);
         // Budget 1: the first loss re-queues a...
         table.lose("w1", None, "test loss", 1);
         assert!(!table.workers["w1"].live);
-        assert_eq!(table.jobs[&a].state, FleetState::Queued);
+        assert_eq!(table.jobs[&a].state, JobState::Queued);
         assert_eq!(table.jobs[&a].retries, 1);
         assert_eq!(table.summary.retries, 1);
         assert_open_set(&table);
@@ -1195,9 +1127,9 @@ mod tests {
         table.workers.get_mut("w1").unwrap().live = true;
         assert_eq!(table.assign_ready(Instant::now() + BUSY_BACKOFF).len(), 2);
         table.lose("w1", None, "test loss again", 1);
-        assert_eq!(table.jobs[&a].state, FleetState::Failed);
+        assert_eq!(table.jobs[&a].state, JobState::Failed);
         assert!(matches!(table.jobs[&a].outcome, Some(Outcome::Failed(_))));
-        assert_eq!(table.jobs[&b].state, FleetState::Queued);
+        assert_eq!(table.jobs[&b].state, JobState::Queued);
         assert_eq!((table.summary.failed, table.summary.retries), (1, 3));
         assert_open_set(&table);
         // Done: b runs to a payload and the table holds no open job.
@@ -1205,8 +1137,8 @@ mod tests {
         let sends = table.assign_ready(Instant::now());
         table.complete(b, sends[0].1, Answer::Acked);
         let payload = Outcome::Done(Arc::new(b"payload".to_vec()));
-        table.complete(b, sends[0].1, Answer::Finished(FleetState::Done, payload));
-        assert_eq!(table.jobs[&b].state, FleetState::Done);
+        table.complete(b, sends[0].1, Answer::Finished(JobState::Done, payload));
+        assert_eq!(table.jobs[&b].state, JobState::Done);
         assert_open_set(&table);
         assert!(table.open.is_empty());
         assert_eq!(table.workers["w1"].inflight, 0);

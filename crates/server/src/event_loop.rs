@@ -3,14 +3,17 @@
 //! The previous front-end spawned an OS thread per accepted socket; this
 //! module replaces it with a single non-blocking loop over a level-triggered
 //! [`polling::Poller`] (epoll on Linux, portable `poll(2)` fallback). Every
-//! role — standalone server, worker, coordinator — serves on this loop; the
-//! role-specific request handling sits behind the [`Service`] trait.
+//! role — standalone server, worker, coordinator — serves on this loop, and
+//! one responder answers every request for all of them: what differs per
+//! role is only its job table, behind the [`Service`] trait. A client
+//! therefore cannot tell a coordinator from a standalone server by the
+//! verbs they share (DESIGN.md §13).
 //!
 //! Per-connection state machine:
 //!
 //! ```text
 //!   Sniff ──("KGW1")──> Binary ──┐
-//!     │                          ├──> decode request ──> Service::respond
+//!     │                          ├──> decode request ──> respond
 //!     └──(anything else)> Text ──┘          │
 //!                                           ├─ Line(r)      -> queue reply bytes
 //!                                           ├─ Subscribe(id)-> park until completion
@@ -26,8 +29,8 @@
 //! when a job goes terminal the hook pushes the id onto a ready list and
 //! [`polling::Poller::notify`]s the loop, which delivers the reply — no code
 //! path anywhere polls for results. The hook-fires-before-subscribe race is
-//! closed by re-checking [`Service::result_reply`] immediately after
-//! registering a waiter.
+//! closed by re-checking [`Service::fetch`] immediately after registering a
+//! waiter.
 //!
 //! **Backpressure**: each connection's unsent reply bytes are bounded by
 //! [`EventLoopConfig::write_queue_limit`]. A reader stalled past that bound
@@ -40,8 +43,9 @@
 //! text and binary framing both serialize the same [`Response`] values, so
 //! connection interleaving and wire mode cannot influence result bytes.
 
+use crate::job::JobSpec;
 use crate::protocol::{Request, Response};
-use crate::scheduler::{CompletionHook, JobId};
+use crate::scheduler::{CompletionHook, JobId, JobState, Outcome};
 use crate::wire;
 use polling::{Backend, Event, Interest, Poller};
 use std::collections::HashMap;
@@ -61,11 +65,11 @@ pub const MAX_REQUEST_LINE: usize = 1 << 20;
 const SHUTDOWN_FLUSH_CAP: Duration = Duration::from_secs(5);
 
 /// What the loop should do with a handled request.
-pub enum ServiceReply {
+enum ServiceReply {
     /// Answer immediately.
     Line(Response),
-    /// Park the request: push [`Service::result_reply`] when job `id`
-    /// reaches a terminal state (`RESULT WAIT` on a live job).
+    /// Park the request: push [`pushed_reply`] when job `id` reaches a
+    /// terminal state (`RESULT WAIT` on a live job).
     Subscribe(JobId),
     /// Answer immediately **and** park for job `id`'s terminal push (the
     /// wait-flagged binary `SUBMIT`: the ack and the result subscription
@@ -75,22 +79,40 @@ pub enum ServiceReply {
     Shutdown(Response),
 }
 
-/// The role-specific half of the front-end: the standalone server and the
-/// fleet coordinator each implement this over their job table. All methods
-/// are called from the event thread except the completion hook, which job
-/// workers fire; implementations count their own per-verb and per-reply
-/// metrics so text and binary connections are indistinguishable to
-/// observability.
+/// The role-specific half of the front-end: the role's job table. The
+/// standalone scheduler and the fleet coordinator each implement it, and the
+/// loop's one responder answers every request over it. All methods are
+/// called from the event thread except the completion hook, which job
+/// workers fire.
 pub trait Service: Send + Sync {
-    /// Handles one request. Must not block on job completion — return
-    /// [`ServiceReply::Subscribe`] for that.
-    fn respond(&self, request: Request) -> ServiceReply;
+    /// The per-verb request counter this role counts under
+    /// (`server_requests_total` or `fleet_requests_total`).
+    fn requests_metric(&self) -> &'static str;
 
-    /// The pushed reply for a subscribed job, or `None` while the job is
-    /// still in flight. Called once per subscribed connection, in
-    /// subscription order; fetched-once result semantics apply (the first
-    /// caller takes the payload, later ones see `GONE`).
-    fn result_reply(&self, id: JobId) -> Option<Response>;
+    /// Admits a job and returns its id.
+    ///
+    /// # Errors
+    ///
+    /// [`kecss::Error::JobQueueFull`] (answered `BUSY`) or
+    /// [`kecss::Error::ServiceShuttingDown`].
+    fn submit(&self, spec: JobSpec) -> kecss::error::Result<JobId>;
+
+    /// A job's state, or `None` for an unknown id.
+    fn status(&self, id: JobId) -> Option<JobState>;
+
+    /// A terminal job's outcome, fetched once ([`Outcome::fetch`]); `None`
+    /// while the job is in flight, or for an unknown id.
+    fn fetch(&self, id: JobId) -> Option<Outcome>;
+
+    /// Cancels a queued job.
+    ///
+    /// # Errors
+    ///
+    /// The state that prevented cancellation, or `None` for an unknown id.
+    fn cancel(&self, id: JobId) -> Result<(), Option<JobState>>;
+
+    /// Refuses every later submission (`SHUTDOWN`).
+    fn close(&self);
 
     /// True when no job is queued or running (the shutdown drain's exit
     /// condition).
@@ -98,7 +120,128 @@ pub trait Service: Send + Sync {
 
     /// Installs the completion hook the loop uses for push delivery and
     /// drain wakeups. Called once before the loop starts.
-    fn install_completion_hook(&self, hook: CompletionHook);
+    fn set_completion_hook(&self, hook: CompletionHook);
+
+    /// Answers `HEARTBEAT`. Only a coordinator registers workers; every
+    /// other role refuses, so a client pointed at the wrong role finds out
+    /// at once.
+    fn heartbeat(&self, _worker: String, _addr: String) -> Response {
+        Response::Err(NOT_A_COORDINATOR.into())
+    }
+
+    /// Answers `FLEET` (the coordinator's status text; refused elsewhere).
+    fn fleet(&self) -> Response {
+        Response::Err(NOT_A_COORDINATOR.into())
+    }
+}
+
+const NOT_A_COORDINATOR: &str =
+    "not a fleet coordinator (HEARTBEAT/FLEET need `kecss serve --role coordinator`)";
+
+/// Answers one request over the role's job table. Metrics are recorded
+/// out-of-band only (DESIGN.md §11), and per-verb counters fire identically
+/// for text and binary connections.
+fn respond(jobs: &dyn Service, request: Request) -> ServiceReply {
+    kecss_obs::counter_with(jobs.requests_metric(), &[("verb", request.verb())]).inc();
+    let unknown = |id: JobId| ServiceReply::Line(Response::Err(format!("unknown job {id}")));
+    let reply = match request {
+        // Admission control lives in the job table, under its lock: after a
+        // SHUTDOWN closes it, submissions are refused, and any submission
+        // admitted before the close is visible to the shutdown drain. The
+        // wait-flagged variant also parks the connection for the terminal
+        // push, but only when the job was admitted.
+        Request::Submit(spec) => ServiceReply::Line(admission(jobs.submit(spec))),
+        Request::SubmitWait(spec) => match jobs.submit(spec) {
+            Ok(id) => ServiceReply::LineAndSubscribe(admission(Ok(id)), id),
+            refused => ServiceReply::Line(admission(refused)),
+        },
+        Request::Status(id) => match jobs.status(id) {
+            Some(state) => ServiceReply::Line(Response::Ok(format!("{id} {}", state.wire_name()))),
+            None => unknown(id),
+        },
+        // Fetched-once: the first RESULT of a finished job takes its
+        // payload, and a repeat RESULT for the id answers GONE.
+        Request::Result(id) => match jobs.status(id) {
+            Some(state) => ServiceReply::Line(match jobs.fetch(id) {
+                Some(outcome) => outcome.into_response(id),
+                None => Response::Wait {
+                    id,
+                    state: state.wire_name(),
+                },
+            }),
+            None => unknown(id),
+        },
+        // Known job: park the connection. An already-terminal job is
+        // answered by the subscribe-time re-check.
+        Request::ResultWait(id) => match jobs.status(id) {
+            Some(_) => ServiceReply::Subscribe(id),
+            None => unknown(id),
+        },
+        Request::Cancel(id) => match jobs.cancel(id) {
+            Ok(()) => ServiceReply::Line(Response::Ok(format!("{id} CANCELLED"))),
+            Err(None) => unknown(id),
+            Err(Some(state)) => ServiceReply::Line(Response::Err(if state.is_terminal() {
+                format!("job {id} already finished")
+            } else {
+                format!("job {id} is already {}", state.wire_name().to_lowercase())
+            })),
+        },
+        // Framed with the byte length, then the text exposition verbatim
+        // (it is multi-line, so line framing alone cannot carry it).
+        Request::Metrics => ServiceReply::Line(Response::Metrics(Arc::new(
+            kecss_obs::Registry::global().render().into_bytes(),
+        ))),
+        Request::Heartbeat { worker, addr } => ServiceReply::Line(jobs.heartbeat(worker, addr)),
+        Request::Fleet => ServiceReply::Line(jobs.fleet()),
+        // Close the table first (authoritative, under the admission lock);
+        // the loop stops accepting and drains. Everything admitted up to the
+        // close is served; everything after is refused.
+        Request::Shutdown => {
+            jobs.close();
+            ServiceReply::Shutdown(Response::Ok("SHUTDOWN".into()))
+        }
+    };
+    if let ServiceReply::Line(response)
+    | ServiceReply::Shutdown(response)
+    | ServiceReply::LineAndSubscribe(response, _) = &reply
+    {
+        classify_response(response);
+    }
+    reply
+}
+
+/// The reply to a `SUBMIT`: its ack, `BUSY` at the depth bound, or `ERR`.
+fn admission(admitted: kecss::error::Result<JobId>) -> Response {
+    match admitted {
+        Ok(id) => Response::Ok(format!("{id} QUEUED")),
+        Err(kecss::Error::JobQueueFull { depth }) => Response::Busy(depth as u64),
+        Err(other) => Response::Err(other.to_string()),
+    }
+}
+
+/// The pushed reply for a subscribed job, or `None` while it is still in
+/// flight. Fetched-once applies: the first subscriber takes the payload,
+/// later ones see `GONE`.
+fn pushed_reply(jobs: &dyn Service, id: JobId) -> Option<Response> {
+    let response = jobs.fetch(id)?.into_response(id);
+    classify_response(&response);
+    Some(response)
+}
+
+/// Counts the reply-classification metrics (`BUSY`/`GONE`/request-`ERR`) of
+/// immediate and pushed replies.
+fn classify_response(response: &Response) {
+    if !kecss_obs::enabled() {
+        return;
+    }
+    match response {
+        Response::Busy(_) => kecss_obs::counter("server_reply_busy_total").inc(),
+        Response::Gone(_) => kecss_obs::counter("server_reply_gone_total").inc(),
+        Response::Err(_) => {
+            kecss_obs::counter_with("server_reply_err_total", &[("cause", "request")]).inc();
+        }
+        _ => {}
+    }
 }
 
 /// Loop configuration (a subset of the role configs).
@@ -173,7 +316,7 @@ const LISTENER_KEY: usize = 0;
 /// connection I/O errors just close that connection.
 pub fn run_event_loop(
     listener: TcpListener,
-    service: &Arc<dyn Service>,
+    service: &dyn Service,
     config: &EventLoopConfig,
 ) -> std::io::Result<()> {
     let poller = Arc::new(match config.backend {
@@ -189,7 +332,7 @@ pub fn run_event_loop(
     {
         let ready = Arc::clone(&ready);
         let waker = Arc::clone(&poller);
-        service.install_completion_hook(Arc::new(move |id| {
+        service.set_completion_hook(Arc::new(move |id| {
             ready.lock().expect("ready list poisoned").push(id);
             let _ = waker.notify();
         }));
@@ -274,11 +417,11 @@ pub fn run_event_loop(
             };
             for key in keys {
                 // A waiter whose connection died must not consume the
-                // payload: skip it before calling `result_reply`.
+                // payload: skip it before calling `pushed_reply`.
                 let Some(conn) = conns.get_mut(&key) else {
                     continue;
                 };
-                let Some(reply) = service.result_reply(id) else {
+                let Some(reply) = pushed_reply(service, id) else {
                     // Not terminal after all (cannot happen for hook-pushed
                     // ids, but a lost entry must not wedge the waiter).
                     waiters.entry(id).or_default().push(key);
@@ -370,7 +513,7 @@ fn discard_input(conn: &mut Conn) -> bool {
 /// them. Returns `false` when the connection is dead (EOF or I/O error).
 fn read_ready(
     conn: &mut Conn,
-    service: &Arc<dyn Service>,
+    service: &dyn Service,
     config: &EventLoopConfig,
     waiters: &mut HashMap<JobId, Vec<usize>>,
     key: usize,
@@ -400,7 +543,7 @@ fn read_ready(
 /// `false` to drop the connection immediately (unrecoverable framing).
 fn process_buffer(
     conn: &mut Conn,
-    service: &Arc<dyn Service>,
+    service: &dyn Service,
     config: &EventLoopConfig,
     waiters: &mut HashMap<JobId, Vec<usize>>,
     key: usize,
@@ -526,14 +669,14 @@ fn check_request_budget(conn: &mut Conn, config: &EventLoopConfig) -> bool {
 /// subscription).
 fn dispatch(
     conn: &mut Conn,
-    service: &Arc<dyn Service>,
+    service: &dyn Service,
     config: &EventLoopConfig,
     waiters: &mut HashMap<JobId, Vec<usize>>,
     key: usize,
     shutting_down: &mut bool,
     request: Request,
 ) {
-    match service.respond(request) {
+    match respond(service, request) {
         ServiceReply::Line(response) => queue_reply(conn, config, &response),
         ServiceReply::Subscribe(id) => subscribe(conn, service, config, waiters, key, id),
         ServiceReply::LineAndSubscribe(response, id) => {
@@ -558,14 +701,14 @@ fn dispatch(
 /// any duplicate could queue.
 fn subscribe(
     conn: &mut Conn,
-    service: &Arc<dyn Service>,
+    service: &dyn Service,
     config: &EventLoopConfig,
     waiters: &mut HashMap<JobId, Vec<usize>>,
     key: usize,
     id: JobId,
 ) {
     waiters.entry(id).or_default().push(key);
-    if let Some(response) = service.result_reply(id) {
+    if let Some(response) = pushed_reply(service, id) {
         if let Some(keys) = waiters.get_mut(&id) {
             keys.retain(|k| *k != key);
             if keys.is_empty() {
@@ -578,12 +721,16 @@ fn subscribe(
 
 /// Renders a [`Response`] in the connection's wire mode and queues it.
 fn queue_reply(conn: &mut Conn, config: &EventLoopConfig, response: &Response) {
-    let bytes = match conn.mode {
+    let bytes = render(&conn.mode, response);
+    queue_raw(conn, config, &bytes);
+}
+
+fn render(mode: &Mode, response: &Response) -> Vec<u8> {
+    match mode {
         Mode::Binary => wire::encode_response(response),
         // A connection that never sent a byte (Sniff) is answered in text.
         Mode::Text | Mode::Sniff => response.render_text(),
-    };
-    queue_raw(conn, config, &bytes);
+    }
 }
 
 /// Queues raw reply bytes, enforcing the slow-client write-queue bound: on
@@ -603,11 +750,7 @@ fn queue_raw(conn: &mut Conn, config: &EventLoopConfig, bytes: &[u8]) {
             "write queue exceeded {} bytes; closing slow connection",
             config.write_queue_limit
         ));
-        let bytes = match conn.mode {
-            Mode::Binary => wire::encode_response(&err),
-            Mode::Text | Mode::Sniff => err.render_text(),
-        };
-        conn.out.extend_from_slice(&bytes);
+        conn.out.extend_from_slice(&render(&conn.mode, &err));
         conn.closing = true;
         return;
     }

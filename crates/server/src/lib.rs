@@ -11,7 +11,9 @@
 //!   records, negotiated per connection by a 4-byte preamble.
 //! * [`event_loop`] — the single-threaded readiness loop (DESIGN.md §14)
 //!   every role serves on: nonblocking sockets, per-connection state
-//!   machines, bounded write queues, push-on-complete `RESULT WAIT`.
+//!   machines, bounded write queues, push-on-complete `RESULT WAIT`, and
+//!   one responder for every role over its job table
+//!   ([`event_loop::Service`]).
 //! * [`instance`] — the `<family>:<n>` / `inline:` instance grammar and the
 //!   family-generation policy shared with the CLI.
 //! * [`job`] — job specs and the **pure job runner**: build instance → solve
@@ -25,7 +27,7 @@
 //! * [`coordinator`] / [`worker`] — the fleet control plane (DESIGN.md §13):
 //!   a coordinator keeps this same client-facing protocol and dispatches
 //!   jobs to registered workers over the same wire format, with an explicit
-//!   job lifecycle ([`scheduler::FleetState`]), heartbeat-based failure
+//!   job lifecycle ([`scheduler::JobState`]), heartbeat-based failure
 //!   detection, and retry-on-worker-loss — payloads stay byte-identical
 //!   regardless of fleet size or worker death because [`job::run`] is pure
 //!   in the spec.
@@ -72,6 +74,6 @@ pub mod wire;
 pub mod worker;
 
 pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle, FleetSummary};
-pub use scheduler::{FleetState, JobId, JobStatus, Outcome, Scheduler, ServeSummary};
+pub use scheduler::{JobId, JobState, Outcome, Scheduler, ServeSummary};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use worker::{Worker, WorkerConfig, WorkerHandle};

@@ -18,8 +18,9 @@
 //! ```
 //!
 //! `HEARTBEAT` and `FLEET` are the coordinator's (DESIGN.md §13); the other
-//! roles answer them with `ERR`. `<STATE>` is one of `QUEUED`, `RUNNING`,
-//! `DONE`, `FAILED`, `CANCELLED`, and on a coordinator also `ASSIGNED`.
+//! roles answer them with `ERR`. `<STATE>` is a [`JobState`] wire name:
+//! `QUEUED`, `RUNNING`, `DONE`, `FAILED`, `CANCELLED`, and on a coordinator
+//! also `ASSIGNED`.
 //! Result payloads are **fetched-once**: a successful `RESULT` evicts the
 //! payload from the job table, so a long-lived server keeps each payload
 //! only until its first fetch, and every later `RESULT` for that id answers
@@ -30,11 +31,18 @@
 //! `RESULT`/`GONE`/`ERR` reply the moment the job reaches a terminal state —
 //! no client polls anywhere in the system. The same requests and responses
 //! also travel as `KGW1` binary frames (see [`crate::wire`]); this module's
-//! [`Response`] enum is the single source of truth for both renderings.
+//! [`Response`] enum is the single source of truth for both renderings, and
+//! the one reply type every reader decodes to: the server renders it
+//! ([`Response::render_text`]), and the client and the coordinator's worker
+//! links read it back ([`Response::read_text`],
+//! [`crate::wire::decode_response`]).
 
 use crate::instance::InstanceSpec;
 use crate::job::{Algorithm, JobSpec};
+use crate::scheduler::JobState;
+use crate::wire::MAX_FRAME_BODY;
 use kecss::cuts::EnumeratorPolicy;
+use std::io::{self, BufRead, ErrorKind, Read};
 use std::sync::Arc;
 
 /// A parsed request line.
@@ -278,11 +286,78 @@ impl Response {
         }
     }
 
+    /// Reads one reply in the text line protocol: the inverse of
+    /// [`Response::render_text`]. A `WAIT` state must be a [`JobState`] wire
+    /// name, and a `RESULT`, `METRICS` or `FLEET` payload may be at most
+    /// [`MAX_FRAME_BODY`] bytes, the cap `KGW1` frames have, so the length a
+    /// peer names is never allocated unchecked.
+    ///
+    /// # Errors
+    ///
+    /// The reader's I/O errors, [`ErrorKind::UnexpectedEof`] for a reply cut
+    /// short, and [`ErrorKind::InvalidData`] for one outside the grammar.
+    pub fn read_text(reader: &mut impl BufRead) -> io::Result<Response> {
+        let mut line = String::new();
+        reader.read_line(&mut line)?;
+        let Some(line) = line.strip_suffix('\n') else {
+            return Err(io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "the connection closed before a whole reply line",
+            ));
+        };
+        let (verb, rest) = line.split_once(' ').unwrap_or((line, ""));
+        let malformed = || invalid(format!("malformed reply '{line}'"));
+        let number = |word: &str| word.parse::<u64>().map_err(|_| malformed());
+        Ok(match verb {
+            "OK" => Response::Ok(rest.to_string()),
+            "ERR" => Response::Err(rest.to_string()),
+            "BUSY" => Response::Busy(number(rest)?),
+            "GONE" => Response::Gone(number(rest)?),
+            "WAIT" => {
+                let (id, state) = rest.split_once(' ').ok_or_else(malformed)?;
+                let state = JobState::parse(state).ok_or_else(malformed)?;
+                Response::Wait {
+                    id: number(id)?,
+                    state: state.wire_name(),
+                }
+            }
+            "RESULT" => {
+                let (id, len) = rest.split_once(' ').ok_or_else(malformed)?;
+                let id = number(id)?;
+                let payload = read_payload(reader, len)?;
+                Response::Result { id, payload }
+            }
+            "METRICS" => Response::Metrics(read_payload(reader, rest)?),
+            "FLEET" => Response::Fleet(read_payload(reader, rest)?),
+            _ => return Err(invalid(format!("unknown reply '{line}'"))),
+        })
+    }
+
     /// True for `ERR` responses (the reply-classification counters key on
     /// this).
     pub fn is_err(&self) -> bool {
         matches!(self, Response::Err(_))
     }
+}
+
+fn invalid(message: String) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, message)
+}
+
+/// Reads the payload whose length `len` a text reply header names, refusing
+/// one above [`MAX_FRAME_BODY`] before allocating it.
+fn read_payload(reader: &mut impl Read, len: &str) -> io::Result<Arc<Vec<u8>>> {
+    let len: usize = len
+        .parse()
+        .map_err(|_| invalid(format!("malformed payload length '{len}'")))?;
+    if len > MAX_FRAME_BODY {
+        return Err(invalid(format!(
+            "a payload of {len} bytes exceeds the {MAX_FRAME_BODY}-byte cap"
+        )));
+    }
+    let mut payload = vec![0u8; len];
+    reader.read_exact(&mut payload)?;
+    Ok(Arc::new(payload))
 }
 
 #[cfg(test)]
@@ -386,6 +461,71 @@ mod tests {
         }
         assert!(Response::Err("x".into()).is_err());
         assert!(!Response::Gone(1).is_err());
+    }
+
+    /// Every reply, with every job-state word in `WAIT`, decodes back to
+    /// itself from both renderings: the text line and the `KGW1` frame.
+    #[test]
+    fn every_reply_round_trips_through_both_renderings() {
+        let mut replies = vec![
+            Response::Ok("3 QUEUED".into()),
+            Response::Ok(String::new()),
+            Response::Busy(16),
+            Response::Result {
+                id: 7,
+                payload: Arc::new(b"# kecss job result v1\nedge 0 1 3\n".to_vec()),
+            },
+            Response::Result {
+                id: u64::MAX,
+                payload: Arc::new(Vec::new()),
+            },
+            Response::Gone(7),
+            Response::Err("unknown job 12".into()),
+            Response::Metrics(Arc::new(b"# TYPE x counter\nx 1\n".to_vec())),
+            Response::Fleet(Arc::new(b"workers 0 live 0\n".to_vec())),
+        ];
+        replies.extend(JobState::ALL.map(|state| Response::Wait {
+            id: 4,
+            state: state.wire_name(),
+        }));
+        for reply in replies {
+            let text = reply.render_text();
+            let mut unread = text.as_slice();
+            assert_eq!(Response::read_text(&mut unread).unwrap(), reply);
+            assert!(unread.is_empty(), "{reply:?} left {unread:?} unread");
+            let frame = crate::wire::encode_response(&reply);
+            let (header, body) = frame.split_first_chunk().unwrap();
+            let (opcode, _, len) = crate::wire::parse_frame_header(header).unwrap();
+            assert_eq!(len, body.len());
+            assert_eq!(crate::wire::decode_response(opcode, body).unwrap(), reply);
+        }
+    }
+
+    #[test]
+    fn text_replies_outside_the_grammar_are_errors() {
+        for (bytes, kind) in [
+            (
+                &b"RESULT 1 18446744073709551615\n"[..],
+                ErrorKind::InvalidData,
+            ),
+            (b"METRICS 67108865\n", ErrorKind::InvalidData),
+            (b"FLEET 99999999999999\n", ErrorKind::InvalidData),
+            (b"WAIT 1 LIMBO\n", ErrorKind::InvalidData),
+            (b"WAIT 1\n", ErrorKind::InvalidData),
+            (b"BUSY many\n", ErrorKind::InvalidData),
+            (b"HELLO\n", ErrorKind::InvalidData),
+            (b"OK 1 QUEUED", ErrorKind::UnexpectedEof),
+            (b"RESULT 1 5\nabc", ErrorKind::UnexpectedEof),
+            (b"", ErrorKind::UnexpectedEof),
+        ] {
+            let err = Response::read_text(&mut &bytes[..]).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                kind,
+                "{:?}: {err}",
+                String::from_utf8_lossy(bytes)
+            );
+        }
     }
 
     #[test]

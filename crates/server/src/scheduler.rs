@@ -10,11 +10,16 @@
 //! The scheduler's own workers pop the oldest id under the table lock, skip
 //! ids cancelled while queued, and run the job outside the lock.
 //!
+//! The scheduler is the standalone role's job table: it implements
+//! [`Service`], over which the readiness loop's responder answers every
+//! request. [`JobState`] is the one job-state enum of both roles.
+//!
 //! Determinism: the scheduler stores whatever bytes [`crate::job::run`]
 //! produced. Since that function is pure in the job spec, the scheduler's
 //! concurrency (worker count, dispatch order, interleaving) cannot influence
 //! result payloads — only *when* they become available. See DESIGN.md §9.
 
+use crate::event_loop::Service;
 use crate::job::{self, JobSpec};
 use crate::protocol::Response;
 use kecss_obs::{Counter, Gauge, Histogram};
@@ -75,96 +80,68 @@ struct JobTimes {
 /// A job's service-assigned identifier (dense, starting at 1).
 pub type JobId = u64;
 
-/// The lifecycle state of a job, as reported by `STATUS`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Accepted, waiting for a worker.
-    Queued,
-    /// Claimed by a worker.
-    Running,
-    /// Finished with a result payload.
-    Done,
-    /// Finished with an error.
-    Failed,
-    /// Cancelled while still queued.
-    Cancelled,
-}
-
-impl JobStatus {
-    /// The protocol's upper-case state word.
-    pub fn wire_name(&self) -> &'static str {
-        match self {
-            JobStatus::Queued => "QUEUED",
-            JobStatus::Running => "RUNNING",
-            JobStatus::Done => "DONE",
-            JobStatus::Failed => "FAILED",
-            JobStatus::Cancelled => "CANCELLED",
-        }
-    }
-
-    /// Whether the job can no longer change state.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobStatus::Done | JobStatus::Failed | JobStatus::Cancelled
-        )
-    }
-}
-
-/// The coordinator-side lifecycle of a fleet job (DESIGN.md §13).
+/// The lifecycle state of a job, as `STATUS`, `WAIT` and the `FLEET` text
+/// name it; both roles use this one enum.
 ///
-/// This extends [`JobStatus`] with `Assigned` — the window between the
-/// coordinator picking a worker and that worker acknowledging the dispatch —
-/// because the fleet has a failure mode the standalone scheduler does not:
-/// the chosen worker can die before (or while) running the job. The two
+/// `Assigned` is the coordinator's alone (DESIGN.md §13): the window between
+/// picking a worker and that worker acknowledging the dispatch, in which the
+/// chosen worker can die. The standalone scheduler never reports it. The two
 /// "loss" transitions back to `Queued` are what retry-on-worker-loss uses;
 /// they are legal **only** from the non-terminal assigned/running states, so
 /// a delivered result can never be un-delivered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FleetState {
-    /// Accepted by the coordinator, not yet assigned to a worker.
+pub enum JobState {
+    /// Accepted, waiting for a worker.
     Queued,
-    /// A live worker was chosen; the dispatch is in flight.
+    /// A live fleet worker was chosen; the dispatch is in flight.
     Assigned,
-    /// The worker acknowledged the job and is solving it.
+    /// A worker is solving it.
     Running,
-    /// A result payload arrived from a worker.
+    /// Finished with a result payload.
     Done,
-    /// The job failed (solver error, or the retry budget was exhausted).
+    /// Finished with an error (a solver error, or the retry budget spent).
     Failed,
     /// Cancelled while still queued.
     Cancelled,
 }
 
-impl FleetState {
+impl JobState {
     /// Every state, for exhaustive transition-table tests.
-    pub const ALL: [FleetState; 6] = [
-        FleetState::Queued,
-        FleetState::Assigned,
-        FleetState::Running,
-        FleetState::Done,
-        FleetState::Failed,
-        FleetState::Cancelled,
+    pub const ALL: [JobState; 6] = [
+        JobState::Queued,
+        JobState::Assigned,
+        JobState::Running,
+        JobState::Done,
+        JobState::Failed,
+        JobState::Cancelled,
     ];
 
     /// The protocol's upper-case state word (`STATUS`/`WAIT` replies and the
     /// `FLEET` status text).
     pub fn wire_name(&self) -> &'static str {
         match self {
-            FleetState::Queued => "QUEUED",
-            FleetState::Assigned => "ASSIGNED",
-            FleetState::Running => "RUNNING",
-            FleetState::Done => "DONE",
-            FleetState::Failed => "FAILED",
-            FleetState::Cancelled => "CANCELLED",
+            JobState::Queued => "QUEUED",
+            JobState::Assigned => "ASSIGNED",
+            JobState::Running => "RUNNING",
+            JobState::Done => "DONE",
+            JobState::Failed => "FAILED",
+            JobState::Cancelled => "CANCELLED",
         }
+    }
+
+    /// The state a wire word names (inverse of [`JobState::wire_name`]):
+    /// what both `WAIT` decoders accept.
+    pub fn parse(word: &str) -> Option<JobState> {
+        JobState::ALL
+            .into_iter()
+            .find(|state| state.wire_name() == word)
     }
 
     /// Whether the job can no longer change state.
     pub fn is_terminal(&self) -> bool {
         matches!(
             self,
-            FleetState::Done | FleetState::Failed | FleetState::Cancelled
+            JobState::Done | JobState::Failed | JobState::Cancelled
         )
     }
 
@@ -184,8 +161,8 @@ impl FleetState {
     /// Everything else — including self-loops and any move out of a terminal
     /// state — is illegal; the coordinator panics rather than corrupt the
     /// table.
-    pub fn can_transition(self, to: FleetState) -> bool {
-        use FleetState::*;
+    pub fn can_transition(self, to: JobState) -> bool {
+        use JobState::*;
         matches!(
             (self, to),
             (Queued, Assigned)
@@ -244,6 +221,19 @@ enum Slot {
     Queued(Box<JobFn>),
     Running,
     Finished(Outcome),
+}
+
+impl Slot {
+    fn state(&self) -> JobState {
+        match self {
+            Slot::Queued(_) => JobState::Queued,
+            Slot::Running => JobState::Running,
+            // An evicted payload is still a completed job.
+            Slot::Finished(Outcome::Done(_) | Outcome::Gone) => JobState::Done,
+            Slot::Finished(Outcome::Failed(_)) => JobState::Failed,
+            Slot::Finished(Outcome::Cancelled) => JobState::Cancelled,
+        }
+    }
 }
 
 /// The work a queued job will perform when a worker claims it.
@@ -369,26 +359,6 @@ impl Scheduler {
         Scheduler { state, workers }
     }
 
-    /// Jobs currently queued or running (the quantity the depth bound
-    /// applies to). The readiness loop's shutdown drain spins on this
-    /// reaching zero — woken by the completion hook, not by polling.
-    pub fn inflight(&self) -> usize {
-        self.state
-            .table
-            .lock()
-            .expect("scheduler lock poisoned")
-            .inflight
-    }
-
-    /// Installs the [`CompletionHook`], replacing any previous one.
-    pub fn set_completion_hook(&self, hook: CompletionHook) {
-        *self
-            .state
-            .completion_hook
-            .lock()
-            .expect("completion hook lock poisoned") = Some(hook);
-    }
-
     /// Submits a solver job. Every job runs [`job::run`] with a sequential
     /// within-job executor: the service parallelizes *across* jobs (one
     /// worker each), which keeps worker counts predictable and results
@@ -441,25 +411,12 @@ impl Scheduler {
         Ok(id)
     }
 
-    /// The job's current lifecycle state, or `None` for an unknown id.
-    pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let table = self.state.table.lock().expect("scheduler lock poisoned");
-        table.slots.get(&id).map(|slot| match slot {
-            Slot::Queued(_) => JobStatus::Queued,
-            Slot::Running => JobStatus::Running,
-            // An evicted payload is still a completed job.
-            Slot::Finished(Outcome::Done(_) | Outcome::Gone) => JobStatus::Done,
-            Slot::Finished(Outcome::Failed(_)) => JobStatus::Failed,
-            Slot::Finished(Outcome::Cancelled) => JobStatus::Cancelled,
-        })
-    }
-
     /// The job's terminal outcome, fetched once ([`Outcome::fetch`]): a
     /// payload is **dropped from the job table**, so the next call (and
     /// every later one) returns [`Outcome::Gone`]. This is what the server's
     /// `RESULT` handler uses, so a long-lived server retains each payload
     /// only until its first fetch. `None` while the job is in flight, or for
-    /// an unknown id — disambiguate with [`Scheduler::status`].
+    /// an unknown id — disambiguate with [`Service::status`].
     pub fn take_result(&self, id: JobId) -> Option<Outcome> {
         let mut table = self.state.table.lock().expect("scheduler lock poisoned");
         match table.slots.get_mut(&id) {
@@ -485,46 +442,6 @@ impl Scheduler {
                 }
             }
         }
-    }
-
-    /// Cancels a queued job. Running jobs are left to complete (results are
-    /// never torn); terminal jobs are immutable.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming the state that prevented cancellation.
-    pub fn cancel(&self, id: JobId) -> Result<(), String> {
-        let mut table = self.state.table.lock().expect("scheduler lock poisoned");
-        match table.slots.get_mut(&id) {
-            None => Err(format!("unknown job {id}")),
-            Some(slot @ Slot::Queued(_)) => {
-                *slot = Slot::Finished(Outcome::Cancelled);
-                table.inflight -= 1;
-                table.summary.cancelled += 1;
-                table.times.remove(&id);
-                metrics().cancelled.inc();
-                metrics().inflight.set(table.inflight as i64);
-                drop(table);
-                self.state.changed.notify_all();
-                self.state.notify_terminal(id);
-                Ok(())
-            }
-            Some(Slot::Running) => Err(format!("job {id} is already running")),
-            Some(Slot::Finished(_)) => Err(format!("job {id} already finished")),
-        }
-    }
-
-    /// Refuses all further submissions (they fail with
-    /// [`kecss::Error::ServiceShuttingDown`]). Taken under the admission
-    /// lock, so after `close` returns, the set of admitted jobs is final and
-    /// a subsequent [`Scheduler::drain`] waits for exactly that set — no
-    /// submission can slip between the shutdown decision and the drain.
-    pub fn close(&self) {
-        self.state
-            .table
-            .lock()
-            .expect("scheduler lock poisoned")
-            .closed = true;
     }
 
     /// Blocks until no job is queued or running.
@@ -553,6 +470,77 @@ impl Scheduler {
     pub fn shutdown(self) -> ServeSummary {
         self.drain();
         self.summary()
+    }
+}
+
+/// The standalone role's job table: the loop's responder answers every
+/// request over it (DESIGN.md §14).
+impl Service for Scheduler {
+    fn requests_metric(&self) -> &'static str {
+        "server_requests_total"
+    }
+
+    fn submit(&self, spec: JobSpec) -> kecss::error::Result<JobId> {
+        Scheduler::submit(self, spec)
+    }
+
+    /// Never [`JobState::Assigned`].
+    fn status(&self, id: JobId) -> Option<JobState> {
+        let table = self.state.table.lock().expect("scheduler lock poisoned");
+        table.slots.get(&id).map(Slot::state)
+    }
+
+    fn fetch(&self, id: JobId) -> Option<Outcome> {
+        self.take_result(id)
+    }
+
+    /// Running jobs are left to complete (results are never torn); terminal
+    /// jobs are immutable.
+    fn cancel(&self, id: JobId) -> Result<(), Option<JobState>> {
+        let mut table = self.state.table.lock().expect("scheduler lock poisoned");
+        match table.slots.get_mut(&id) {
+            Some(slot @ Slot::Queued(_)) => {
+                *slot = Slot::Finished(Outcome::Cancelled);
+                table.inflight -= 1;
+                table.summary.cancelled += 1;
+                table.times.remove(&id);
+                metrics().cancelled.inc();
+                metrics().inflight.set(table.inflight as i64);
+                drop(table);
+                self.state.changed.notify_all();
+                self.state.notify_terminal(id);
+                Ok(())
+            }
+            slot => Err(slot.map(|slot| slot.state())),
+        }
+    }
+
+    /// Refuses all further submissions (they fail with
+    /// [`kecss::Error::ServiceShuttingDown`]). Taken under the admission
+    /// lock, so after `close` returns, the set of admitted jobs is final and
+    /// a subsequent [`Scheduler::drain`] waits for exactly that set — no
+    /// submission can slip between the shutdown decision and the drain.
+    fn close(&self) {
+        self.state
+            .table
+            .lock()
+            .expect("scheduler lock poisoned")
+            .closed = true;
+    }
+
+    /// The readiness loop's shutdown drain waits for this, woken by the
+    /// completion hook, not by polling.
+    fn idle(&self) -> bool {
+        let table = self.state.table.lock().expect("scheduler lock poisoned");
+        table.inflight == 0
+    }
+
+    fn set_completion_hook(&self, hook: CompletionHook) {
+        *self
+            .state
+            .completion_hook
+            .lock()
+            .expect("completion hook lock poisoned") = Some(hook);
     }
 }
 
@@ -676,7 +664,7 @@ mod tests {
     /// Spin-waits until the job has been claimed by a worker (submission and
     /// claiming race, so tests that assert on `Running` must wait for it).
     fn wait_until_running(scheduler: &Scheduler, id: JobId) {
-        while scheduler.status(id) != Some(JobStatus::Running) {
+        while scheduler.status(id) != Some(JobState::Running) {
             assert!(
                 !scheduler.status(id).unwrap().is_terminal(),
                 "job {id} finished before it could be observed running"
@@ -691,7 +679,7 @@ mod tests {
     /// out of a terminal state — is rejected.
     #[test]
     fn fleet_state_transition_table_is_exactly_the_documented_one() {
-        use FleetState::*;
+        use JobState::*;
         let legal = [
             (Queued, Assigned),
             (Queued, Cancelled),
@@ -702,8 +690,8 @@ mod tests {
             (Running, Failed),
             (Running, Queued),
         ];
-        for from in FleetState::ALL {
-            for to in FleetState::ALL {
+        for from in JobState::ALL {
+            for to in JobState::ALL {
                 let expected = legal.contains(&(from, to));
                 assert_eq!(
                     from.can_transition(to),
@@ -717,8 +705,8 @@ mod tests {
 
     #[test]
     fn fleet_terminal_states_admit_no_transitions() {
-        for from in FleetState::ALL.into_iter().filter(FleetState::is_terminal) {
-            for to in FleetState::ALL {
+        for from in JobState::ALL.into_iter().filter(JobState::is_terminal) {
+            for to in JobState::ALL {
                 assert!(
                     !from.can_transition(to),
                     "terminal {from:?} must not move to {to:?}"
@@ -726,38 +714,27 @@ mod tests {
             }
         }
         // And the terminal set is exactly {Done, Failed, Cancelled}.
-        let terminal: Vec<_> = FleetState::ALL
+        let terminal: Vec<_> = JobState::ALL
             .into_iter()
-            .filter(FleetState::is_terminal)
+            .filter(JobState::is_terminal)
             .collect();
         assert_eq!(
             terminal,
-            [FleetState::Done, FleetState::Failed, FleetState::Cancelled]
+            [JobState::Done, JobState::Failed, JobState::Cancelled]
         );
     }
 
     #[test]
-    fn fleet_state_wire_names_extend_job_status_wire_names() {
-        // Every standalone state keeps its wire word in the fleet; ASSIGNED
-        // is the single fleet-only addition clients may newly observe.
-        assert_eq!(
-            FleetState::Queued.wire_name(),
-            JobStatus::Queued.wire_name()
-        );
-        assert_eq!(
-            FleetState::Running.wire_name(),
-            JobStatus::Running.wire_name()
-        );
-        assert_eq!(FleetState::Done.wire_name(), JobStatus::Done.wire_name());
-        assert_eq!(
-            FleetState::Failed.wire_name(),
-            JobStatus::Failed.wire_name()
-        );
-        assert_eq!(
-            FleetState::Cancelled.wire_name(),
-            JobStatus::Cancelled.wire_name()
-        );
-        assert_eq!(FleetState::Assigned.wire_name(), "ASSIGNED");
+    fn job_state_wire_names_parse_back() {
+        for state in JobState::ALL {
+            assert_eq!(JobState::parse(state.wire_name()), Some(state));
+        }
+        // ASSIGNED is a state word like any other, though only a
+        // coordinator reports it.
+        assert_eq!(JobState::parse("ASSIGNED"), Some(JobState::Assigned));
+        for word in ["", "queued", "LIMBO", "DONE "] {
+            assert_eq!(JobState::parse(word), None, "{word:?}");
+        }
     }
 
     #[test]
@@ -770,7 +747,7 @@ mod tests {
             Some(Outcome::Done(bytes)) => assert_eq!(bytes.as_slice(), b"payload"),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(scheduler.status(id), Some(JobStatus::Done));
+        assert_eq!(scheduler.status(id), Some(JobState::Done));
         assert_eq!(scheduler.status(999), None);
         let summary = scheduler.shutdown();
         assert_eq!(summary.submitted, 1);
@@ -807,7 +784,7 @@ mod tests {
         // queued and cancellable; `running` is not.
         wait_until_running(&scheduler, running);
         scheduler.cancel(queued).unwrap();
-        assert_eq!(scheduler.status(queued), Some(JobStatus::Cancelled));
+        assert_eq!(scheduler.status(queued), Some(JobState::Cancelled));
         assert_eq!(scheduler.wait(queued), Some(Outcome::Cancelled));
         assert!(scheduler.cancel(running).is_err());
         assert!(scheduler.cancel(42).is_err());
@@ -840,7 +817,7 @@ mod tests {
         // Every later fetch sees Gone; the job still reads as Done.
         assert_eq!(scheduler.take_result(id), Some(Outcome::Gone));
         assert_eq!(scheduler.wait(id), Some(Outcome::Gone));
-        assert_eq!(scheduler.status(id), Some(JobStatus::Done));
+        assert_eq!(scheduler.status(id), Some(JobState::Done));
         // Failures are kept for repeat diagnosis.
         let failed = scheduler
             .submit_with(Box::new(|| Err("boom".into())))
@@ -907,7 +884,7 @@ mod tests {
             scheduler.wait(id),
             Some(Outcome::Failed("no such instance".into()))
         );
-        assert_eq!(scheduler.status(id), Some(JobStatus::Failed));
+        assert_eq!(scheduler.status(id), Some(JobState::Failed));
         assert_eq!(scheduler.shutdown().failed, 1);
     }
 
@@ -1030,7 +1007,7 @@ mod tests {
             .map(|tag| logging_job(&scheduler, &log, tag))
             .collect();
         for &id in &queued {
-            assert_eq!(scheduler.status(id), Some(JobStatus::Queued));
+            assert_eq!(scheduler.status(id), Some(JobState::Queued));
         }
         // Free the single worker only once the drop has closed the table,
         // so every job above is still queued when the drop begins.

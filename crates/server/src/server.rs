@@ -1,19 +1,18 @@
 //! The TCP front-end: the standalone server role on the readiness loop.
 //!
 //! Accepting, framing and reply delivery all happen on the single
-//! [`crate::event_loop`] thread (DESIGN.md §14); the actual solving happens
-//! on the scheduler's worker pool, so the event thread never blocks. Both
+//! [`crate::event_loop`] thread (DESIGN.md §14), whose responder answers
+//! every request over the [`Scheduler`]; the actual solving happens on the
+//! scheduler's worker pool, so the event thread never blocks. Both
 //! wire modes — the text line protocol and `KGW1` binary frames — are served
 //! on the same port, sniffed from the first bytes of each connection.
 //! `SHUTDOWN` stops accepting and refuses further submissions, then
 //! [`Server::run`] drains the in-flight jobs before returning — nothing that
 //! was accepted is ever dropped.
 
-use crate::event_loop::{run_event_loop, EventLoopConfig, Service, ServiceReply};
-use crate::protocol::{Request, Response};
-use crate::scheduler::{CompletionHook, JobId, Scheduler, ServeSummary};
+use crate::event_loop::{run_event_loop, EventLoopConfig};
+use crate::scheduler::{Scheduler, ServeSummary};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
 
 pub use polling::Backend;
 
@@ -53,7 +52,7 @@ impl Default for ServerConfig {
 /// loop starts.
 pub struct Server {
     listener: TcpListener,
-    scheduler: Arc<Scheduler>,
+    scheduler: Scheduler,
     loop_config: EventLoopConfig,
 }
 
@@ -78,7 +77,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         Ok(Server {
             listener,
-            scheduler: Arc::new(scheduler),
+            scheduler,
             loop_config: EventLoopConfig {
                 max_requests_per_conn: config.max_requests_per_conn,
                 write_queue_limit: config.write_queue_limit.max(1),
@@ -109,10 +108,7 @@ impl Server {
     ///
     /// Panics if the readiness poller cannot be constructed (fd exhaustion).
     pub fn run(self) -> ServeSummary {
-        let service: Arc<dyn Service> = Arc::new(ServerService {
-            scheduler: Arc::clone(&self.scheduler),
-        });
-        run_event_loop(self.listener, &service, &self.loop_config)
+        run_event_loop(self.listener, &self.scheduler, &self.loop_config)
             .expect("readiness loop failed to start");
         // The loop exits only once the service is idle; the drain is a
         // belt-and-braces barrier before reading the final counters.
@@ -149,130 +145,6 @@ impl ServerHandle {
     /// Panics if the server thread panicked.
     pub fn join(self) -> ServeSummary {
         self.thread.join().expect("server thread panicked")
-    }
-}
-
-/// The standalone role behind the readiness loop: scheduler-backed request
-/// handling. Metrics are recorded out-of-band only: the response bytes for
-/// every job-facing verb are exactly what they were before instrumentation
-/// (DESIGN.md §11), and per-verb counters fire identically for text and
-/// binary connections.
-struct ServerService {
-    scheduler: Arc<Scheduler>,
-}
-
-/// Counts the reply-classification metrics (`BUSY`/`GONE`/request-`ERR`),
-/// shared by immediate and pushed replies of both roles.
-pub(crate) fn classify_response(response: &Response) {
-    if !kecss_obs::enabled() {
-        return;
-    }
-    match response {
-        Response::Busy(_) => kecss_obs::counter("server_reply_busy_total").inc(),
-        Response::Gone(_) => kecss_obs::counter("server_reply_gone_total").inc(),
-        Response::Err(_) => {
-            kecss_obs::counter_with("server_reply_err_total", &[("cause", "request")]).inc();
-        }
-        _ => {}
-    }
-}
-
-impl Service for ServerService {
-    fn respond(&self, request: Request) -> ServiceReply {
-        kecss_obs::counter_with("server_requests_total", &[("verb", request.verb())]).inc();
-        let reply = match request {
-            // Admission control lives in the scheduler, under its table
-            // lock: after a SHUTDOWN closes the scheduler, this returns
-            // `ServiceShuttingDown`, and any submission admitted before the
-            // close is visible to the shutdown drain. The wait-flagged
-            // variant additionally parks the connection for the terminal
-            // push — but only when the job was actually admitted.
-            Request::Submit(spec) => match self.scheduler.submit(spec) {
-                Ok(id) => ServiceReply::Line(Response::Ok(format!("{id} QUEUED"))),
-                Err(kecss::Error::JobQueueFull { depth }) => {
-                    ServiceReply::Line(Response::Busy(depth as u64))
-                }
-                Err(other) => ServiceReply::Line(Response::Err(other.to_string())),
-            },
-            Request::SubmitWait(spec) => match self.scheduler.submit(spec) {
-                Ok(id) => ServiceReply::LineAndSubscribe(Response::Ok(format!("{id} QUEUED")), id),
-                Err(kecss::Error::JobQueueFull { depth }) => {
-                    ServiceReply::Line(Response::Busy(depth as u64))
-                }
-                Err(other) => ServiceReply::Line(Response::Err(other.to_string())),
-            },
-            Request::Status(id) => match self.scheduler.status(id) {
-                Some(status) => {
-                    ServiceReply::Line(Response::Ok(format!("{id} {}", status.wire_name())))
-                }
-                None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-            },
-            Request::Result(id) => {
-                match (self.scheduler.status(id), self.scheduler.take_result(id)) {
-                    (None, _) => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                    (Some(status), None) => ServiceReply::Line(Response::Wait {
-                        id,
-                        state: status.wire_name(),
-                    }),
-                    // Fetched-once: `take_result` dropped the payload from
-                    // the table; a repeat RESULT for this id answers GONE.
-                    (_, Some(outcome)) => ServiceReply::Line(outcome.into_response(id)),
-                }
-            }
-            Request::ResultWait(id) => match self.scheduler.status(id) {
-                None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                // Known job: park the connection. Already-terminal jobs are
-                // answered by the subscribe-time re-check in the loop.
-                Some(_) => ServiceReply::Subscribe(id),
-            },
-            Request::Cancel(id) => match self.scheduler.cancel(id) {
-                Ok(()) => ServiceReply::Line(Response::Ok(format!("{id} CANCELLED"))),
-                Err(message) => ServiceReply::Line(Response::Err(message)),
-            },
-            Request::Metrics => {
-                // Framed with the byte length, then the text exposition
-                // verbatim (it is multi-line, so line framing alone cannot
-                // carry it).
-                let text = kecss_obs::Registry::global().render();
-                ServiceReply::Line(Response::Metrics(Arc::new(text.into_bytes())))
-            }
-            // Fleet verbs are the coordinator's alone: a standalone server
-            // (and a worker, which serves this same path) refuses them, so a
-            // client pointed at the wrong role finds out immediately.
-            Request::Heartbeat { .. } | Request::Fleet => ServiceReply::Line(Response::Err(
-                "not a fleet coordinator (HEARTBEAT/FLEET need `kecss serve --role coordinator`)"
-                    .into(),
-            )),
-            Request::Shutdown => {
-                // Close the scheduler first (authoritative, under the
-                // admission lock); the loop stops accepting and drains.
-                // Everything admitted up to the close is served; everything
-                // after is refused.
-                self.scheduler.close();
-                ServiceReply::Shutdown(Response::Ok("SHUTDOWN".into()))
-            }
-        };
-        if let ServiceReply::Line(response)
-        | ServiceReply::Shutdown(response)
-        | ServiceReply::LineAndSubscribe(response, _) = &reply
-        {
-            classify_response(response);
-        }
-        reply
-    }
-
-    fn result_reply(&self, id: JobId) -> Option<Response> {
-        let response = self.scheduler.take_result(id)?.into_response(id);
-        classify_response(&response);
-        Some(response)
-    }
-
-    fn idle(&self) -> bool {
-        self.scheduler.inflight() == 0
-    }
-
-    fn install_completion_hook(&self, hook: CompletionHook) {
-        self.scheduler.set_completion_hook(hook);
     }
 }
 

@@ -40,6 +40,7 @@
 use crate::instance::{InstanceSpec, MAX_INSTANCE_N};
 use crate::job::{Algorithm, JobSpec};
 use crate::protocol::{Request, Response};
+use crate::scheduler::JobState;
 use kecss::cuts::EnumeratorPolicy;
 use std::sync::Arc;
 
@@ -421,7 +422,7 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a human-readable message for unknown opcodes or truncated bodies.
-/// `WAIT` states decode to the static wire names, rejecting anything else.
+/// A `WAIT` state must be a [`JobState`] wire name.
 pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, String> {
     let mut cur = Cursor::new(body);
     match opcode {
@@ -433,15 +434,13 @@ pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, String> {
         }
         resp::WAIT => {
             let id = cur.u64("job id")?;
-            let state = match cur.utf8_rest("state")? {
-                "QUEUED" => "QUEUED",
-                "RUNNING" => "RUNNING",
-                "DONE" => "DONE",
-                "FAILED" => "FAILED",
-                "CANCELLED" => "CANCELLED",
-                other => return Err(format!("unknown job state '{other}'")),
-            };
-            Ok(Response::Wait { id, state })
+            let word = cur.utf8_rest("state")?;
+            let state =
+                JobState::parse(word).ok_or_else(|| format!("unknown job state '{word}'"))?;
+            Ok(Response::Wait {
+                id,
+                state: state.wire_name(),
+            })
         }
         resp::RESULT => {
             let id = cur.u64("job id")?;

@@ -1,8 +1,9 @@
 //! Crate seam smoke test: a real server on an ephemeral port, one job end to
-//! end, clean shutdown. (The workspace-level `tests/service.rs` suite covers
-//! concurrency, backpressure, cancellation and malformed requests.)
+//! end, clean shutdown, and jobs the solver refuses answered with its error.
+//! (The workspace-level `tests/service.rs` suite covers concurrency,
+//! backpressure, cancellation and malformed requests.)
 
-use kecss_server::client::Client;
+use kecss_server::client::{Client, ClientError};
 use kecss_server::protocol::Request;
 use kecss_server::server::{Server, ServerConfig};
 use std::time::Duration;
@@ -35,4 +36,40 @@ fn submit_solve_fetch_shutdown() {
     assert_eq!(summary.submitted, 1);
     assert_eq!(summary.completed, 1);
     assert_eq!(summary.failed, 0);
+}
+
+#[test]
+fn greedy_jobs_the_solver_refuses_fail_with_its_error() {
+    let handle = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    })
+    .expect("bind an ephemeral port")
+    .spawn();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    // A 6-cycle is exactly 2-edge-connected.
+    let cycle = "inline:6:0-1-1,1-2-1,2-3-1,3-4-1,4-5-1,5-0-1";
+    for (k, error) in [
+        (
+            3,
+            "input graph is only 2-edge-connected but the problem requires \
+             3-edge-connectivity",
+        ),
+        (0, "connectivity target k must be at least 1"),
+    ] {
+        let line = format!("SUBMIT {cycle} {k} greedy auto 1");
+        let Request::Submit(spec) = Request::parse(&line).unwrap() else {
+            unreachable!()
+        };
+        let id = client.submit(&spec).unwrap().expect("queue has room");
+        match client.wait_result(id, Duration::from_secs(120)) {
+            Err(ClientError::Server(message)) => {
+                assert_eq!(message, format!("job {id} failed: {error}"));
+            }
+            other => panic!("k = {k}: expected the solver's error, got {other:?}"),
+        }
+    }
+    client.shutdown().unwrap();
+    let summary = handle.join();
+    assert_eq!((summary.submitted, summary.failed), (2, 2));
 }

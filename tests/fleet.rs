@@ -596,7 +596,7 @@ fn a_heartbeat_with_no_port_to_dial_registers_no_worker() {
     for bad in ["127.0.0.1:0", "worker-a"] {
         let reply = client.request_line(&format!("HEARTBEAT w {bad}")).unwrap();
         assert!(
-            matches!(&reply, kecss_server::client::Reply::Err(_)),
+            matches!(&reply, kecss_server::protocol::Response::Err(_)),
             "`{bad}`: {reply:?}"
         );
     }

@@ -7,17 +7,21 @@
 //! connections held open while submissions keep flowing (and the idle
 //! connections still answer afterwards); a stalled reader tripping the
 //! bounded write queue without wedging anyone else; the portable `poll(2)`
-//! backend serving both modes identically to the platform default; and
-//! request decoders that survive arbitrary, flipped and truncated bytes.
+//! backend serving both modes identically to the platform default; a
+//! coordinator and a standalone server answering the verbs they share with
+//! the same bytes; and request and reply decoders that survive arbitrary,
+//! flipped and truncated bytes.
 
 use kecss_server::client::Client;
-use kecss_server::protocol::Request;
+use kecss_server::coordinator::{Coordinator, CoordinatorConfig};
+use kecss_server::protocol::{Request, Response};
+use kecss_server::scheduler::Scheduler;
 use kecss_server::server::{Backend, Server, ServerConfig, ServerHandle};
 use kecss_server::wire;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 const DEADLINE: Duration = Duration::from_secs(300);
@@ -294,6 +298,153 @@ fn poll_backend_serves_both_wire_modes_identically() {
     assert_eq!(summary.completed, 2);
 }
 
+/// A script of the verbs both roles share, and the text reply each role must
+/// answer it with. Every job it admits stays in flight: a coordinator with
+/// no workers keeps its jobs queued, and the standalone server's one worker
+/// is held on job 1, which the script therefore never asks about.
+const PARITY_SCRIPT: [(&str, &str); 16] = [
+    ("STATUS 99", "ERR unknown job 99"),
+    ("RESULT 99", "ERR unknown job 99"),
+    ("RESULT WAIT 99", "ERR unknown job 99"),
+    ("CANCEL 99", "ERR unknown job 99"),
+    ("SUBMIT ring:20 2 2ecss auto 1", "OK 1 QUEUED"),
+    ("SUBMIT ring:20 2 2ecss auto 2", "OK 2 QUEUED"),
+    ("STATUS 2", "OK 2 QUEUED"),
+    ("RESULT 2", "WAIT 2 QUEUED"),
+    ("CANCEL 2", "OK 2 CANCELLED"),
+    ("RESULT 2", "ERR job 2 was cancelled before it ran"),
+    ("CANCEL 2", "ERR job 2 already finished"),
+    ("SUBMIT ring:20 2 2ecss auto 3", "OK 3 QUEUED"),
+    // Jobs 1 and 3 fill the depth bound of 2.
+    ("SUBMIT ring:20 2 2ecss auto 4", "BUSY 2"),
+    ("STATUS 2", "OK 2 CANCELLED"),
+    ("SHUTDOWN", "OK SHUTDOWN"),
+    (
+        "SUBMIT ring:20 2 2ecss auto 5",
+        "ERR the service is shutting down; accepted jobs drain but no new jobs are admitted",
+    ),
+];
+
+/// A connection that sends request lines in one wire mode and returns each
+/// raw reply. No reply [`PARITY_SCRIPT`] asks for carries a payload, so a
+/// text reply is one line.
+struct RawConn {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+    binary: bool,
+}
+
+impl RawConn {
+    fn open(addr: &str, binary: bool) -> RawConn {
+        let mut writer = TcpStream::connect(addr).unwrap();
+        // A request parked by mistake fails the test instead of hanging it.
+        writer
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        if binary {
+            writer.write_all(&wire::PREAMBLE).unwrap();
+        }
+        let reader = BufReader::new(writer.try_clone().unwrap());
+        RawConn {
+            writer,
+            reader,
+            binary,
+        }
+    }
+
+    fn send(&mut self, line: &str) -> Vec<u8> {
+        let mut reply = Vec::new();
+        if self.binary {
+            let request = Request::parse(line).unwrap();
+            self.writer
+                .write_all(&wire::encode_request(&request))
+                .unwrap();
+            let mut header = [0u8; wire::FRAME_HEADER_BYTES];
+            self.reader.read_exact(&mut header).unwrap();
+            let (_, _, len) = wire::parse_frame_header(&header).unwrap();
+            reply.extend_from_slice(&header);
+            reply.resize(wire::FRAME_HEADER_BYTES + len, 0);
+            self.reader
+                .read_exact(&mut reply[wire::FRAME_HEADER_BYTES..])
+                .unwrap();
+        } else {
+            self.writer
+                .write_all(format!("{line}\n").as_bytes())
+                .unwrap();
+            self.reader.read_until(b'\n', &mut reply).unwrap();
+        }
+        reply
+    }
+}
+
+#[test]
+fn a_coordinator_and_a_standalone_server_answer_the_shared_verbs_byte_identically() {
+    for binary in [false, true] {
+        let mode = if binary { "KGW1" } else { "text" };
+        // The standalone server's one worker waits at the gate on job 1.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let held = Arc::clone(&gate);
+        let scheduler = Scheduler::with_start_hook(
+            1,
+            2,
+            Some(Arc::new(move |_| {
+                let (open, opened) = &*held;
+                let _open = opened
+                    .wait_while(open.lock().unwrap(), |open| !*open)
+                    .unwrap();
+            })),
+        );
+        let server = Server::bind_with(
+            &ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                ..ServerConfig::default()
+            },
+            scheduler,
+        )
+        .expect("bind an ephemeral port")
+        .spawn();
+        let coordinator = Coordinator::bind(&CoordinatorConfig {
+            addr: "127.0.0.1:0".into(),
+            queue_depth: 2,
+            ..CoordinatorConfig::default()
+        })
+        .expect("bind an ephemeral port")
+        .spawn();
+
+        let mut to_server = RawConn::open(&server.addr().to_string(), binary);
+        let mut to_coordinator = RawConn::open(&coordinator.addr().to_string(), binary);
+        for (line, expected) in PARITY_SCRIPT {
+            let reply = to_server.send(line);
+            assert_eq!(reply, to_coordinator.send(line), "'{line}' over {mode}");
+            let text = if binary {
+                let (header, body) = reply.split_first_chunk().unwrap();
+                let (opcode, _, _) = wire::parse_frame_header(header).unwrap();
+                wire::decode_response(opcode, body).unwrap().render_text()
+            } else {
+                reply
+            };
+            assert_eq!(
+                String::from_utf8(text).unwrap(),
+                format!("{expected}\n"),
+                "'{line}' over {mode}"
+            );
+        }
+
+        // The server runs its jobs once the gate opens; the coordinator's
+        // jobs have no worker, so cancelling them is what lets it drain.
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        for id in [1, 3] {
+            to_coordinator.send(&format!("CANCEL {id}"));
+        }
+        let served = server.join();
+        assert_eq!((served.completed, served.cancelled), (2, 1), "{mode}");
+        let fleet = coordinator.join();
+        assert_eq!((fleet.completed, fleet.cancelled), (0, 3), "{mode}");
+        assert_eq!((served.rejected, fleet.rejected), (1, 1), "{mode}");
+    }
+}
+
 /// One valid request of every verb, both `SUBMIT` instance kinds included.
 const VALID_REQUESTS: [&str; 10] = [
     "SUBMIT ring:20 2 2ecss auto 1",
@@ -307,6 +458,27 @@ const VALID_REQUESTS: [&str; 10] = [
     "FLEET",
     "SHUTDOWN",
 ];
+
+/// One reply of every kind, `WAIT` with the coordinator-only state word.
+fn valid_replies() -> [Response; 9] {
+    [
+        Response::Ok("3 QUEUED".into()),
+        Response::Busy(16),
+        Response::Wait {
+            id: 4,
+            state: "ASSIGNED",
+        },
+        Response::Result {
+            id: 7,
+            payload: Arc::new(b"# kecss job result v1\nedge 0 1 3\n".to_vec()),
+        },
+        Response::Gone(7),
+        Response::Err("unknown job 12".into()),
+        Response::Metrics(Arc::new(b"# TYPE x counter\nx 1\n".to_vec())),
+        Response::Fleet(Arc::new(b"workers 0 live 0\n".to_vec())),
+        Response::Ok(String::new()),
+    ]
+}
 
 /// Runs both frame decoders over `frame` as the front-end would: the header,
 /// then whatever of the declared body is present. Neither may panic.
@@ -358,6 +530,30 @@ proptest! {
             for bytes in [&bytes[..], &bytes[..len]] {
                 decode_frame(bytes);
                 let _ = Request::parse(&String::from_utf8_lossy(bytes));
+            }
+        }
+    }
+
+    /// Random bytes, and valid replies with one byte flipped, then cut
+    /// short, in both wire encodings: the text reply decoder and the frame
+    /// decoders return `Ok` or `Err` and none panics.
+    #[test]
+    fn reply_decoders_survive_arbitrary_flipped_and_truncated_replies(
+        random in proptest::collection::vec(0u8..=255, 0..64),
+        pick in 0usize..9,
+        at in 0usize..1 << 16,
+        mask in 1u8..=255,
+        cut in 0usize..1 << 16,
+    ) {
+        let _ = Response::read_text(&mut &random[..]);
+        let reply = &valid_replies()[pick];
+        for mut bytes in [wire::encode_response(reply), reply.render_text()] {
+            let flip = at % bytes.len();
+            bytes[flip] ^= mask;
+            let len = cut % (bytes.len() + 1);
+            for bytes in [&bytes[..], &bytes[..len]] {
+                decode_frame(bytes);
+                let _ = Response::read_text(&mut &bytes[..]);
             }
         }
     }

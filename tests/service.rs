@@ -6,8 +6,8 @@
 //! jobs; cancellation of queued jobs; malformed requests; and `SHUTDOWN`
 //! draining every accepted job before the server exits.
 
-use kecss_server::client::{Client, ClientError, Reply};
-use kecss_server::protocol::Request;
+use kecss_server::client::{Client, ClientError};
+use kecss_server::protocol::{Request, Response};
 use kecss_server::scheduler::Scheduler;
 use kecss_server::server::{Server, ServerConfig, ServerHandle};
 use std::sync::{Arc, Condvar, Mutex};
@@ -235,7 +235,7 @@ fn malformed_requests_get_err_replies_and_do_not_kill_the_connection() {
         ("SHUTDOWN please", "no arguments"),
     ] {
         match client.request_line(line).unwrap() {
-            Reply::Err(msg) => assert!(msg.contains(needle), "'{line}': {msg}"),
+            Response::Err(msg) => assert!(msg.contains(needle), "'{line}': {msg}"),
             other => panic!("'{line}' should be ERR, got {other:?}"),
         }
     }
@@ -285,7 +285,7 @@ fn results_are_fetched_once_then_gone() {
     // The fetch evicted the payload: a repeat RESULT answers GONE, while
     // STATUS still reports the job as DONE.
     match client.request_line(&format!("RESULT {id}")).unwrap() {
-        Reply::Gone { id: gone_id } => assert_eq!(gone_id, id),
+        Response::Gone(gone_id) => assert_eq!(gone_id, id),
         other => panic!("second RESULT must be GONE, got {other:?}"),
     }
     assert_eq!(client.status(id).unwrap(), "DONE");
@@ -445,14 +445,14 @@ fn per_connection_request_limit_answers_err_and_closes() {
     for _ in 0..3 {
         // Any request counts, even ones answered with ERR.
         match limited.request_line("STATUS 999999").unwrap() {
-            Reply::Err(msg) => assert!(msg.contains("unknown job"), "{msg}"),
+            Response::Err(msg) => assert!(msg.contains("unknown job"), "{msg}"),
             other => panic!("unexpected {other:?}"),
         }
     }
     // The fourth request trips the limit: a clean ERR, then the connection
     // is closed (the next request sees EOF or a reset).
     match limited.request_line("STATUS 999999") {
-        Ok(Reply::Err(msg)) => assert!(msg.contains("exceeded 3 requests"), "{msg}"),
+        Ok(Response::Err(msg)) => assert!(msg.contains("exceeded 3 requests"), "{msg}"),
         other => panic!("the limit must answer ERR, got {other:?}"),
     }
     assert!(limited.request_line("STATUS 999999").is_err());
