@@ -136,3 +136,36 @@ fn greedy_refuses_bad_input_with_a_solver_error() {
         );
     }
 }
+
+#[test]
+fn forest_baselines_refuse_a_disconnected_graph() {
+    // Two components: 0-1 and 2-3.
+    let instance = TempFile::new("two-components.graph");
+    std::fs::write(instance.as_str(), "4\n0 1 1\n2 3 1\n").unwrap();
+    for (algorithm, k, required) in [
+        ("greedy", "2", 2),
+        ("greedy", "1", 1),
+        ("thurimella", "2", 2),
+        ("mst", "2", 1),
+        ("kecss", "2", 2),
+    ] {
+        let err = run(&[
+            "solve",
+            "--input",
+            instance.as_str(),
+            "--algorithm",
+            algorithm,
+            "--k",
+            k,
+        ])
+        .expect_err("a disconnected graph has no spanning subgraph to certify");
+        let expected = kecss::Error::InsufficientConnectivity {
+            required,
+            actual: 0,
+        };
+        assert!(
+            matches!(&err, kecss_cli::CliError::Solver(e) if *e == expected),
+            "{algorithm} --k {k}: {err}"
+        );
+    }
+}

@@ -152,9 +152,11 @@ pub fn k_ecss(graph: &Graph, k: usize) -> BaselineSolution {
 ///
 /// * [`Error::ZeroK`] if `k == 0`;
 /// * [`Error::InsufficientConnectivity`] if the graph is not
-///   k-edge-connected. No extra check finds this: at level `i`, a cut of
-///   the `(i-1)`-edge-connected `H` that no edge covers is an `(i-1)`-cut of
-///   the graph, so the graph is exactly `(i-1)`-edge-connected;
+///   k-edge-connected. No extra check finds this: a minimum spanning
+///   forest with fewer than `n - 1` edges means the graph is disconnected,
+///   and at level `i`, a cut of the `(i-1)`-edge-connected `H` that no edge
+///   covers is an `(i-1)`-cut of the graph, so the graph is exactly
+///   `(i-1)`-edge-connected;
 /// * whatever the enumerator reports, and [`Error::IncompleteEnumeration`]
 ///   if certification keeps failing.
 pub fn k_ecss_with_enumerator(
@@ -173,6 +175,14 @@ pub fn k_ecss_with_enumerator(
         let _span = kecss_obs::span("mst");
         graphs::mst::kruskal(graph)
     };
+    // A spanning forest with fewer than n - 1 edges is not a tree: the
+    // graph is disconnected.
+    if h.len() + 1 < graph.n() {
+        return Err(Error::InsufficientConnectivity {
+            required: k,
+            actual: 0,
+        });
+    }
     for level in 2..=k {
         let mut attempt = 0u64;
         loop {
@@ -324,5 +334,40 @@ mod tests {
                 actual: 3
             }
         );
+    }
+
+    #[test]
+    fn forest_baselines_refuse_a_disconnected_graph() {
+        use crate::baselines::thurimella;
+        // Two components: 0-1 and 2-3.
+        let g = Graph::from_edges(4, [(0, 1, 1), (2, 3, 1)]);
+        let exec = Executor::Sequential;
+        let auto = AutoEnumerator::default();
+        for k in 1..=3 {
+            let disconnected = Error::InsufficientConnectivity {
+                required: k,
+                actual: 0,
+            };
+            assert_eq!(
+                k_ecss_with_enumerator(&g, k, &exec, &auto).unwrap_err(),
+                disconnected,
+                "greedy, k = {k}"
+            );
+            assert_eq!(
+                thurimella::k_ecss(&g, k).unwrap_err(),
+                disconnected,
+                "thurimella, k = {k}"
+            );
+        }
+        // A connected graph is solved as before.
+        let path = generators::path(4, 1);
+        assert_eq!(
+            k_ecss_with_enumerator(&path, 1, &exec, &auto)
+                .unwrap()
+                .edges
+                .len(),
+            3
+        );
+        assert_eq!(thurimella::k_ecss(&path, 1).unwrap().edges.len(), 3);
     }
 }

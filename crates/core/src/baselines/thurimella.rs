@@ -14,6 +14,7 @@
 //! is exactly the motivation the paper gives for its weighted algorithms.
 
 use super::BaselineSolution;
+use crate::error::{Error, Result};
 use congest::{CostModel, RoundLedger};
 use graphs::{mst, EdgeSet, Graph};
 
@@ -39,12 +40,32 @@ impl From<ThurimellaSolution> for BaselineSolution {
 }
 
 /// Computes the union of `k` successive maximal spanning forests of `graph`.
+/// This is a sparse certificate of any graph, connected or not; the k-ECSS
+/// solver is [`k_ecss`].
 ///
 /// The cost model's diameter comes from [`graphs::bfs::diameter_hint`]:
 /// exact on test/bench-sized instances, double-sweep approximate beyond
 /// 4096 vertices so that ≥10⁵-vertex instances stay forest-bound instead of
 /// all-pairs-BFS-bound.
 pub fn sparse_certificate(graph: &Graph, k: usize) -> ThurimellaSolution {
+    forests(graph, k, false).expect("only a k-ECSS request refuses a disconnected graph")
+}
+
+/// The baseline as a k-ECSS solver: the sparse certificate of a connected
+/// graph.
+///
+/// # Errors
+///
+/// [`Error::InsufficientConnectivity`] with `actual: 0` when the graph is
+/// disconnected. The first forest decides it: it spans exactly when it has
+/// `n - 1` edges, so a connected graph pays no extra check.
+pub fn k_ecss(graph: &Graph, k: usize) -> Result<ThurimellaSolution> {
+    forests(graph, k, true)
+}
+
+/// The union of `k` maximal spanning forests; with `require_connected`, an
+/// error as soon as the first forest does not span.
+fn forests(graph: &Graph, k: usize, require_connected: bool) -> Result<ThurimellaSolution> {
     let diameter = graphs::bfs::diameter_hint(graph).unwrap_or(graph.n());
     let model = CostModel::new(graph.n(), diameter);
     // Observational only (DESIGN.md §11) — never feeds back into the bytes.
@@ -52,9 +73,15 @@ pub fn sparse_certificate(graph: &Graph, k: usize) -> ThurimellaSolution {
     let mut ledger = RoundLedger::new(model);
     let mut remaining = graph.full_edge_set();
     let mut certificate = graph.empty_edge_set();
-    for _ in 0..k {
+    for round in 0..k {
         let _span = kecss_obs::span("forest");
         let forest = mst::maximal_spanning_forest_in(graph, &remaining);
+        if require_connected && round == 0 && forest.len() + 1 < graph.n() {
+            return Err(Error::InsufficientConnectivity {
+                required: k,
+                actual: 0,
+            });
+        }
         ledger.charge("thurimella/forest", model.mst_kutten_peleg());
         certificate.union_with(&forest);
         remaining = remaining.difference(&forest);
@@ -63,11 +90,11 @@ pub fn sparse_certificate(graph: &Graph, k: usize) -> ThurimellaSolution {
         }
     }
     let weight = graph.weight_of(&certificate);
-    ThurimellaSolution {
+    Ok(ThurimellaSolution {
         edges: certificate,
         weight,
         ledger,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 //! cursors of [`crate::stream`] — a 10⁷-edge instance is never materialized
 //! as one in-memory buffer.
 
-use crate::graph::{EdgeId, EdgeSet, Graph};
+use crate::graph::{Edge, EdgeId, EdgeSet, Graph};
 use crate::stream::{BinaryCursor, RecordCursor, TextCursor};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -55,6 +55,22 @@ pub const SOLUTION_BINARY_EXTENSION: &str = "solb";
 
 /// Size of one binary solution record: one `u64` edge id.
 const SOLUTION_RECORD_BYTES: usize = 8;
+
+/// The longest line [`push_edge_line`] writes: three 20-digit numbers, two
+/// spaces and the newline.
+const EDGE_LINE_MAX: usize = 3 * 20 + 3;
+
+/// How many bytes of edge lines the text writers batch per sink write.
+const EDGE_LINE_BATCH: usize = 64 << 10;
+
+/// `"00" "01" … "99"`: the two-digit table [`push_edge_line`] emits digits
+/// from, a pair per division.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
 
 /// Errors of the instance codecs.
 #[derive(Debug)]
@@ -135,10 +151,64 @@ pub fn write_text<W: Write>(sink: &mut W, graph: &Graph) -> io::Result<()> {
         "# kecss instance: first line = n, then one 'u v weight' per edge"
     )?;
     writeln!(sink, "{}", graph.n())?;
-    for (_, e) in graph.edges() {
-        writeln!(sink, "{} {} {}", e.u, e.v, e.weight)?;
+    write_edge_lines(sink, graph.edges().map(|(_, e)| e))
+}
+
+/// Appends the edge line `u v weight\n` to `out`, byte for byte what
+/// `writeln!(out, "{u} {v} {weight}")` writes, with no `fmt` call: each
+/// number is emitted two digits per division from a pair table, right to
+/// left into a stack buffer, and the line is appended in one copy. Every
+/// text encoding of an edge list goes through it — [`write_text`],
+/// [`write_solution_text`], and the service's result payloads.
+pub fn push_edge_line(out: &mut Vec<u8>, u: usize, v: usize, weight: u64) {
+    let mut line = [0u8; EDGE_LINE_MAX];
+    let mut at = EDGE_LINE_MAX - 1;
+    line[at] = b'\n';
+    at = put_decimal(&mut line, at, weight);
+    at -= 1;
+    line[at] = b' ';
+    at = put_decimal(&mut line, at, v as u64);
+    at -= 1;
+    line[at] = b' ';
+    at = put_decimal(&mut line, at, u as u64);
+    out.extend_from_slice(&line[at..]);
+}
+
+/// Writes `value` in decimal into `buf`, ending just before `end`; returns
+/// where its digits begin.
+fn put_decimal(buf: &mut [u8], mut end: usize, mut value: u64) -> usize {
+    while value >= 100 {
+        let pair = 2 * (value % 100) as usize;
+        value /= 100;
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    Ok(())
+    if value >= 10 {
+        let pair = 2 * value as usize;
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        end -= 1;
+        buf[end] = b'0' + value as u8;
+    }
+    end
+}
+
+/// Streams one `u v weight` line per edge to `sink`, batched so the sink
+/// sees a few large writes.
+fn write_edge_lines<'g, W: Write>(
+    sink: &mut W,
+    edges: impl Iterator<Item = &'g Edge>,
+) -> io::Result<()> {
+    let mut batch = Vec::with_capacity(EDGE_LINE_BATCH + EDGE_LINE_MAX);
+    for e in edges {
+        push_edge_line(&mut batch, e.u, e.v, e.weight);
+        if batch.len() >= EDGE_LINE_BATCH {
+            sink.write_all(&batch)?;
+            batch.clear();
+        }
+    }
+    sink.write_all(&batch)
 }
 
 /// Parses a graph from the text format (in memory, via the legacy mutable
@@ -299,11 +369,7 @@ pub fn write_solution_text<W: Write>(
         sink,
         "# kecss solution: one 'u v weight' line per selected edge"
     )?;
-    for id in edges.iter() {
-        let e = graph.edge(id);
-        writeln!(sink, "{} {} {}", e.u, e.v, e.weight)?;
-    }
-    Ok(())
+    write_edge_lines(sink, edges.iter().map(|id| graph.edge(id)))
 }
 
 /// Parses a text solution back into an [`EdgeSet`] of `graph`, streaming
@@ -481,7 +547,59 @@ pub fn read_solution(path: &Path, graph: &Graph) -> Result<EdgeSet, GraphIoError
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    fn edge_line(u: u64, v: u64, w: u64) -> Vec<u8> {
+        let mut out = b"edge ".to_vec();
+        push_edge_line(&mut out, u as usize, v as usize, w);
+        out
+    }
+
+    /// 0, 9, 10, 99, 100, … : both sides of every power-of-ten boundary a
+    /// `u64` has, then `u32::MAX` and `u64::MAX`.
+    fn boundary_values() -> Vec<u64> {
+        let mut values: Vec<u64> = vec![0];
+        for power in (1..=19).map(|e| 10u64.pow(e)) {
+            values.extend([power - 1, power]);
+        }
+        values.extend([u64::from(u32::MAX), u64::MAX]);
+        values
+    }
+
+    #[test]
+    fn edge_lines_match_format_at_every_digit_boundary() {
+        let values = boundary_values();
+        assert_eq!(values.len(), 41);
+        for &u in &values {
+            for &v in &values {
+                for &w in &values {
+                    assert_eq!(
+                        edge_line(u, v, w),
+                        format!("edge {u} {v} {w}\n").into_bytes(),
+                        "{u} {v} {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn edge_lines_match_format(
+            u in 0u64..=u64::MAX,
+            v in 0u64..=u64::MAX,
+            w in 0u64..=u64::MAX,
+            digits in 1u32..20,
+        ) {
+            // Uniform u64s almost all have 19 or 20 digits: cut one value
+            // to a random digit count too.
+            let short = w % 10u64.pow(digits);
+            for (u, v, w) in [(u, v, w), (v, short, u), (short, u, short)] {
+                prop_assert_eq!(edge_line(u, v, w), format!("edge {u} {v} {w}\n").into_bytes());
+            }
+        }
+    }
 
     fn sample(seed: u64) -> Graph {
         generators::random_weighted_k_edge_connected(

@@ -22,7 +22,7 @@
 //!
 //! **The event thread never blocks**: solver work runs on the scheduler's
 //! worker threads (or on fleet workers); reads and writes are
-//! nonblocking with pending bytes parked in per-connection buffers.
+//! nonblocking with pending bytes parked in per-connection queues.
 //!
 //! **Push-on-complete**: a `RESULT WAIT` subscribes its connection to the
 //! job id. The [`Service`] installs a completion hook into its job table;
@@ -32,11 +32,19 @@
 //! closed by re-checking [`Service::fetch`] immediately after registering a
 //! waiter.
 //!
-//! **Backpressure**: each connection's unsent reply bytes are bounded by
-//! [`EventLoopConfig::write_queue_limit`]. A reader stalled past that bound
-//! gets its queue replaced by one final `ERR` and the connection closed
-//! (counted under `server_conn_limit_total{kind="write"}`) — one stalled
-//! client can neither wedge the loop nor grow the server's memory.
+//! **Replies are sent without copying their payloads**: a connection's
+//! output is one queue of rendered heads and shared bodies. A reply's head
+//! ([`Response::text_head`] or [`wire::encode_response_head`]) is appended
+//! to the queue's tail buffer, where small replies coalesce, and a
+//! `RESULT`, `METRICS` or `FLEET` body follows as a reference to the
+//! [`Response`]'s `Arc`. The queue is written with `writev`.
+//!
+//! **Backpressure**: each connection's unsent reply bytes, queued bodies
+//! included, are bounded by [`EventLoopConfig::write_queue_limit`]. A reader
+//! stalled past that bound gets its queue replaced by one final `ERR` and
+//! the connection closed (counted under
+//! `server_conn_limit_total{kind="write"}`) — one stalled client can neither
+//! wedge the loop nor grow the server's memory.
 //!
 //! **Determinism**: the loop orders replies, never payload bytes. Payloads
 //! are produced by the pure [`crate::job::run`] and stored by the scheduler;
@@ -48,8 +56,8 @@ use crate::protocol::{Request, Response};
 use crate::scheduler::{CompletionHook, JobId, JobState, Outcome};
 use crate::wire;
 use polling::{Backend, Event, Interest, Poller};
-use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex};
@@ -284,10 +292,8 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet parsed into a complete request.
     buf: Vec<u8>,
-    /// Rendered replies not yet written to the socket.
-    out: Vec<u8>,
-    /// How much of `out` has already been written.
-    out_pos: usize,
+    /// Replies not yet written to the socket.
+    out: OutQueue,
     mode: Mode,
     /// Requests handled (for `max_requests_per_conn`).
     served: usize,
@@ -297,9 +303,98 @@ struct Conn {
     wants_write: bool,
 }
 
-impl Conn {
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.out_pos
+/// One piece of a connection's unsent reply stream.
+enum Chunk {
+    /// Rendered bytes: reply heads and whole one-line replies, coalesced.
+    Owned(Vec<u8>),
+    /// A reply body shared with its [`Response`] (`RESULT`, `METRICS`,
+    /// `FLEET`), queued by reference.
+    Shared(Arc<Vec<u8>>),
+}
+
+impl Chunk {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Owned(bytes) => bytes,
+            Chunk::Shared(bytes) => bytes,
+        }
+    }
+}
+
+/// The most chunks one `writev` hands the kernel.
+const MAX_WRITE_SLICES: usize = 32;
+
+/// A connection's reply stream: owned heads and shared bodies in wire
+/// order, written with `writev`. A reply's head is appended to the tail
+/// owned chunk, so consecutive small replies share one buffer, and its body
+/// follows as a reference, so no payload is copied to be sent.
+#[derive(Default)]
+struct OutQueue {
+    chunks: VecDeque<Chunk>,
+    /// Bytes of the front chunk already written.
+    sent: usize,
+    /// Unsent bytes over all chunks, body bytes included: what the
+    /// write-queue bound counts.
+    pending: usize,
+}
+
+impl OutQueue {
+    /// Queues `response` in the connection's wire mode.
+    fn push(&mut self, mode: &Mode, response: &Response) {
+        if !matches!(self.chunks.back(), Some(Chunk::Owned(_))) {
+            // Room for a typical head without regrowing.
+            self.chunks.push_back(Chunk::Owned(Vec::with_capacity(64)));
+        }
+        let Some(Chunk::Owned(tail)) = self.chunks.back_mut() else {
+            unreachable!("an owned tail was just ensured")
+        };
+        let before = tail.len();
+        let body = match mode {
+            Mode::Binary => wire::encode_response_head(response, tail),
+            // A connection that never sent a byte (Sniff) is answered in text.
+            Mode::Text | Mode::Sniff => response.text_head(tail),
+        };
+        self.pending += tail.len() - before;
+        if let Some(body) = body {
+            self.pending += body.len();
+            self.chunks.push_back(Chunk::Shared(Arc::clone(body)));
+        }
+    }
+
+    /// Drops the first `n` unsent bytes, which the socket accepted.
+    fn consume(&mut self, mut n: usize) {
+        self.pending -= n;
+        while let Some(front) = self.chunks.front() {
+            let left = front.bytes().len() - self.sent;
+            if n < left {
+                self.sent += n;
+                return;
+            }
+            n -= left;
+            self.sent = 0;
+            self.chunks.pop_front();
+        }
+    }
+
+    /// Writes as much of the queue as the socket accepts. Returns `false`
+    /// when the connection is dead.
+    fn flush(&mut self, stream: &mut TcpStream) -> bool {
+        while self.pending > 0 {
+            let mut slices = [IoSlice::new(&[]); MAX_WRITE_SLICES];
+            for (slice, chunk) in slices.iter_mut().zip(&self.chunks) {
+                *slice = IoSlice::new(chunk.bytes());
+            }
+            slices[0] = IoSlice::new(&self.chunks[0].bytes()[self.sent..]);
+            let count = self.chunks.len().min(MAX_WRITE_SLICES);
+            match stream.write_vectored(&slices[..count]) {
+                Ok(0) => return false,
+                Ok(n) => self.consume(n),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        true
     }
 }
 
@@ -351,7 +446,7 @@ pub fn run_event_loop(
         // flush cap for stalled readers has lapsed).
         if shutting_down && service.idle() && ready.lock().expect("ready list poisoned").is_empty()
         {
-            let unflushed = conns.values().any(|c| c.pending_out() > 0);
+            let unflushed = conns.values().any(|c| c.out.pending > 0);
             let expired = flush_deadline.is_some_and(|d| Instant::now() >= d);
             if !unflushed || expired {
                 return Ok(());
@@ -398,10 +493,10 @@ pub fn run_event_loop(
                     }
                 }
             }
-            if !dead && (event.writable || conn.pending_out() > 0) {
-                dead = !flush_conn(conn);
+            if !dead && (event.writable || conn.out.pending > 0) {
+                dead = !conn.out.flush(&mut conn.stream);
             }
-            if dead || (conn.closing && conn.pending_out() == 0) {
+            if dead || (conn.closing && conn.out.pending == 0) {
                 let conn = conns.remove(&event.key).expect("conn exists");
                 let _ = poller.delete(conn.stream.as_raw_fd());
             } else {
@@ -428,7 +523,7 @@ pub fn run_event_loop(
                     continue;
                 };
                 queue_reply(conn, config, &reply);
-                if !flush_conn(conn) || (conn.closing && conn.pending_out() == 0) {
+                if !conn.out.flush(&mut conn.stream) || (conn.closing && conn.out.pending == 0) {
                     let conn = conns.remove(&key).expect("conn exists");
                     let _ = poller.delete(conn.stream.as_raw_fd());
                 } else {
@@ -477,8 +572,7 @@ fn accept_ready(
                     Conn {
                         stream,
                         buf: Vec::new(),
-                        out: Vec::new(),
-                        out_pos: 0,
+                        out: OutQueue::default(),
                         mode: Mode::Sniff,
                         served: 0,
                         closing: false,
@@ -579,7 +673,8 @@ fn process_buffer(
                         // ambiguity).
                         kecss_obs::counter_with("server_conn_limit_total", &[("kind", "line")])
                             .inc();
-                        queue_raw(conn, config, b"ERR request line exceeds the size limit\n");
+                        let refusal = Response::Err("request line exceeds the size limit".into());
+                        queue_reply(conn, config, &refusal);
                         conn.closing = true;
                     }
                     return true;
@@ -598,7 +693,7 @@ fn process_buffer(
                     Err(message) => {
                         kecss_obs::counter_with("server_reply_err_total", &[("cause", "parse")])
                             .inc();
-                        queue_raw(conn, config, format!("ERR {message}\n").as_bytes());
+                        queue_reply(conn, config, &Response::Err(message));
                     }
                 }
             }
@@ -719,70 +814,32 @@ fn subscribe(
     }
 }
 
-/// Renders a [`Response`] in the connection's wire mode and queues it.
+/// Queues a [`Response`] in the connection's wire mode, enforcing the
+/// slow-client write-queue bound: on overflow the unsent queue is replaced
+/// by one final `ERR` and the connection is marked closing. (The replaced
+/// bytes may include a torn partial reply — the client was stalled past the
+/// bound and is being disconnected; the `ERR` is best-effort diagnosis.)
 fn queue_reply(conn: &mut Conn, config: &EventLoopConfig, response: &Response) {
-    let bytes = render(&conn.mode, response);
-    queue_raw(conn, config, &bytes);
-}
-
-fn render(mode: &Mode, response: &Response) -> Vec<u8> {
-    match mode {
-        Mode::Binary => wire::encode_response(response),
-        // A connection that never sent a byte (Sniff) is answered in text.
-        Mode::Text | Mode::Sniff => response.render_text(),
-    }
-}
-
-/// Queues raw reply bytes, enforcing the slow-client write-queue bound: on
-/// overflow the unsent queue is replaced by one final `ERR` and the
-/// connection is marked closing. (The replaced bytes may include a torn
-/// partial reply — the client was stalled past the bound and is being
-/// disconnected; the `ERR` is best-effort diagnosis.)
-fn queue_raw(conn: &mut Conn, config: &EventLoopConfig, bytes: &[u8]) {
     if conn.closing {
         return;
     }
-    if conn.pending_out() + bytes.len() > config.write_queue_limit {
+    conn.out.push(&conn.mode, response);
+    if conn.out.pending > config.write_queue_limit {
         kecss_obs::counter_with("server_conn_limit_total", &[("kind", "write")]).inc();
-        conn.out.clear();
-        conn.out_pos = 0;
+        conn.out = OutQueue::default();
         let err = Response::Err(format!(
             "write queue exceeded {} bytes; closing slow connection",
             config.write_queue_limit
         ));
-        conn.out.extend_from_slice(&render(&conn.mode, &err));
+        conn.out.push(&conn.mode, &err);
         conn.closing = true;
-        return;
     }
-    // Compact the consumed prefix occasionally so the buffer does not creep.
-    if conn.out_pos > 0 && conn.out_pos == conn.out.len() {
-        conn.out.clear();
-        conn.out_pos = 0;
-    }
-    conn.out.extend_from_slice(bytes);
-}
-
-/// Writes as much of the pending queue as the socket accepts. Returns
-/// `false` when the connection is dead.
-fn flush_conn(conn: &mut Conn) -> bool {
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => return false,
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    conn.out.clear();
-    conn.out_pos = 0;
-    true
 }
 
 /// Keeps the poller's write interest in sync with whether the connection has
 /// pending output.
 fn sync_write_interest(poller: &Poller, key: usize, conn: &mut Conn) {
-    let want = conn.pending_out() > 0;
+    let want = conn.out.pending > 0;
     if want != conn.wants_write {
         let interest = if want {
             Interest::READABLE_WRITABLE

@@ -164,7 +164,8 @@ pub const VERIFY_SEED_SALT: u64 = 0x0007_E21F_1E55;
 ///
 /// # Errors
 ///
-/// Propagates the solver's [`kecss::Error`].
+/// Propagates the solver's [`kecss::Error`]. Every algorithm refuses a
+/// disconnected graph with [`kecss::Error::InsufficientConnectivity`].
 pub fn dispatch(
     graph: &Graph,
     algorithm: Algorithm,
@@ -220,7 +221,7 @@ pub fn dispatch(
             (sol.edges, None, "sequential greedy k-ECSS")
         }
         Algorithm::Thurimella => {
-            let sol = thurimella::sparse_certificate(graph, k);
+            let sol = thurimella::k_ecss(graph, k)?;
             (
                 sol.edges,
                 Some(sol.ledger.total()),
@@ -233,6 +234,14 @@ pub fn dispatch(
                 let _span = kecss_obs::span("mst");
                 mst::kruskal(graph)
             };
+            // Fewer than n - 1 edges: a forest, and the graph is
+            // disconnected.
+            if tree.len() + 1 < graph.n() {
+                return Err(kecss::Error::InsufficientConnectivity {
+                    required: 1,
+                    actual: 0,
+                });
+            }
             (tree, None, "minimum spanning tree")
         }
     })
@@ -285,8 +294,8 @@ pub fn run(spec: &JobSpec, exec: &Executor) -> Result<Vec<u8>, String> {
             .add(verdict.ledger.total());
     }
 
-    // One buffer for the whole payload: the header is a few hundred bytes
-    // and an `edge u v w` line rarely passes 24.
+    // One buffer for the whole payload: the header is a few hundred bytes,
+    // written with `writeln!`, and an `edge u v w` line rarely passes 24.
     let mut out = String::with_capacity(512 + 24 * edges.len());
     out.push_str("# kecss job result v1\n");
     // Writing into a `String` cannot fail.
@@ -319,11 +328,15 @@ pub fn run(spec: &JobSpec, exec: &Executor) -> Result<Vec<u8>, String> {
     for (phase, charged) in verdict.ledger.breakdown() {
         let _ = writeln!(out, "phase {phase} {charged}");
     }
+    // The edge list is most of the payload: one `edge u v w` line per
+    // edge, through the decimal writer every edge-list encoding shares.
+    let mut out = out.into_bytes();
     for id in edges.iter() {
         let e = graph.edge(id);
-        let _ = writeln!(out, "edge {} {} {}", e.u, e.v, e.weight);
+        out.extend_from_slice(b"edge ");
+        graphs::io::push_edge_line(&mut out, e.u, e.v, e.weight);
     }
-    Ok(out.into_bytes())
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -33,16 +33,16 @@
 //! also travel as `KGW1` binary frames (see [`crate::wire`]); this module's
 //! [`Response`] enum is the single source of truth for both renderings, and
 //! the one reply type every reader decodes to: the server renders it
-//! ([`Response::render_text`]), and the client and the coordinator's worker
-//! links read it back ([`Response::read_text`],
-//! [`crate::wire::decode_response`]).
+//! ([`Response::text_head`], [`crate::wire::encode_response_head`]), and the
+//! client and the coordinator's worker links read it back
+//! ([`Response::read_text`], [`crate::wire::decode_response`]).
 
 use crate::instance::InstanceSpec;
 use crate::job::{Algorithm, JobSpec};
 use crate::scheduler::JobState;
 use crate::wire::MAX_FRAME_BODY;
 use kecss::cuts::EnumeratorPolicy;
-use std::io::{self, BufRead, ErrorKind, Read};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
 use std::sync::Arc;
 
 /// A parsed request line.
@@ -226,8 +226,10 @@ impl Request {
 /// [`Response::render_text`] produces the exact byte strings of the line
 /// protocol (unchanged since DESIGN.md §9); [`crate::wire::encode_response`]
 /// produces the equivalent `KGW1` frame. Result and METRICS/FLEET payloads
-/// are carried as shared `Arc`s so a pushed result is never copied per
-/// subscriber.
+/// are carried as shared `Arc`s. Each framing is defined once, by a
+/// function that writes only the head in front of that body
+/// ([`Response::text_head`], [`crate::wire::encode_response_head`]), so a
+/// reply's payload is never copied on its way out.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
     /// `OK <words>` — acknowledgement; `words` is everything after `OK `.
@@ -259,31 +261,46 @@ pub enum Response {
 }
 
 impl Response {
-    /// Renders the response in the text line protocol, byte-exact with the
-    /// pre-readiness-loop server.
-    pub fn render_text(&self) -> Vec<u8> {
+    /// Renders the reply's text head into `head` and returns the body that
+    /// follows it on the wire: the shared payload of `RESULT`, `METRICS` and
+    /// `FLEET`, `None` for the one-line replies. This is the text framing's
+    /// one definition; the event loop queues the body by reference after
+    /// the head, so a payload is never copied to be sent.
+    pub fn text_head(&self, head: &mut Vec<u8>) -> Option<&Arc<Vec<u8>>> {
+        // Writing into a `Vec` cannot fail.
+        let _ = match self {
+            Response::Ok(words) => writeln!(head, "OK {words}"),
+            Response::Busy(depth) => writeln!(head, "BUSY {depth}"),
+            Response::Wait { id, state } => writeln!(head, "WAIT {id} {state}"),
+            Response::Result { id, payload } => writeln!(head, "RESULT {id} {}", payload.len()),
+            Response::Gone(id) => writeln!(head, "GONE {id}"),
+            Response::Err(msg) => writeln!(head, "ERR {msg}"),
+            Response::Metrics(text) => writeln!(head, "METRICS {}", text.len()),
+            Response::Fleet(text) => writeln!(head, "FLEET {}", text.len()),
+        };
+        self.body()
+    }
+
+    /// The shared body that follows the head of a `RESULT`, `METRICS` or
+    /// `FLEET` reply.
+    pub(crate) fn body(&self) -> Option<&Arc<Vec<u8>>> {
         match self {
-            Response::Ok(words) => format!("OK {words}\n").into_bytes(),
-            Response::Busy(depth) => format!("BUSY {depth}\n").into_bytes(),
-            Response::Wait { id, state } => format!("WAIT {id} {state}\n").into_bytes(),
-            Response::Result { id, payload } => {
-                let mut out = format!("RESULT {id} {}\n", payload.len()).into_bytes();
-                out.extend_from_slice(payload);
-                out
-            }
-            Response::Gone(id) => format!("GONE {id}\n").into_bytes(),
-            Response::Err(msg) => format!("ERR {msg}\n").into_bytes(),
-            Response::Metrics(text) => {
-                let mut out = format!("METRICS {}\n", text.len()).into_bytes();
-                out.extend_from_slice(text);
-                out
-            }
-            Response::Fleet(text) => {
-                let mut out = format!("FLEET {}\n", text.len()).into_bytes();
-                out.extend_from_slice(text);
-                out
-            }
+            Response::Result { payload: body, .. }
+            | Response::Metrics(body)
+            | Response::Fleet(body) => Some(body),
+            _ => None,
         }
+    }
+
+    /// The whole reply in the text line protocol, byte-exact with the
+    /// pre-readiness-loop server: [`Response::text_head`] and its body in
+    /// one buffer.
+    pub fn render_text(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        if let Some(body) = self.text_head(&mut out) {
+            out.extend_from_slice(body);
+        }
+        out
     }
 
     /// Reads one reply in the text line protocol: the inverse of

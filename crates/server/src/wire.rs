@@ -156,14 +156,19 @@ pub fn encode_frame(opcode: u8, body: &[u8]) -> Vec<u8> {
 
 /// Wraps a body in a frame (header + body) with the given flag bits.
 pub fn encode_frame_flags(opcode: u8, flags: u8, body: &[u8]) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_FRAME_BODY);
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + body.len());
+    push_frame_header(&mut out, opcode, flags, body.len());
+    out.extend_from_slice(body);
+    out
+}
+
+/// Appends the header of a frame whose body is `body_len` bytes.
+fn push_frame_header(out: &mut Vec<u8>, opcode: u8, flags: u8, body_len: usize) {
+    debug_assert!(body_len <= MAX_FRAME_BODY);
     out.push(opcode);
     out.push(flags);
     out.extend_from_slice(&0u16.to_le_bytes()); // reserved
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
 }
 
 struct Cursor<'a> {
@@ -393,27 +398,50 @@ fn decode_inline_records(cur: &mut Cursor<'_>) -> Result<InstanceSpec, String> {
     Ok(InstanceSpec::Inline { n, edges })
 }
 
-/// Encodes a response as one binary frame (header included).
+/// Renders the head of a response's frame into `head` and returns the body
+/// that follows it on the wire: the shared payload of `RESULT`, `METRICS`
+/// and `FLEET` (whose frame length counts it), `None` when the head is the
+/// whole frame. This is the `KGW1` framing's one definition; the event loop
+/// queues the body by reference after the head, so a payload is never
+/// copied to be sent.
+pub fn encode_response_head<'r>(
+    response: &'r Response,
+    head: &mut Vec<u8>,
+) -> Option<&'r Arc<Vec<u8>>> {
+    // Every frame body is an optional `u64` word (a job id or the depth),
+    // then text, then the shared body.
+    let (opcode, word, text) = match response {
+        Response::Ok(words) => (resp::OK, None, words.as_bytes()),
+        Response::Busy(depth) => (resp::BUSY, Some(*depth), &[][..]),
+        Response::Wait { id, state } => (resp::WAIT, Some(*id), state.as_bytes()),
+        Response::Result { id, .. } => (resp::RESULT, Some(*id), &[][..]),
+        Response::Gone(id) => (resp::GONE, Some(*id), &[][..]),
+        Response::Err(msg) => (resp::ERR, None, msg.as_bytes()),
+        Response::Metrics(_) => (resp::METRICS, None, &[][..]),
+        Response::Fleet(_) => (resp::FLEET, None, &[][..]),
+    };
+    let word = word.map(u64::to_le_bytes);
+    let word = word.as_ref().map_or(&[][..], |w| &w[..]);
+    let body = response.body();
+    push_frame_header(
+        head,
+        opcode,
+        0,
+        word.len() + text.len() + body.map_or(0, |b| b.len()),
+    );
+    head.extend_from_slice(word);
+    head.extend_from_slice(text);
+    body
+}
+
+/// Encodes a response as one binary frame: [`encode_response_head`] and its
+/// body in one buffer.
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    match response {
-        Response::Ok(words) => encode_frame(resp::OK, words.as_bytes()),
-        Response::Busy(depth) => encode_frame(resp::BUSY, &depth.to_le_bytes()),
-        Response::Wait { id, state } => {
-            let mut body = id.to_le_bytes().to_vec();
-            body.extend_from_slice(state.as_bytes());
-            encode_frame(resp::WAIT, &body)
-        }
-        Response::Result { id, payload } => {
-            let mut body = Vec::with_capacity(8 + payload.len());
-            body.extend_from_slice(&id.to_le_bytes());
-            body.extend_from_slice(payload);
-            encode_frame(resp::RESULT, &body)
-        }
-        Response::Gone(id) => encode_frame(resp::GONE, &id.to_le_bytes()),
-        Response::Err(msg) => encode_frame(resp::ERR, msg.as_bytes()),
-        Response::Metrics(text) => encode_frame(resp::METRICS, text),
-        Response::Fleet(text) => encode_frame(resp::FLEET, text),
+    let mut out = Vec::new();
+    if let Some(body) = encode_response_head(response, &mut out) {
+        out.extend_from_slice(body);
     }
+    out
 }
 
 /// Decodes a response frame body (inverse of [`encode_response`]; the

@@ -1,5 +1,6 @@
 //! Crate seam smoke test: a real server on an ephemeral port, one job end to
-//! end, clean shutdown, and jobs the solver refuses answered with its error.
+//! end, clean shutdown, and jobs the solver refuses (a graph below k, a
+//! disconnected graph) answered with its error.
 //! (The workspace-level `tests/service.rs` suite covers concurrency,
 //! backpressure, cancellation and malformed requests.)
 
@@ -72,4 +73,41 @@ fn greedy_jobs_the_solver_refuses_fail_with_its_error() {
     client.shutdown().unwrap();
     let summary = handle.join();
     assert_eq!((summary.submitted, summary.failed), (2, 2));
+}
+
+#[test]
+fn jobs_on_a_disconnected_instance_fail_with_the_solver_error() {
+    let handle = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    })
+    .expect("bind an ephemeral port")
+    .spawn();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    // Two components: 0-1 and 2-3.
+    for (algorithm, k, required) in [
+        ("greedy", 2, 2),
+        ("greedy", 1, 1),
+        ("thurimella", 2, 2),
+        ("mst", 2, 1),
+    ] {
+        let line = format!("SUBMIT inline:4:0-1-1,2-3-1 {k} {algorithm} auto 1");
+        let Request::Submit(spec) = Request::parse(&line).unwrap() else {
+            unreachable!()
+        };
+        let id = client.submit(&spec).unwrap().expect("queue has room");
+        match client.wait_result(id, Duration::from_secs(120)) {
+            Err(ClientError::Server(message)) => assert_eq!(
+                message,
+                format!(
+                    "job {id} failed: input graph is only 0-edge-connected but the problem \
+                     requires {required}-edge-connectivity"
+                )
+            ),
+            other => panic!("{line}: expected the solver's error, got {other:?}"),
+        }
+    }
+    client.shutdown().unwrap();
+    let summary = handle.join();
+    assert_eq!((summary.submitted, summary.failed), (4, 4));
 }

@@ -6,7 +6,9 @@
 //! binary-frame payloads over the full spec space; thousands of idle
 //! connections held open while submissions keep flowing (and the idle
 //! connections still answer afterwards); a stalled reader tripping the
-//! bounded write queue without wedging anyone else; the portable `poll(2)`
+//! bounded write queue without wedging anyone else, flooding `METRICS` or
+//! left with multi-MB results; multi-MB results queued past the socket
+//! buffers arriving byte-exact over both wire modes; the portable `poll(2)`
 //! backend serving both modes identically to the platform default; a
 //! coordinator and a standalone server answering the verbs they share with
 //! the same bytes; and request and reply decoders that survive arbitrary,
@@ -260,6 +262,187 @@ fn stalled_reader_is_disconnected_without_wedging_the_loop() {
         metric_value(&metrics, "server_conn_limit_total{kind=\"write\"} ") >= 1,
         "{metrics}"
     );
+    healthy.shutdown().unwrap();
+    handle.join();
+}
+
+/// `SUBMIT` lines of `ring:100000 1 mst` at distinct seeds: a 1.9 MB
+/// `RESULT` payload each, and a quick job even in a debug build.
+fn large_result_lines(seeds: std::ops::Range<u64>) -> Vec<String> {
+    seeds
+        .map(|seed| format!("SUBMIT ring:100000 1 mst auto {seed}"))
+        .collect()
+}
+
+/// The bytes that ask for `lines`' jobs and then their pushed results,
+/// the submits first so every ack precedes every result: the jobs get ids
+/// `first_id..`.
+fn submit_then_wait(lines: &[String], first_id: u64, binary: bool) -> Vec<u8> {
+    let waits = (first_id..).take(lines.len()).map(Request::ResultWait);
+    let requests: Vec<Request> = lines
+        .iter()
+        .map(|line| Request::parse(line).unwrap())
+        .chain(waits)
+        .collect();
+    if binary {
+        let mut bytes = wire::PREAMBLE.to_vec();
+        for request in &requests {
+            bytes.extend_from_slice(&wire::encode_request(request));
+        }
+        bytes
+    } else {
+        requests
+            .iter()
+            .map(|request| format!("{}\n", request.to_line()))
+            .collect::<String>()
+            .into_bytes()
+    }
+}
+
+#[test]
+fn large_results_queued_past_the_socket_buffers_arrive_byte_exact() {
+    // One worker runs the jobs in submission order. Each connection asks
+    // for five 1.9 MB results before reading a byte, so its queue outgrows
+    // the kernel's socket buffers (about 4 MB on loopback) and the server's
+    // writes stop part-way through a body; the reader then drains a few
+    // bytes at a time. The stream must be exactly the replies the framing
+    // renders.
+    const READ: usize = 61;
+    let handle = spawn(1, 8);
+    let addr = handle.addr().to_string();
+    let lines = large_result_lines(0..5);
+    let payloads: Vec<Arc<Vec<u8>>> = lines
+        .iter()
+        .map(|line| {
+            let Request::Submit(spec) = Request::parse(line).unwrap() else {
+                panic!("not a SUBMIT line: {line}")
+            };
+            Arc::new(kecss_server::job::run(&spec, &kecss_runtime::Executor::Sequential).unwrap())
+        })
+        .collect();
+    let mut next_id = 1;
+    for binary in [false, true] {
+        let mode = if binary { "KGW1" } else { "text" };
+        let ids: Vec<u64> = (next_id..).take(lines.len()).collect();
+        let render = |reply: Response| {
+            if binary {
+                wire::encode_response(&reply)
+            } else {
+                reply.render_text()
+            }
+        };
+        let acks: Vec<u8> = ids
+            .iter()
+            .flat_map(|id| render(Response::Ok(format!("{id} QUEUED"))))
+            .collect();
+        let results = ids.iter().zip(&payloads).flat_map(|(&id, payload)| {
+            render(Response::Result {
+                id,
+                payload: Arc::clone(payload),
+            })
+        });
+        let expected: Vec<u8> = acks.iter().copied().chain(results).collect();
+        assert!(expected.len() > 8 << 20, "{}", expected.len());
+
+        let mut conn = TcpStream::connect(&addr).unwrap();
+        conn.set_read_timeout(Some(DEADLINE)).unwrap();
+        conn.write_all(&submit_then_wait(&lines, ids[0], binary))
+            .unwrap();
+        // Reading the acks first admits these jobs before the next one.
+        let mut acked = vec![0u8; acks.len()];
+        conn.read_exact(&mut acked).unwrap();
+        assert_eq!(acked, acks, "{mode}");
+
+        // The next job runs after this connection's, so once it is done
+        // every result above is queued on the server.
+        let mut sync = Client::connect(&addr).unwrap();
+        solve_over(&mut sync, "SUBMIT ring:20 2 2ecss auto 1");
+        next_id += lines.len() as u64 + 1;
+
+        let mut chunk = [0u8; READ];
+        let mut at = acks.len();
+        while at < expected.len() {
+            let want = READ.min(expected.len() - at);
+            let n = conn.read(&mut chunk[..want]).unwrap();
+            assert!(
+                n > 0,
+                "{mode}: the stream ended at byte {at} of {}",
+                expected.len()
+            );
+            assert!(
+                chunk[..n] == expected[at..at + n],
+                "{mode}: the stream differs from the rendered replies within bytes {at}..{}",
+                at + n
+            );
+            at += n;
+        }
+    }
+    let mut control = Client::connect(&addr).unwrap();
+    control.shutdown().unwrap();
+    let summary = handle.join();
+    assert_eq!((summary.submitted, summary.completed), (12, 12));
+}
+
+#[test]
+fn a_stalled_reader_of_large_results_trips_the_write_bound() {
+    // Ten 1.9 MB results for a reader that never reads, against a 2 MiB
+    // bound that one of them fits: once the kernel's socket buffers are
+    // full (19 MB is more than they hold, even sized at 16 MB), the queued
+    // bodies push the queue past the bound, which replaces it with one
+    // final ERR and closes the connection. A neighbour's submit, queued
+    // behind them on the one worker, completes meanwhile.
+    const JOBS: u64 = 10;
+    const CAP: usize = 2 << 20;
+    let handle = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        queue_depth: JOBS as usize + 1,
+        write_queue_limit: CAP,
+        ..ServerConfig::default()
+    })
+    .expect("bind an ephemeral port")
+    .spawn();
+    let addr = handle.addr().to_string();
+    let mut healthy = Client::connect(&addr).unwrap();
+    let trips = |client: &mut Client| {
+        metric_value(
+            &client.metrics().unwrap(),
+            "server_conn_limit_total{kind=\"write\"} ",
+        )
+    };
+    let tripped_before = trips(&mut healthy);
+
+    let mut stalled = TcpStream::connect(&addr).unwrap();
+    stalled.set_read_timeout(Some(DEADLINE)).unwrap();
+    stalled
+        .write_all(&submit_then_wait(&large_result_lines(0..JOBS), 1, false))
+        .unwrap();
+    // Read the acks, so these jobs are admitted before the neighbour's,
+    // then stall.
+    let acks: String = (1..=JOBS).map(|id| format!("OK {id} QUEUED\n")).collect();
+    let mut acked = vec![0u8; acks.len()];
+    stalled.read_exact(&mut acked).unwrap();
+    assert_eq!(acked, acks.as_bytes());
+    let payload = solve_over(&mut healthy, "SUBMIT ring:20 2 2ecss auto 11");
+    assert!(String::from_utf8(payload)
+        .unwrap()
+        .contains("verified k=2 yes"));
+
+    // Draining the stalled connection ends in its final ERR, then EOF.
+    let mut received = Vec::new();
+    let _ = stalled.read_to_end(&mut received);
+    let err = Response::Err(format!(
+        "write queue exceeded {CAP} bytes; closing slow connection"
+    ))
+    .render_text();
+    assert!(
+        received.ends_with(&err),
+        "the stream of {} bytes does not end with the bound's ERR",
+        received.len()
+    );
+    let finals = received.windows(err.len()).filter(|w| *w == err).count();
+    assert_eq!(finals, 1);
+    assert!(trips(&mut healthy) > tripped_before);
     healthy.shutdown().unwrap();
     handle.join();
 }
