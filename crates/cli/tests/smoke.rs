@@ -1,7 +1,11 @@
 //! Workspace-seam smoke test: drives the full generate → solve → verify
-//! pipeline through `kecss_cli::run` on a tiny instance.
+//! pipeline through `kecss_cli::run` on a tiny instance, and runs the
+//! `kecss` binary as a worker heartbeating a server that refuses its beats.
 
+use kecss_server::client::Client;
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
+use std::process::{Child, ChildStdout, Command, Stdio};
 
 fn argv(args: &[&str]) -> Vec<String> {
     args.iter().map(|s| s.to_string()).collect()
@@ -168,4 +172,84 @@ fn forest_baselines_refuse_a_disconnected_graph() {
             "{algorithm} --k {k}: {err}"
         );
     }
+}
+
+/// Starts `kecss serve <args>` with its output piped and returns the child,
+/// the address its banner names, and the rest of its stdout.
+fn serve(args: &[&str]) -> (Child, String, BufReader<ChildStdout>) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_kecss"))
+        .arg("serve")
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("kecss starts");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("a banner line");
+    let addr = banner
+        .split_once("listening on ")
+        .and_then(|(_, rest)| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in '{banner}'"))
+        .to_string();
+    (child, addr, stdout)
+}
+
+/// Shuts a `kecss serve` child down through its own port and returns its
+/// stderr.
+fn shut_down(mut child: Child, addr: &str, stdout: BufReader<ChildStdout>) -> String {
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    let mut rest = String::new();
+    BufReader::new(stdout.into_inner())
+        .read_to_string(&mut rest)
+        .unwrap();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(child.wait().unwrap().success(), "{stderr}");
+    stderr
+}
+
+#[test]
+fn a_worker_whose_heartbeats_are_refused_says_so_once_and_keeps_beating() {
+    // A standalone server answers every HEARTBEAT with an ERR: it is not a
+    // coordinator.
+    let (server, server_addr, server_out) = serve(&["--addr", "127.0.0.1:0", "--threads", "1"]);
+    let (worker, worker_addr, worker_out) = serve(&[
+        "--role",
+        "worker",
+        "--coordinator",
+        &server_addr,
+        "--addr",
+        "127.0.0.1:0",
+        "--threads",
+        "1",
+        "--heartbeat-ms",
+        "20",
+    ]);
+    // Wait on the server's count of refused beats, not on a clock.
+    let mut control = Client::connect(&server_addr).unwrap();
+    let beats = |control: &mut Client| {
+        let metrics = control.metrics().unwrap();
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("server_requests_total{verb=\"HEARTBEAT\"} "))
+            .map_or(0, |n| n.trim().parse::<u64>().unwrap())
+    };
+    while beats(&mut control) < 5 {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let stderr = shut_down(worker, &worker_addr, worker_out);
+    drop(control);
+    shut_down(server, &server_addr, server_out);
+    let refusals: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("refused the heartbeat"))
+        .collect();
+    assert_eq!(refusals.len(), 1, "{stderr}");
+    assert!(refusals[0].contains("not a fleet coordinator"), "{stderr}");
 }

@@ -2,7 +2,7 @@
 //! behind a pluggable [`CutEnumerator`] strategy architecture.
 //!
 //! `Aug_k` (Section 4) covers all cuts of size `k - 1` of a
-//! `(k-1)`-edge-connected spanning subgraph `H`. Three strategies enumerate
+//! `(k-1)`-edge-connected spanning subgraph `H`. Four strategies enumerate
 //! those cuts, all sharing one contract — every candidate is *verified* by an
 //! exact removal test (batch-parallel through a [`kecss_runtime::Executor`]),
 //! so reported cuts are exact rather than w.h.p.:
@@ -57,9 +57,9 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 
 /// The largest cut size the [`ExactEnumerator`] specializations handle.
-/// Larger sizes go through [`LabelEnumerator`] / [`ContractEnumerator`]
-/// (which is what [`AutoEnumerator`] arranges), so this is **not** a cap on
-/// the pipeline's `k` any more.
+/// [`AutoEnumerator`] sends larger sizes to [`LabelEnumerator`], and to
+/// [`KargerSteinEnumerator`] when the label budget trips, so this is **not**
+/// a cap on the pipeline's `k` any more.
 pub const EXACT_MAX_CUT_SIZE: usize = 3;
 
 /// Default budget on label-class candidate visits before the pool counts as
@@ -116,7 +116,8 @@ pub fn covers(graph: &Graph, h: &EdgeSet, cut: &[EdgeId], e: EdgeId) -> bool {
 ///   strategy does not implement the requested size;
 /// * [`Error::CandidateOverflow`] if a candidate budget was exceeded.
 pub trait CutEnumerator: Sync {
-    /// The strategy's display name (`exact`, `label`, `contract`, `auto`).
+    /// The strategy's display name (`exact`, `label`, `contract`, `ks`,
+    /// `auto`).
     fn name(&self) -> &'static str;
 
     /// Enumerates every cut of exactly `size` edges of `(V, h)`, verifying
@@ -263,10 +264,11 @@ impl CutEnumerator for ExactEnumerator {
         check_request(graph, h, size)?;
         match size {
             1 => {
-                let bridges: Vec<Cut> = connectivity::bridges_in(graph, h)
-                    .into_iter()
-                    .map(|b| vec![b])
-                    .collect();
+                // Tarjan reports bridges in DFS post-order; the contract
+                // wants them sorted.
+                let mut ids = connectivity::bridges_in(graph, h);
+                ids.sort_unstable();
+                let bridges: Vec<Cut> = ids.into_iter().map(|b| vec![b]).collect();
                 let n = bridges.len() as u64;
                 kecss_obs::counter_with("solver_enum_candidates_total", &[("strategy", "exact")])
                     .add(n);
@@ -964,6 +966,41 @@ mod tests {
         disconnected.add_edge(2, 3, 1);
         let err = cuts_of_size(&disconnected, &disconnected.full_edge_set(), 1).unwrap_err();
         assert!(matches!(err, Error::InvalidCutRequest { .. }));
+    }
+
+    #[test]
+    fn every_policy_returns_its_cuts_sorted() {
+        use rand::SeedableRng;
+        let mut graphs = vec![generators::path(4, 1)];
+        for (seed, n, k, extra) in [(1, 8, 1, 2), (2, 10, 1, 4), (3, 10, 2, 3), (4, 8, 3, 2)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            graphs.push(generators::random_k_edge_connected(n, k, extra, &mut rng));
+        }
+        let exec = Executor::Sequential;
+        for (i, g) in graphs.iter().enumerate() {
+            let h = g.full_edge_set();
+            for policy in [
+                EnumeratorPolicy::Exact,
+                EnumeratorPolicy::Label,
+                EnumeratorPolicy::Contract,
+                EnumeratorPolicy::Ks,
+                EnumeratorPolicy::Auto,
+            ] {
+                let sizes = if policy == EnumeratorPolicy::Exact {
+                    1..=EXACT_MAX_CUT_SIZE
+                } else {
+                    1..=4
+                };
+                for size in sizes {
+                    let cuts = policy.build().cuts(g, &h, size, 0, &exec).unwrap();
+                    let name = policy.name();
+                    assert!(
+                        cuts.iter().all(|c| c.is_sorted()) && cuts.is_sorted(),
+                        "graph {i}, {name} at size {size}: {cuts:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

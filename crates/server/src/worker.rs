@@ -14,7 +14,7 @@
 //! restarts (or outlives a coordinator restart) re-registers automatically
 //! on its next beat.
 
-use crate::client::Client;
+use crate::client::{Client, ClientError};
 use crate::scheduler::ServeSummary;
 use crate::server::{Server, ServerConfig};
 use std::net::SocketAddr;
@@ -187,9 +187,14 @@ impl WorkerHandle {
 }
 
 /// Sends `HEARTBEAT <id> <addr>` to the coordinator every `interval` over a
-/// persistent connection, re-dialling after any failure. A missing or
-/// restarting coordinator is tolerated indefinitely: the worker just keeps
-/// trying, and its first successful beat (re-)registers it.
+/// persistent connection, re-dialling after an I/O or protocol error. A
+/// missing or restarting coordinator is tolerated indefinitely: the worker
+/// just keeps trying, and its first successful beat (re-)registers it. An
+/// `ERR` reply keeps the connection: the peer answered, it only refused the
+/// beat (it is not a coordinator, or the advertised address is not
+/// dialable). The refusal goes to stderr when it first appears and whenever
+/// its text changes, and the worker keeps beating, since a coordinator may
+/// come up at that address later.
 fn heartbeat_loop(
     coordinator: &str,
     worker_id: &str,
@@ -199,6 +204,7 @@ fn heartbeat_loop(
 ) {
     let sent = kecss_obs::counter("fleet_heartbeats_sent_total");
     let mut client: Option<Client> = None;
+    let mut refusal: Option<String> = None;
     while !stop.load(Ordering::SeqCst) {
         if client.is_none() {
             client = Client::connect(coordinator)
@@ -212,7 +218,16 @@ fn heartbeat_loop(
         }
         if let Some(c) = client.as_mut() {
             match c.heartbeat(worker_id, addr) {
-                Ok(_word) => sent.inc(),
+                Ok(_word) => {
+                    sent.inc();
+                    refusal = None;
+                }
+                Err(ClientError::Server(message)) => {
+                    if refusal.as_deref() != Some(message.as_str()) {
+                        eprintln!("worker {worker_id}: coordinator {coordinator} refused the heartbeat: {message}");
+                        refusal = Some(message);
+                    }
+                }
                 Err(_) => client = None,
             }
         }

@@ -4,14 +4,21 @@
 //! Covered here: end-to-end dispatch returning payloads byte-identical to the
 //! pure [`kecss_server::job::run`] oracle; worker registration visible in the
 //! `FLEET` status text; retry-on-worker-loss (a worker lost before its ack,
-//! and scripted `KGW1` workers that ack and then close their link, ack and
-//! then go silent with the link held open, or keep heartbeating but never ack
-//! — each job must complete on a surviving worker with the identical
-//! payload); a worker whose dial hangs, which must not hold up the others;
-//! many jobs in flight on one worker link, each with its own outcome; `BUSY` back-off against a
-//! depth-1 worker without charging the retry budget; waits that time out
-//! naming their job, in both wire modes; and the determinism property that
-//! fleet size never changes a payload byte.
+//! and scripted `KGW1` workers that ack and then close their link, tear a
+//! `RESULT` frame mid-body, go silent with the link held open, or keep
+//! heartbeating but never ack — each job must complete on a surviving worker
+//! with the identical payload); jobs queued with no workers until one
+//! registers; a worker whose dial hangs, which must not hold up the others;
+//! many jobs in flight on one worker link, each with its own outcome; `BUSY`
+//! back-off against a depth-1 worker without charging the retry budget;
+//! waits that time out naming their job, in both wire modes; and the
+//! determinism property that fleet size never changes a payload byte.
+//!
+//! These check the decisions end to end over real sockets. The decisions
+//! themselves — the ack deadline, the heartbeat timeout, `BUSY` back-off,
+//! late registration, stale links — are also checked over thousands of
+//! seeded faulty schedules by the coordinator's simulator
+//! (`coordinator::sim`).
 
 use kecss_runtime::Executor;
 use kecss_server::client::{Client, ClientError};
@@ -164,8 +171,7 @@ fn fleet_serves_jobs_with_payloads_identical_to_the_pure_runner() {
 /// the text protocol, so on the coordinator's `KGW1` link it never reads a
 /// `SUBMIT` line and never acks: it is a worker lost before its ack. Its
 /// last beat is older than the job, so the sweep's heartbeat timeout finds
-/// it; `a_worker_that_never_acks_is_lost_at_the_ack_deadline` covers the
-/// ack deadline alone. Returns its id.
+/// it if the closed link does not. Returns its id.
 fn doomed_worker(coordinator: &str) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap().to_string();
@@ -236,14 +242,18 @@ fn a_job_on_a_dying_worker_retries_on_a_survivor_with_identical_bytes() {
     stop_worker(survivor);
 }
 
-/// How a scripted `KGW1` worker treats the first job it is sent.
+/// How a scripted `KGW1` worker treats the first job it is sent. All but
+/// `NeverAck` stop heartbeating and ack it first.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Script {
-    /// Stop heartbeating, ack, then close the link: the link reader sees EOF.
-    AckThenClose,
-    /// Go black: stop heartbeating, ack, and hold the link open without
-    /// sending anything more until the coordinator closes it.
-    AckThenHold,
+    /// Close the link: the link reader sees EOF.
+    Close,
+    /// Write a `RESULT` frame whose header names more body bytes than
+    /// follow, and close: the reader sees a frame torn mid-body.
+    Tear,
+    /// Go black: hold the link open without sending anything more until the
+    /// coordinator closes it.
+    Hold,
     /// Keep heartbeating and never ack, holding the link open until the
     /// coordinator closes it: only the ack deadline can find this loss.
     NeverAck,
@@ -308,14 +318,21 @@ fn scripted_kgw1_worker(
             let ack = wire::encode_response(&Response::Ok("1 QUEUED".into()));
             link.write_all(&ack).unwrap();
         }
+        if script == Script::Tear {
+            let payload = Arc::new(vec![b'x'; 512]);
+            let frame = wire::encode_response(&Response::Result { id: 1, payload });
+            let body = frame.len() - wire::FRAME_HEADER_BYTES;
+            link.write_all(&frame[..wire::FRAME_HEADER_BYTES + body / 2])
+                .unwrap();
+        }
         events.send("dispatched").unwrap();
-        if script != Script::AckThenClose {
+        if matches!(script, Script::Hold | Script::NeverAck) {
             let mut sink = [0u8; 4096];
             while matches!(link.read(&mut sink), Ok(n) if n > 0) {}
             events.send("eof").unwrap();
         }
         stop_beating();
-        // `AckThenClose`: dropping the stream here closes the link.
+        // `Close` and `Tear`: dropping the stream here closes the link.
     });
     (id, received, script)
 }
@@ -326,7 +343,7 @@ fn a_worker_that_closes_its_link_after_the_ack_is_a_charged_loss() {
     // reveal this loss.
     let coordinator = spawn_coordinator(8, Duration::from_secs(60));
     let addr = coordinator.addr().to_string();
-    let (scripted, events, script) = scripted_kgw1_worker(&addr, Script::AckThenClose);
+    let (scripted, events, script) = scripted_kgw1_worker(&addr, Script::Close);
     wait_workers(&addr, 1);
 
     let line = "SUBMIT ring:20 2 2ecss auto 12";
@@ -353,11 +370,48 @@ fn a_worker_that_closes_its_link_after_the_ack_is_a_charged_loss() {
 }
 
 #[test]
+fn a_worker_that_tears_a_result_frame_is_a_charged_loss() {
+    // A heartbeat timeout far beyond the test: only the torn frame can
+    // reveal this loss.
+    let coordinator = spawn_coordinator(8, Duration::from_secs(60));
+    let addr = coordinator.addr().to_string();
+    let (scripted, events, script) = scripted_kgw1_worker(&addr, Script::Tear);
+    wait_workers(&addr, 1);
+
+    let line = "SUBMIT ring:20 2 2ecss auto 15";
+    let mut client = Client::connect(&addr).unwrap();
+    let id = submit_line(&mut client, line);
+    assert_eq!(events.recv_timeout(DEADLINE), Ok("dispatched"));
+    let survivor = spawn_worker(&addr, "survivor", 1, 4);
+    let payload = client.wait_result(id, DEADLINE).unwrap();
+    assert_eq!(
+        payload,
+        oracle(line),
+        "the retry must give the standalone bytes"
+    );
+    let fleet = client.fleet_status().unwrap();
+    let dead = format!("worker {scripted} ");
+    assert!(
+        fleet
+            .lines()
+            .any(|l| l.starts_with(&dead) && l.contains(" dead ")),
+        "{fleet}"
+    );
+
+    client.shutdown().unwrap();
+    let summary = coordinator.join();
+    assert_eq!((summary.completed, summary.failed), (1, 0));
+    assert!(summary.retries >= 1, "{summary:?}");
+    stop_worker(survivor);
+    script.join().unwrap();
+}
+
+#[test]
 fn a_black_holed_worker_is_swept_and_its_link_closed() {
     let timeout = Duration::from_millis(400);
     let coordinator = spawn_coordinator(8, timeout);
     let addr = coordinator.addr().to_string();
-    let (scripted, events, script) = scripted_kgw1_worker(&addr, Script::AckThenHold);
+    let (scripted, events, script) = scripted_kgw1_worker(&addr, Script::Hold);
     wait_workers(&addr, 1);
 
     let line = "SUBMIT ring:20 2 2ecss auto 13";
@@ -366,9 +420,9 @@ fn a_black_holed_worker_is_swept_and_its_link_closed() {
     assert_eq!(events.recv_timeout(DEADLINE), Ok("dispatched"));
     let acked = Instant::now();
     let survivor = spawn_worker(&addr, "survivor", 1, 4);
-    // The held link never answers, so only the sweep can free the job: one
-    // heartbeat timeout after the last beat, plus one sweep tick (a quarter
-    // of the timeout). The bound leaves room for a loaded host.
+    // The held link never answers, so only the heartbeat deadline can free
+    // the job: one heartbeat timeout after the last beat, when the
+    // dispatcher wakes. The bound leaves room for a loaded host.
     let payload = client.wait_result(id, DEADLINE).unwrap();
     assert!(acked.elapsed() < timeout * 10, "took {:?}", acked.elapsed());
     assert_eq!(
@@ -376,7 +430,7 @@ fn a_black_holed_worker_is_swept_and_its_link_closed() {
         oracle(line),
         "the retry must give the standalone bytes"
     );
-    // The sweep closed the link: the scripted worker read its end.
+    // The dispatcher closed the link: the scripted worker read its end.
     assert_eq!(events.recv_timeout(DEADLINE), Ok("eof"));
     let fleet = client.fleet_status().unwrap();
     assert!(fleet.contains(&format!("worker {scripted} ")), "{fleet}");
@@ -411,7 +465,7 @@ fn a_worker_that_never_acks_is_lost_at_the_ack_deadline() {
         oracle(line),
         "the retry must give the standalone bytes"
     );
-    // The sweep closed the unacked link.
+    // The dispatcher closed the unacked link.
     assert_eq!(events.recv_timeout(DEADLINE), Ok("eof"));
 
     client.shutdown().unwrap();
