@@ -11,7 +11,6 @@
 //! * [`Topology::Torus`] — bounded-degree, `D = Θ(√n)` instances.
 
 use graphs::{generators, EdgeSet, Graph, Weight};
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -209,20 +208,14 @@ pub fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
 }
 
-/// Draws a fresh sub-seed (convenience for sweeps that need one seed per
-/// configuration).
-pub fn subseed<R: Rng>(rng: &mut R) -> u64 {
-    rng.gen()
-}
-
 /// E17's fixture: a live in-process fleet — one coordinator plus `workers`
 /// registered workers on ephemeral ports — that [`FleetFixture::batch`] pumps
 /// job batches through. Built once per configuration so the measured routine
 /// is the submit→drain path, not fleet setup (registration needs a heartbeat
 /// round trip, which would dwarf small batches).
 pub struct FleetFixture {
-    coordinator: Option<kecss_server::CoordinatorHandle>,
-    workers: Vec<kecss_server::WorkerHandle>,
+    coordinator: Option<kecss_server::ServerHandle>,
+    workers: Vec<kecss_server::ServerHandle>,
     client: kecss_server::client::Client,
 }
 
@@ -233,26 +226,29 @@ impl FleetFixture {
     ///
     /// Panics if binding, registration, or the control connection fails.
     pub fn new(workers: usize, queue_depth: usize) -> FleetFixture {
+        use kecss_server::{Role, Server, ServerConfig};
         use std::time::Duration;
-        let coordinator = kecss_server::Coordinator::bind(&kecss_server::CoordinatorConfig {
+        let config = |role| ServerConfig {
             addr: "127.0.0.1:0".into(),
             queue_depth,
-            ..kecss_server::CoordinatorConfig::default()
-        })
+            role,
+            ..ServerConfig::default()
+        };
+        let coordinator = Server::bind(&config(Role::Coordinator {
+            heartbeat_timeout: Duration::from_secs(3),
+            max_retries: 5,
+        }))
         .expect("bind coordinator")
         .spawn();
         let addr = coordinator.addr().to_string();
         let handles: Vec<_> = (0..workers.max(1))
             .map(|i| {
-                kecss_server::Worker::bind(&kecss_server::WorkerConfig {
-                    addr: "127.0.0.1:0".into(),
+                Server::bind(&config(Role::Worker {
                     coordinator: addr.clone(),
                     worker_id: format!("bench-{i}"),
-                    threads: 1,
-                    queue_depth,
                     heartbeat_interval: Duration::from_millis(50),
-                    ..kecss_server::WorkerConfig::default()
-                })
+                    advertise: String::new(),
+                }))
                 .expect("bind worker")
                 .spawn()
             })

@@ -8,6 +8,8 @@
 use crate::CliError;
 use kecss::cuts::EnumeratorPolicy;
 use kecss_server::instance::InstanceSpec;
+use kecss_server::server::{Role, ServerConfig};
+use std::time::Duration;
 
 pub use kecss_server::instance::Family;
 pub use kecss_server::job::Algorithm;
@@ -141,23 +143,9 @@ pub enum Command {
         /// Connectivity to verify.
         k: usize,
     },
-    /// Run the long-running solver service (blocks until `SHUTDOWN`).
-    Serve {
-        /// Address to bind (`host:port`; port 0 picks an ephemeral port).
-        addr: String,
-        /// Scheduler worker threads (standalone servers and fleet workers;
-        /// the coordinator refuses `--threads`).
-        threads: usize,
-        /// Maximum jobs in flight (queued + running) before `BUSY`.
-        queue_depth: usize,
-        /// Maximum requests per connection (0 = unlimited).
-        max_requests_per_conn: usize,
-        /// Per-connection write-queue cap in bytes before a slow client is
-        /// disconnected with `ERR` (DESIGN.md §14).
-        write_queue_limit: usize,
-        /// Which fleet role this process plays (DESIGN.md §13).
-        role: ServeRole,
-    },
+    /// Run the long-running solver service in one of its roles (blocks
+    /// until `SHUTDOWN`; DESIGN.md §13).
+    Serve(ServerConfig),
     /// Submit a job to a running service and (by default) wait for its
     /// verified result.
     Submit {
@@ -170,36 +158,6 @@ pub enum Command {
     FleetStatus {
         /// The coordinator address (`host:port`).
         addr: String,
-    },
-}
-
-/// The fleet role of `kecss serve` (DESIGN.md §13).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ServeRole {
-    /// One process that accepts clients and solves locally (the default;
-    /// the pre-fleet behaviour, unchanged).
-    Standalone,
-    /// The fleet control plane: accept clients, dispatch to registered
-    /// workers over the same wire protocol.
-    Coordinator {
-        /// Deregister a worker whose last heartbeat is older than this (ms).
-        heartbeat_timeout_ms: u64,
-        /// Worker-loss re-queues a job tolerates before failing.
-        max_retries: u32,
-    },
-    /// A fleet worker: an ordinary server that also registers with (and
-    /// heartbeats to) a coordinator.
-    Worker {
-        /// The coordinator address to register with.
-        coordinator: String,
-        /// Stable worker id (`None` derives `worker-<port>`).
-        worker_id: Option<String>,
-        /// Heartbeat period (ms).
-        heartbeat_ms: u64,
-        /// The address heartbeats advertise for dispatch (`None` advertises
-        /// the bound address; set it when the bind address is not dialable
-        /// from the coordinator, e.g. `0.0.0.0` binds behind NAT/containers).
-        advertise: Option<String>,
     },
 }
 
@@ -422,6 +380,15 @@ fn parse_number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, CliEr
         .map_err(|_| CliError::Usage(format!("flag --{key} expects a number, got '{value}'")))
 }
 
+/// The number an optional flag names, or `default` when it is absent.
+fn number_or<T: std::str::FromStr>(
+    map: &std::collections::HashMap<&str, &str>,
+    key: &str,
+    default: T,
+) -> Result<T, CliError> {
+    map.get(key).map_or(Ok(default), |v| parse_number(key, v))
+}
+
 /// An address a coordinator can dial back: `HOST:PORT` with a non-empty host
 /// and a port other than 0. Host names (`worker-a:7461`) are valid.
 fn parse_dialable(key: &str, value: &str) -> Result<String, CliError> {
@@ -440,21 +407,9 @@ fn parse_generate(rest: &[&String]) -> Result<Command, CliError> {
     Ok(Command::Generate {
         family: parse_family(required(&map, "family")?)?,
         n: parse_number("n", required(&map, "n")?)?,
-        k: map
-            .get("k")
-            .map(|v| parse_number("k", v))
-            .transpose()?
-            .unwrap_or(2),
-        max_weight: map
-            .get("max-weight")
-            .map(|v| parse_number("max-weight", v))
-            .transpose()?
-            .unwrap_or(1),
-        seed: map
-            .get("seed")
-            .map(|v| parse_number("seed", v))
-            .transpose()?
-            .unwrap_or(1),
+        k: number_or(&map, "k", 2)?,
+        max_weight: number_or(&map, "max-weight", 1)?,
+        seed: number_or(&map, "seed", 1)?,
         output: required(&map, "output")?.to_string(),
     })
 }
@@ -477,21 +432,9 @@ fn parse_solve(rest: &[&String]) -> Result<Command, CliError> {
     Ok(Command::Solve {
         input: required(&map, "input")?.to_string(),
         algorithm: parse_algorithm(required(&map, "algorithm")?)?,
-        k: map
-            .get("k")
-            .map(|v| parse_number("k", v))
-            .transpose()?
-            .unwrap_or(2),
-        seed: map
-            .get("seed")
-            .map(|v| parse_number("seed", v))
-            .transpose()?
-            .unwrap_or(1),
-        threads: map
-            .get("threads")
-            .map(|v| parse_number("threads", v))
-            .transpose()?
-            .unwrap_or(1),
+        k: number_or(&map, "k", 2)?,
+        seed: number_or(&map, "seed", 1)?,
+        threads: number_or(&map, "threads", 1)?,
         enumerator: enumerator_flag(&map)?,
         output: map.get("output").map(|s| s.to_string()),
         trace: map.get("trace").map(|s| s.to_string()),
@@ -570,32 +513,12 @@ fn parse_sweep(rest: &[&String]) -> Result<Command, CliError> {
     };
     Ok(Command::Sweep {
         source,
-        k: map
-            .get("k")
-            .map(|v| parse_number("k", v))
-            .transpose()?
-            .unwrap_or(2),
-        max_weight: map
-            .get("max-weight")
-            .map(|v| parse_number("max-weight", v))
-            .transpose()?
-            .unwrap_or(1),
+        k: number_or(&map, "k", 2)?,
+        max_weight: number_or(&map, "max-weight", 1)?,
         algorithms,
-        seeds: map
-            .get("seeds")
-            .map(|v| parse_number("seeds", v))
-            .transpose()?
-            .unwrap_or(1),
-        base_seed: map
-            .get("base-seed")
-            .map(|v| parse_number("base-seed", v))
-            .transpose()?
-            .unwrap_or(1),
-        threads: map
-            .get("threads")
-            .map(|v| parse_number("threads", v))
-            .transpose()?
-            .unwrap_or(1),
+        seeds: number_or(&map, "seeds", 1)?,
+        base_seed: number_or(&map, "base-seed", 1)?,
+        threads: number_or(&map, "threads", 1)?,
         enumerator: enumerator_flag(&map)?,
         trace: map.get("trace").map(|s| s.to_string()),
     })
@@ -638,59 +561,33 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
             "max-retries",
         ],
     )?;
-    let role_name = map.get("role").copied().unwrap_or("standalone");
     // Role-specific flags on the wrong role are almost certainly a mistake
     // (a worker flag silently ignored by a coordinator would strand the
     // worker); refuse them instead of guessing.
     let reject = |flags: &[&str], role: &str| -> Result<(), CliError> {
-        for flag in flags {
-            if map.contains_key(flag) {
-                return Err(CliError::Usage(format!(
-                    "flag --{flag} does not apply to --role {role}"
-                )));
-            }
+        match flags.iter().find(|flag| map.contains_key(*flag)) {
+            Some(flag) => Err(CliError::Usage(format!(
+                "flag --{flag} does not apply to --role {role}"
+            ))),
+            None => Ok(()),
         }
-        Ok(())
     };
-    let role = match role_name {
+    const WORKER_FLAGS: [&str; 4] = ["coordinator", "worker-id", "heartbeat-ms", "advertise"];
+    let millis = |key, default| number_or(&map, key, default).map(Duration::from_millis);
+    let role = match map.get("role").copied().unwrap_or("standalone") {
         "standalone" => {
-            reject(
-                &[
-                    "coordinator",
-                    "worker-id",
-                    "heartbeat-ms",
-                    "advertise",
-                    "heartbeat-timeout-ms",
-                    "max-retries",
-                ],
-                "standalone",
-            )?;
-            ServeRole::Standalone
+            reject(&WORKER_FLAGS, "standalone")?;
+            reject(&["heartbeat-timeout-ms", "max-retries"], "standalone")?;
+            Role::Standalone
         }
         "coordinator" => {
             // The coordinator solves nothing itself: `--threads` sizes a
             // standalone server's or a worker's scheduler.
-            reject(
-                &[
-                    "coordinator",
-                    "worker-id",
-                    "heartbeat-ms",
-                    "advertise",
-                    "threads",
-                ],
-                "coordinator",
-            )?;
-            ServeRole::Coordinator {
-                heartbeat_timeout_ms: map
-                    .get("heartbeat-timeout-ms")
-                    .map(|v| parse_number("heartbeat-timeout-ms", v))
-                    .transpose()?
-                    .unwrap_or(3000),
-                max_retries: map
-                    .get("max-retries")
-                    .map(|v| parse_number("max-retries", v))
-                    .transpose()?
-                    .unwrap_or(5),
+            reject(&WORKER_FLAGS, "coordinator")?;
+            reject(&["threads"], "coordinator")?;
+            Role::Coordinator {
+                heartbeat_timeout: millis("heartbeat-timeout-ms", 3000)?,
+                max_retries: number_or(&map, "max-retries", 5)?,
             }
         }
         "worker" => {
@@ -706,18 +603,14 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
                 ],
                 "worker",
             )?;
-            ServeRole::Worker {
+            Role::Worker {
                 coordinator: required(&map, "coordinator")?.to_string(),
-                worker_id: map.get("worker-id").map(|s| s.to_string()),
-                heartbeat_ms: map
-                    .get("heartbeat-ms")
-                    .map(|v| parse_number("heartbeat-ms", v))
-                    .transpose()?
-                    .unwrap_or(500),
-                advertise: map
-                    .get("advertise")
-                    .map(|v| parse_dialable("advertise", v))
-                    .transpose()?,
+                worker_id: map.get("worker-id").unwrap_or(&"").to_string(),
+                heartbeat_interval: millis("heartbeat-ms", 500)?,
+                advertise: match map.get("advertise") {
+                    Some(v) => parse_dialable("advertise", v)?,
+                    None => String::new(),
+                },
             }
         }
         other => {
@@ -728,37 +621,23 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
     };
     // A worker defaults to an ephemeral port (many per host); the other
     // roles keep the established default service port.
-    let default_addr = if matches!(role, ServeRole::Worker { .. }) {
-        "127.0.0.1:0"
-    } else {
-        "127.0.0.1:7461"
+    let defaults = ServerConfig::default();
+    let default_addr = match role {
+        Role::Worker { .. } => "127.0.0.1:0",
+        _ => &defaults.addr,
     };
-    Ok(Command::Serve {
-        addr: map
-            .get("addr")
-            .map_or_else(|| default_addr.to_string(), |s| s.to_string()),
-        threads: map
-            .get("threads")
-            .map(|v| parse_number("threads", v))
-            .transpose()?
-            .unwrap_or(1),
-        queue_depth: map
-            .get("queue-depth")
-            .map(|v| parse_number("queue-depth", v))
-            .transpose()?
-            .unwrap_or(16),
-        max_requests_per_conn: map
-            .get("max-requests-per-conn")
-            .map(|v| parse_number("max-requests-per-conn", v))
-            .transpose()?
-            .unwrap_or(0),
-        write_queue_limit: map
-            .get("write-queue-limit")
-            .map(|v| parse_number("write-queue-limit", v))
-            .transpose()?
-            .unwrap_or(16 << 20),
+    Ok(Command::Serve(ServerConfig {
+        addr: map.get("addr").copied().unwrap_or(default_addr).to_string(),
+        threads: number_or(&map, "threads", defaults.threads)?,
+        queue_depth: number_or(&map, "queue-depth", defaults.queue_depth)?,
+        max_requests_per_conn: number_or(
+            &map,
+            "max-requests-per-conn",
+            defaults.max_requests_per_conn,
+        )?,
+        write_queue_limit: number_or(&map, "write-queue-limit", defaults.write_queue_limit)?,
         role,
-    })
+    }))
 }
 
 fn parse_fleet_status(rest: &[&String]) -> Result<Command, CliError> {
@@ -805,28 +684,16 @@ fn parse_submit(rest: &[&String]) -> Result<Command, CliError> {
         addr,
         action: SubmitAction::Job {
             instance,
-            k: map
-                .get("k")
-                .map(|v| parse_number("k", v))
-                .transpose()?
-                .unwrap_or(2),
+            k: number_or(&map, "k", 2)?,
             algorithm: map
                 .get("algorithm")
                 .map(|v| parse_algorithm(v))
                 .transpose()?
                 .unwrap_or(Algorithm::KEcss),
             enumerator: enumerator_flag(&map)?,
-            seed: map
-                .get("seed")
-                .map(|v| parse_number("seed", v))
-                .transpose()?
-                .unwrap_or(1),
+            seed: number_or(&map, "seed", 1)?,
             no_wait: parse_bool_flag(&map, "no-wait")?,
-            timeout_secs: map
-                .get("timeout-secs")
-                .map(|v| parse_number("timeout-secs", v))
-                .transpose()?
-                .unwrap_or(600),
+            timeout_secs: number_or(&map, "timeout-secs", 600)?,
             payload_only: parse_bool_flag(&map, "payload-only")?,
             binary: parse_bool_flag(&map, "binary")?,
         },
@@ -1201,14 +1068,14 @@ mod tests {
     fn serve_parses_with_defaults_and_flags() {
         assert_eq!(
             parse(&argv(&["serve"])).unwrap(),
-            Command::Serve {
+            Command::Serve(ServerConfig {
                 addr: "127.0.0.1:7461".into(),
                 threads: 1,
                 queue_depth: 16,
                 max_requests_per_conn: 0,
                 write_queue_limit: 16 << 20,
-                role: ServeRole::Standalone,
-            }
+                role: Role::Standalone,
+            })
         );
         assert_eq!(
             parse(&argv(&[
@@ -1225,14 +1092,14 @@ mod tests {
                 "104857600",
             ]))
             .unwrap(),
-            Command::Serve {
+            Command::Serve(ServerConfig {
                 addr: "127.0.0.1:0".into(),
                 threads: 4,
                 queue_depth: 32,
                 max_requests_per_conn: 100,
                 write_queue_limit: 100 << 20,
-                role: ServeRole::Standalone,
-            }
+                role: Role::Standalone,
+            })
         );
         assert!(parse(&argv(&["serve", "--threads", "x"])).is_err());
     }
@@ -1250,17 +1117,17 @@ mod tests {
                 "2",
             ]))
             .unwrap(),
-            Command::Serve {
+            Command::Serve(ServerConfig {
                 addr: "127.0.0.1:7461".into(),
                 threads: 1,
                 queue_depth: 16,
                 max_requests_per_conn: 0,
                 write_queue_limit: 16 << 20,
-                role: ServeRole::Coordinator {
-                    heartbeat_timeout_ms: 1500,
+                role: Role::Coordinator {
+                    heartbeat_timeout: Duration::from_millis(1500),
                     max_retries: 2,
                 },
-            }
+            })
         );
         // A worker defaults to an ephemeral port and requires --coordinator.
         assert_eq!(
@@ -1274,19 +1141,19 @@ mod tests {
                 "w1",
             ]))
             .unwrap(),
-            Command::Serve {
+            Command::Serve(ServerConfig {
                 addr: "127.0.0.1:0".into(),
                 threads: 1,
                 queue_depth: 16,
                 max_requests_per_conn: 0,
                 write_queue_limit: 16 << 20,
-                role: ServeRole::Worker {
+                role: Role::Worker {
                     coordinator: "127.0.0.1:7460".into(),
-                    worker_id: Some("w1".into()),
-                    heartbeat_ms: 500,
-                    advertise: None,
+                    worker_id: "w1".into(),
+                    heartbeat_interval: Duration::from_millis(500),
+                    advertise: String::new(),
                 },
-            }
+            })
         );
         // The coordinator's one link to a worker carries every job: a
         // request limit would cut it every N jobs, and the worker sizes its
@@ -1344,14 +1211,14 @@ mod tests {
             ]))
         };
         for ok in ["worker-a:7461", "10.0.0.7:9000", "[::1]:7461"] {
-            let Ok(Command::Serve {
-                role: ServeRole::Worker { advertise, .. },
+            let Ok(Command::Serve(ServerConfig {
+                role: Role::Worker { advertise, .. },
                 ..
-            }) = worker(ok)
+            })) = worker(ok)
             else {
                 panic!("`{ok}` must parse");
             };
-            assert_eq!(advertise.as_deref(), Some(ok));
+            assert_eq!(advertise, ok);
         }
         for bad in [
             "127.0.0.1:0",

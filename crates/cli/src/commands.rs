@@ -1,17 +1,15 @@
 //! Execution of the parsed CLI commands.
 
-use crate::args::{Algorithm, Command, Family, ServeRole, SubmitAction, SweepSource};
+use crate::args::{Algorithm, Command, Family, SubmitAction, SweepSource};
 use crate::CliError;
 use graphs::{connectivity, EdgeSet, Graph};
 use kecss::cuts::EnumeratorPolicy;
 use kecss::lower_bounds;
 use kecss_runtime::{sweep, Executor};
 use kecss_server::client::Client;
-use kecss_server::coordinator::{fleet_summary_line, Coordinator, CoordinatorConfig};
 use kecss_server::instance;
 use kecss_server::job::{self, JobSpec};
-use kecss_server::server::{summary_line, Server, ServerConfig};
-use kecss_server::worker::{Worker, WorkerConfig};
+use kecss_server::server::Server;
 use std::io::Write;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -106,89 +104,16 @@ pub fn execute<W: Write>(command: Command, out: &mut W) -> Result<(), CliError> 
                 enumerator,
             )
         }
-        Command::Serve {
-            addr,
-            threads,
-            queue_depth,
-            max_requests_per_conn,
-            write_queue_limit,
-            role,
-        } => match role {
-            ServeRole::Standalone => {
-                let server = Server::bind(&ServerConfig {
-                    addr,
-                    threads,
-                    queue_depth,
-                    max_requests_per_conn,
-                    write_queue_limit,
-                })?;
-                writeln!(
-                    out,
-                    "kecss serve listening on {} (threads={}, queue-depth={})",
-                    server.local_addr(),
-                    threads.max(1),
-                    queue_depth.max(1)
-                )?;
-                let summary = server.run();
-                writeln!(out, "{}", summary_line(&summary))?;
-                Ok(())
-            }
-            ServeRole::Coordinator {
-                heartbeat_timeout_ms,
-                max_retries,
-            } => {
-                let coordinator = Coordinator::bind(&CoordinatorConfig {
-                    addr,
-                    queue_depth,
-                    heartbeat_timeout: Duration::from_millis(heartbeat_timeout_ms.max(1)),
-                    max_retries,
-                    max_requests_per_conn,
-                    write_queue_limit,
-                })?;
-                writeln!(
-                    out,
-                    "kecss coordinator listening on {} (queue-depth={}, \
-                     heartbeat-timeout={heartbeat_timeout_ms}ms, max-retries={max_retries})",
-                    coordinator.local_addr(),
-                    queue_depth.max(1),
-                )?;
-                // The banner must be visible before the blocking run: the
-                // smoke harness polls it for the bound address.
-                out.flush()?;
-                let summary = coordinator.run();
-                writeln!(out, "{}", fleet_summary_line(&summary))?;
-                Ok(())
-            }
-            ServeRole::Worker {
-                coordinator,
-                worker_id,
-                heartbeat_ms,
-                advertise,
-            } => {
-                let worker = Worker::bind(&WorkerConfig {
-                    addr,
-                    coordinator: coordinator.clone(),
-                    worker_id: worker_id.unwrap_or_default(),
-                    threads,
-                    queue_depth,
-                    heartbeat_interval: Duration::from_millis(heartbeat_ms.max(1)),
-                    advertise: advertise.unwrap_or_default(),
-                })?;
-                writeln!(
-                    out,
-                    "kecss worker {} listening on {} (coordinator={coordinator}, \
-                     heartbeat={heartbeat_ms}ms, threads={}, queue-depth={})",
-                    worker.worker_id(),
-                    worker.local_addr(),
-                    threads.max(1),
-                    queue_depth.max(1)
-                )?;
-                out.flush()?;
-                let summary = worker.run();
-                writeln!(out, "{}", summary_line(&summary))?;
-                Ok(())
-            }
-        },
+        Command::Serve(config) => {
+            let server = Server::bind(&config)?;
+            writeln!(out, "{}", server.banner())?;
+            // The banner must be visible before the blocking run: the smoke
+            // harness polls it for the bound address.
+            out.flush()?;
+            let summary = server.run();
+            writeln!(out, "{}", config.role.summary_line(&summary))?;
+            Ok(())
+        }
         Command::Submit { addr, action } => run_submit(out, &addr, action),
         Command::FleetStatus { addr } => {
             let mut client =

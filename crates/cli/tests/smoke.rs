@@ -1,6 +1,7 @@
 //! Workspace-seam smoke test: drives the full generate → solve → verify
-//! pipeline through `kecss_cli::run` on a tiny instance, and runs the
-//! `kecss` binary as a worker heartbeating a server that refuses its beats.
+//! pipeline through `kecss_cli::run` on a tiny instance, checks that a
+//! `--trace` sink leaves `solve`'s output unchanged, and runs the `kecss`
+//! binary as a worker heartbeating a server that refuses its beats.
 
 use kecss_server::client::Client;
 use std::io::{BufRead, BufReader, Read};
@@ -89,6 +90,50 @@ fn generate_solve_verify_pipeline() {
     assert!(
         out.to_lowercase().contains("ok") || out.contains("2-edge-connected"),
         "verify reports success: {out}"
+    );
+}
+
+#[test]
+fn a_trace_sink_never_changes_what_solve_writes() {
+    let instance = TempFile::new("harary16.graph");
+    let traced = TempFile::new("traced.edges");
+    let untraced = TempFile::new("untraced.edges");
+    let trace = TempFile::new("solve.trace.jsonl");
+    run(&[
+        "generate",
+        "--family",
+        "harary",
+        "--n",
+        "16",
+        "--k",
+        "5",
+        "--output",
+        instance.as_str(),
+    ])
+    .expect("generate succeeds");
+    // k = 5 covers cuts of size 4, which `auto` sends to the label
+    // enumerator.
+    let solve = |output: &TempFile, trace: Option<&TempFile>| {
+        let mut args = vec![
+            "solve",
+            "--input",
+            instance.as_str(),
+            "--algorithm",
+            "kecss",
+        ];
+        args.extend(["--k", "5", "--seed", "3", "--output", output.as_str()]);
+        args.extend(trace.iter().flat_map(|t| ["--trace", t.as_str()]));
+        run(&args)
+            .expect("solve succeeds")
+            .replace(output.as_str(), "<output>")
+    };
+    assert_eq!(solve(&traced, Some(&trace)), solve(&untraced, None));
+    let read = |file: &TempFile| std::fs::read(&file.0).expect("solve wrote it");
+    assert_eq!(read(&traced), read(&untraced));
+    let spans = String::from_utf8(read(&trace)).expect("the trace is utf-8");
+    assert!(
+        spans.contains(r#""path":"solve/augment/enumerate""#),
+        "no enumerate span in the trace:\n{spans}"
     );
 }
 

@@ -7,9 +7,10 @@
 //! exact removal test (batch-parallel through a [`kecss_runtime::Executor`]),
 //! so reported cuts are exact rather than w.h.p.:
 //!
-//! * [`ExactEnumerator`] — the specialized enumerators for sizes 1–3:
-//!   bridges (Tarjan), cut pairs via cycle-space label classes (Section 5.2),
-//!   and label triples XOR-ing to zero (Corollary 5.3).
+//! * [`ExactEnumerator`] — sizes 1–3: bridges (Tarjan), then cut pairs via
+//!   cycle-space label classes (Section 5.2) and label triples XOR-ing to
+//!   zero (Corollary 5.3), both taken from the label enumerator's path
+//!   below with no candidate budget.
 //! * [`LabelEnumerator`] — the *general* label-class enumerator for arbitrary
 //!   size: sample a random cycle-space labelling
 //!   ([`Circulation::xor_zero_subsets`]) and enumerate the size-`s` edge
@@ -239,8 +240,9 @@ fn labels_for(graph: &Graph, h: &EdgeSet, salt: u64) -> Circulation {
     Circulation::sample(graph, h, &tree, 64, &mut rng)
 }
 
-/// The exact specializations for cut sizes 1–3 (the pre-refactor
-/// enumerators): bridges, label-class cut pairs, XOR-zero label triples.
+/// The exact enumerator for cut sizes 1–3: bridges by Tarjan, and the cut
+/// pairs and triples from the label path with no candidate budget (pairs
+/// within a label class, XOR-completing triples).
 ///
 /// Deterministically complete on its sizes; requests for size > 3 return
 /// [`Error::InvalidCutRequest`] — use [`LabelEnumerator`],
@@ -275,8 +277,7 @@ impl CutEnumerator for ExactEnumerator {
                 kecss_obs::counter_with("solver_enum_cuts_total", &[("strategy", "exact")]).add(n);
                 Ok(bridges)
             }
-            2 => Ok(cut_pairs(graph, h, salt, exec)),
-            3 => Ok(cut_triples(graph, h, salt, exec)),
+            2 | 3 => label_cuts(graph, h, size, salt, exec, u64::MAX, "exact"),
             _ => Err(Error::InvalidCutRequest {
                 reason: format!(
                     "the exact enumerator handles cut sizes 1..={EXACT_MAX_CUT_SIZE}, \
@@ -285,46 +286,6 @@ impl CutEnumerator for ExactEnumerator {
             }),
         }
     }
-}
-
-/// All cuts of size exactly 2 (cut pairs) of the connected subgraph `(V, h)`.
-fn cut_pairs(graph: &Graph, h: &EdgeSet, salt: u64, exec: &Executor) -> Vec<Cut> {
-    let circulation = labels_for(graph, h, salt);
-    let candidates = circulation
-        .cut_pairs()
-        .into_iter()
-        .map(|(a, b)| vec![a, b])
-        .collect();
-    let mut out = verify_candidates(graph, h, candidates, exec, "exact");
-    out.sort();
-    out
-}
-
-/// All cuts of size exactly 3 of the connected subgraph `(V, h)`.
-fn cut_triples(graph: &Graph, h: &EdgeSet, salt: u64, exec: &Executor) -> Vec<Cut> {
-    let circulation = labels_for(graph, h, salt);
-    let ids: Vec<EdgeId> = h.iter().collect();
-    let labels: Vec<u64> = ids
-        .iter()
-        .map(|&id| circulation.label(id).expect("edge of h has a label"))
-        .collect();
-    let mut candidates = Vec::new();
-    for i in 0..ids.len() {
-        for j in (i + 1)..ids.len() {
-            // Complete the pair with every later edge carrying the XOR of
-            // its labels.
-            let Some(completions) = circulation.edges_with_label(labels[i] ^ labels[j]) else {
-                continue;
-            };
-            let (a, b) = (ids[i], ids[j]);
-            for &c in &completions[completions.partition_point(|&c| c <= b)..] {
-                candidates.push(vec![a, b, c]);
-            }
-        }
-    }
-    let mut out = verify_candidates(graph, h, candidates, exec, "exact");
-    out.sort();
-    out
 }
 
 /// The general cycle-space label enumerator for arbitrary cut size
@@ -369,18 +330,32 @@ impl CutEnumerator for LabelEnumerator {
         exec: &Executor,
     ) -> Result<Vec<Cut>> {
         check_request(graph, h, size)?;
-        let circulation = labels_for(graph, h, salt);
-        let Some(candidates) = circulation.xor_zero_subsets(size, self.budget) else {
-            kecss_obs::counter_with("solver_enum_overflow_total", &[("strategy", "label")]).inc();
-            return Err(Error::CandidateOverflow {
-                size,
-                budget: self.budget,
-            });
-        };
-        let mut out = verify_candidates(graph, h, candidates, exec, "label");
-        out.sort();
-        Ok(out)
+        label_cuts(graph, h, size, salt, exec, self.budget, "label")
     }
+}
+
+/// The cuts of `size` edges of `(V, h)` among the XOR-zero label subsets
+/// ([`Circulation::xor_zero_subsets`]), verified and sorted; the counters
+/// are recorded under `strategy`. [`ExactEnumerator`] takes its sizes 2 and
+/// 3 from here with no budget: at size 2 the subsets are the pairs within a
+/// label class, at size 3 the XOR-completing triples.
+fn label_cuts(
+    graph: &Graph,
+    h: &EdgeSet,
+    size: usize,
+    salt: u64,
+    exec: &Executor,
+    budget: u64,
+    strategy: &'static str,
+) -> Result<Vec<Cut>> {
+    let circulation = labels_for(graph, h, salt);
+    let Some(candidates) = circulation.xor_zero_subsets(size, budget) else {
+        kecss_obs::counter_with("solver_enum_overflow_total", &[("strategy", strategy)]).inc();
+        return Err(Error::CandidateOverflow { size, budget });
+    };
+    let mut out = verify_candidates(graph, h, candidates, exec, strategy);
+    out.sort();
+    Ok(out)
 }
 
 /// The base seed of the contraction trials (mixed with the salt).

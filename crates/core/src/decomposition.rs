@@ -324,15 +324,6 @@ impl Decomposition {
             .unwrap_or(0)
     }
 
-    /// The number of tree edges on the longest highway.
-    pub fn max_highway_len(&self) -> usize {
-        self.segments
-            .iter()
-            .map(Segment::highway_len)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Checks the structural invariants promised by Section 3.2 / Lemma 3.4
     /// and panics with a description if any is violated. Used by tests and by
     /// the decomposition experiment (E4).

@@ -287,11 +287,6 @@ impl Graph {
         id
     }
 
-    /// Adds an unweighted (weight 1) edge.
-    pub fn add_unit_edge(&mut self, u: NodeId, v: NodeId) -> EdgeId {
-        self.add_edge(u, v, 1)
-    }
-
     /// Builds the CSR adjacency now (idempotent). Useful to pay the build
     /// cost at a chosen time — e.g. before handing the graph to concurrent
     /// readers — instead of on the first adjacency query.
@@ -585,12 +580,6 @@ impl EdgeSet {
             word_idx: 0,
             current: self.words.first().copied().unwrap_or(0),
         }
-    }
-
-    /// Alias of [`EdgeSet::iter`], named for call sites that want to stress
-    /// they iterate raw ids over set words.
-    pub fn iter_ids(&self) -> EdgeSetIter<'_> {
-        self.iter()
     }
 
     /// Recomputes `count` from the words (after a word-wise bulk operation).
@@ -988,6 +977,6 @@ mod tests {
     fn words_expose_the_packed_representation() {
         let s = EdgeSet::from_ids(70, [EdgeId(0), EdgeId(63), EdgeId(64)]);
         assert_eq!(s.words(), &[(1u64 << 63) | 1, 1]);
-        assert_eq!(s.iter_ids().count(), 3);
+        assert_eq!(s.iter().count(), 3);
     }
 }

@@ -1,8 +1,10 @@
-//! The fleet control plane: a coordinator that speaks the **same**
+//! The fleet control plane: the job table and the dispatcher of a
+//! [`crate::server::Role::Coordinator`] server, which speaks the **same**
 //! client-facing protocol as the standalone server (one responder,
 //! [`crate::event_loop`], answers both), plus `HEARTBEAT` and `FLEET`, and
 //! dispatches every job to a registered worker over that same wire format
-//! (DESIGN.md §13).
+//! (DESIGN.md §13). [`crate::server::Server`] binds, runs and stops it like
+//! every other role.
 //!
 //! * **One place decides.** Admission, assignment, which job a link's reply
 //!   answers, whether a worker is lost and when to look again are decided by
@@ -25,69 +27,18 @@ mod fleet;
 mod sim;
 
 use crate::client::read_reply_frame;
-use crate::event_loop::{run_event_loop, EventLoopConfig, Service};
+use crate::event_loop::Service;
 use crate::job::JobSpec;
 use crate::protocol::{Request, Response};
-use crate::scheduler::{CompletionHook, JobId, JobState, Outcome};
+use crate::scheduler::{CompletionHook, JobId, JobState, Outcome, ServeSummary};
 use crate::wire;
 use fleet::{Action, Event, Fleet, LinkId, Verdict};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Coordinator configuration (the CLI's `kecss serve --role coordinator`
-/// flags).
-#[derive(Clone, Debug)]
-pub struct CoordinatorConfig {
-    /// The client-facing address to bind (port 0 picks one).
-    pub addr: String,
-    /// Maximum jobs in flight (queued + assigned + running) before `BUSY`.
-    pub queue_depth: usize,
-    /// A worker whose last heartbeat, or oldest unacked `SUBMIT`, is older
-    /// than this is deregistered and its jobs re-queued; also bounds writes.
-    pub heartbeat_timeout: Duration,
-    /// Worker-loss re-queues a job tolerates before failing.
-    pub max_retries: u32,
-    /// Per-connection request limit (0 = unlimited), as on the server.
-    pub max_requests_per_conn: usize,
-    /// Per-connection unsent-reply bound (the slow-client policy), as on the
-    /// server.
-    pub write_queue_limit: usize,
-}
-
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig {
-            addr: "127.0.0.1:7460".into(),
-            queue_depth: 64,
-            heartbeat_timeout: Duration::from_secs(3),
-            max_retries: 5,
-            max_requests_per_conn: 0,
-            write_queue_limit: 16 << 20,
-        }
-    }
-}
-
-/// Aggregate fleet counters, returned by [`Coordinator::run`] and rendered
-/// in the `FLEET` status text.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FleetSummary {
-    /// Jobs accepted into the queue.
-    pub submitted: u64,
-    /// Jobs that finished with a payload.
-    pub completed: u64,
-    /// Jobs that finished with an error (including exhausted retries).
-    pub failed: u64,
-    /// Jobs cancelled while queued.
-    pub cancelled: u64,
-    /// Submissions rejected with `BUSY`.
-    pub rejected: u64,
-    /// Worker-loss (or `BUSY`) re-queues across all jobs.
-    pub retries: u64,
-}
 
 /// One persistent `KGW1` connection to a worker, dialled and read by its own
 /// [`run_link`] thread, so a dial that hangs holds up only its jobs.
@@ -165,8 +116,10 @@ fn run_link(shared: &Shared, id: LinkId, link: &Link, addr: &str) {
     shared.step(Event::LinkError(worker(), id, cause));
 }
 
+/// The coordinator's job table: the fleet machine, the dispatcher's wakeup
+/// and the worker links.
 #[derive(Default)]
-struct Shared {
+pub(crate) struct Shared {
     fleet: Mutex<Fleet>,
     /// Wakes the dispatcher: signalled when a step kicks, and on shutdown.
     dispatch: Condvar,
@@ -182,6 +135,36 @@ struct Shared {
 }
 
 impl Shared {
+    /// The table of a coordinator admitting `queue_depth` jobs in flight.
+    pub(crate) fn new(queue_depth: usize, timeout: Duration, max_retries: u32) -> Arc<Shared> {
+        Arc::new_cyclic(|me| Shared {
+            fleet: Mutex::new(Fleet::new(queue_depth, timeout, max_retries)),
+            timeout,
+            me: me.clone(),
+            ..Shared::default()
+        })
+    }
+
+    /// Wakes the dispatcher once the readiness loop has returned: it finds
+    /// the machine closed and idle, and returns.
+    pub(crate) fn wake_dispatcher(&self) {
+        drop(self.lock());
+        self.dispatch.notify_all();
+    }
+
+    /// Closes the worker links and joins their readers (after the
+    /// dispatcher, the only thread that dials, has returned), then returns
+    /// the final counters.
+    pub(crate) fn close_links(&self) -> ServeSummary {
+        let links = std::mem::take(&mut *self.links());
+        links.values().for_each(|link| link.close());
+        let readers = std::mem::take(&mut *self.readers.lock().expect("reader list poisoned"));
+        for reader in readers {
+            reader.join().expect("a link reader panicked");
+        }
+        self.lock().summary
+    }
+
     fn lock(&self) -> MutexGuard<'_, Fleet> {
         self.fleet.lock().expect("coordinator lock poisoned")
     }
@@ -242,115 +225,10 @@ impl Shared {
     }
 }
 
-/// A bound, not-yet-running coordinator (bind/run split as on [`crate::Server`]).
-pub struct Coordinator {
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    loop_config: EventLoopConfig,
-}
-
-impl Coordinator {
-    /// Binds the client-facing listener.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind(config: &CoordinatorConfig) -> std::io::Result<Coordinator> {
-        let timeout = config.heartbeat_timeout;
-        let fleet = Mutex::new(Fleet::new(config.queue_depth, timeout, config.max_retries));
-        Ok(Coordinator {
-            listener: TcpListener::bind(&config.addr)?,
-            shared: Arc::new_cyclic(|me| Shared {
-                fleet,
-                timeout,
-                me: me.clone(),
-                ..Shared::default()
-            }),
-            loop_config: EventLoopConfig {
-                max_requests_per_conn: config.max_requests_per_conn,
-                write_queue_limit: config.write_queue_limit.max(1),
-                backend: None,
-            },
-        })
-    }
-
-    /// The actually-bound client-facing address (resolves port 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the OS cannot report the bound address (it just bound it).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("listener has an address")
-    }
-
-    /// Runs the readiness loop and the dispatcher until a `SHUTDOWN` request
-    /// arrives, then drains the in-flight jobs, closes the worker links and
-    /// returns the final counters. The drain needs live workers to make
-    /// progress; a fleet shut down with queued jobs and no workers waits
-    /// until a worker registers (heartbeats on already-open connections are
-    /// still served during the drain; only *new* connects are refused).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the readiness poller cannot be constructed (fd exhaustion).
-    pub fn run(self) -> FleetSummary {
-        let dispatcher = {
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || dispatcher_loop(&shared))
-        };
-        // The loop returns once every admitted job is terminal; then the
-        // dispatcher finds the machine closed and idle, and returns.
-        run_event_loop(self.listener, &*self.shared, &self.loop_config)
-            .expect("readiness loop failed to start");
-        drop(self.shared.lock());
-        self.shared.dispatch.notify_all();
-        dispatcher.join().expect("the dispatcher panicked");
-        let links = std::mem::take(&mut *self.shared.links());
-        links.values().for_each(|link| link.close());
-        let readers =
-            std::mem::take(&mut *self.shared.readers.lock().expect("reader list poisoned"));
-        for reader in readers {
-            reader.join().expect("a link reader panicked");
-        }
-        self.shared.lock().summary
-    }
-
-    /// Spawns [`Coordinator::run`] on a background thread (tests, benches
-    /// and the in-process harness).
-    pub fn spawn(self) -> CoordinatorHandle {
-        let addr = self.local_addr();
-        let thread = std::thread::spawn(move || self.run());
-        CoordinatorHandle { addr, thread }
-    }
-}
-
-/// A running background coordinator.
-pub struct CoordinatorHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<FleetSummary>,
-}
-
-impl CoordinatorHandle {
-    /// The coordinator's client-facing address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the coordinator to shut down (send `SHUTDOWN` first) and
-    /// returns its final counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinator thread panicked.
-    pub fn join(self) -> FleetSummary {
-        self.thread.join().expect("coordinator thread panicked")
-    }
-}
-
 /// The dispatcher: wakes the machine (which sweeps lost workers and assigns
 /// queued jobs), writes the `SUBMIT`s it asks for, and sleeps until its next
 /// deadline or a kick, read and begun under one lock so no kick is lost.
-fn dispatcher_loop(shared: &Shared) {
+pub(crate) fn dispatcher_loop(shared: &Shared) {
     let mut fleet = shared.lock();
     loop {
         fleet.step(Event::Wake, Instant::now());
@@ -422,20 +300,6 @@ impl Service for Shared {
         let text = self.lock().render(Instant::now());
         Response::Fleet(Arc::new(text.into_bytes()))
     }
-}
-
-/// Formats a one-line human summary (the CLI and the binary print it on
-/// exit, mirroring [`crate::server::summary_line`]).
-pub fn fleet_summary_line(summary: &FleetSummary) -> String {
-    format!(
-        "fleet served {} jobs: {} completed, {} failed, {} cancelled, {} rejected busy, {} retries",
-        summary.submitted,
-        summary.completed,
-        summary.failed,
-        summary.cancelled,
-        summary.rejected,
-        summary.retries
-    )
 }
 
 #[cfg(test)]
@@ -523,11 +387,11 @@ mod tests {
     fn fleet_text_renders_workers_jobs_and_counters() {
         let mut fleet = Fleet::new(4, Duration::from_secs(3), 5);
         fleet.next_id = 2;
-        fleet.summary = FleetSummary {
+        fleet.summary = ServeSummary {
             submitted: 2,
             completed: 1,
             retries: 1,
-            ..FleetSummary::default()
+            ..ServeSummary::default()
         };
         fleet.workers.insert(
             "w1".into(),

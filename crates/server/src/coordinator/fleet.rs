@@ -3,10 +3,9 @@
 //! [`Event`]s with the time they read and carry out the [`Action`]s it
 //! appends, so a test can drive it over virtual time with no socket at all.
 
-use super::FleetSummary;
 use crate::job::JobSpec;
 use crate::protocol::Response;
-use crate::scheduler::{JobId, JobState, Outcome};
+use crate::scheduler::{JobId, JobState, Outcome, ServeSummary};
 use kecss_obs::{Counter, Gauge, Histogram};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -175,7 +174,7 @@ pub(crate) struct Fleet {
     pub(super) kicked: bool,
     /// The actions appended since the threads last took them.
     pub(super) actions: Vec<Action>,
-    pub(super) summary: FleetSummary,
+    pub(super) summary: ServeSummary,
 }
 
 impl Fleet {

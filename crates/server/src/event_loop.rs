@@ -7,7 +7,8 @@
 //! one responder answers every request for all of them: what differs per
 //! role is only its job table, behind the [`Service`] trait. A client
 //! therefore cannot tell a coordinator from a standalone server by the
-//! verbs they share (DESIGN.md §13).
+//! verbs they share (DESIGN.md §13). The loop's one caller is
+//! [`crate::server::Server::run`].
 //!
 //! Per-connection state machine:
 //!
@@ -40,7 +41,7 @@
 //! [`Response`]'s `Arc`. The queue is written with `writev`.
 //!
 //! **Backpressure**: each connection's unsent reply bytes, queued bodies
-//! included, are bounded by [`EventLoopConfig::write_queue_limit`]. A reader
+//! included, are bounded by [`ServerConfig::write_queue_limit`]. A reader
 //! stalled past that bound gets its queue replaced by one final `ERR` and
 //! the connection closed (counted under
 //! `server_conn_limit_total{kind="write"}`) — one stalled client can neither
@@ -54,6 +55,7 @@
 use crate::job::JobSpec;
 use crate::protocol::{Request, Response};
 use crate::scheduler::{CompletionHook, JobId, JobState, Outcome};
+use crate::server::ServerConfig;
 use crate::wire;
 use polling::{Backend, Event, Interest, Poller};
 use std::collections::{HashMap, VecDeque};
@@ -252,30 +254,6 @@ fn classify_response(response: &Response) {
     }
 }
 
-/// Loop configuration (a subset of the role configs).
-#[derive(Clone, Debug)]
-pub struct EventLoopConfig {
-    /// Maximum requests a single connection may issue before the server
-    /// answers `ERR` and closes it (0 = unlimited).
-    pub max_requests_per_conn: usize,
-    /// Maximum unsent reply bytes buffered per connection before the
-    /// slow-client policy closes it.
-    pub write_queue_limit: usize,
-    /// Readiness backend override (`None` = platform default). The tests use
-    /// this to drive the portable `poll(2)` fallback on Linux.
-    pub backend: Option<Backend>,
-}
-
-impl Default for EventLoopConfig {
-    fn default() -> Self {
-        EventLoopConfig {
-            max_requests_per_conn: 0,
-            write_queue_limit: 16 << 20,
-            backend: None,
-        }
-    }
-}
-
 /// Wire mode of one connection.
 enum Mode {
     /// Undecided: fewer than 4 bytes seen and they could still be the
@@ -403,18 +381,21 @@ const LISTENER_KEY: usize = 0;
 
 /// Runs the readiness loop until a `SHUTDOWN` request has been answered and
 /// the service has drained. Consumes the listener (it is dropped the moment
-/// shutdown begins, so late connects are refused by the OS).
+/// shutdown begins, so late connects are refused by the OS). Each
+/// connection is bounded by `config`'s request limit and write-queue bound;
+/// `backend` overrides the platform's readiness backend.
 ///
 /// # Errors
 ///
 /// Propagates poller-construction and listener-registration failures; per
 /// connection I/O errors just close that connection.
-pub fn run_event_loop(
+pub(crate) fn run_event_loop(
     listener: TcpListener,
     service: &dyn Service,
-    config: &EventLoopConfig,
+    config: &ServerConfig,
+    backend: Option<Backend>,
 ) -> std::io::Result<()> {
-    let poller = Arc::new(match config.backend {
+    let poller = Arc::new(match backend {
         Some(backend) => Poller::with_backend(backend)?,
         None => Poller::new()?,
     });
@@ -608,7 +589,7 @@ fn discard_input(conn: &mut Conn) -> bool {
 fn read_ready(
     conn: &mut Conn,
     service: &dyn Service,
-    config: &EventLoopConfig,
+    config: &ServerConfig,
     waiters: &mut HashMap<JobId, Vec<usize>>,
     key: usize,
     shutting_down: &mut bool,
@@ -638,7 +619,7 @@ fn read_ready(
 fn process_buffer(
     conn: &mut Conn,
     service: &dyn Service,
-    config: &EventLoopConfig,
+    config: &ServerConfig,
     waiters: &mut HashMap<JobId, Vec<usize>>,
     key: usize,
     shutting_down: &mut bool,
@@ -744,7 +725,7 @@ fn process_buffer(
 
 /// Enforces `max_requests_per_conn`; queues the refusal and closes when the
 /// budget is spent. Returns `false` when the request must not be served.
-fn check_request_budget(conn: &mut Conn, config: &EventLoopConfig) -> bool {
+fn check_request_budget(conn: &mut Conn, config: &ServerConfig) -> bool {
     let max = config.max_requests_per_conn;
     if max != 0 && conn.served >= max {
         kecss_obs::counter_with("server_conn_limit_total", &[("kind", "requests")]).inc();
@@ -765,7 +746,7 @@ fn check_request_budget(conn: &mut Conn, config: &EventLoopConfig) -> bool {
 fn dispatch(
     conn: &mut Conn,
     service: &dyn Service,
-    config: &EventLoopConfig,
+    config: &ServerConfig,
     waiters: &mut HashMap<JobId, Vec<usize>>,
     key: usize,
     shutting_down: &mut bool,
@@ -797,7 +778,7 @@ fn dispatch(
 fn subscribe(
     conn: &mut Conn,
     service: &dyn Service,
-    config: &EventLoopConfig,
+    config: &ServerConfig,
     waiters: &mut HashMap<JobId, Vec<usize>>,
     key: usize,
     id: JobId,
@@ -819,7 +800,7 @@ fn subscribe(
 /// by one final `ERR` and the connection is marked closing. (The replaced
 /// bytes may include a torn partial reply — the client was stalled past the
 /// bound and is being disconnected; the `ERR` is best-effort diagnosis.)
-fn queue_reply(conn: &mut Conn, config: &EventLoopConfig, response: &Response) {
+fn queue_reply(conn: &mut Conn, config: &ServerConfig, response: &Response) {
     if conn.closing {
         return;
     }

@@ -22,15 +22,17 @@
 //! * [`scheduler`] — a bounded job table with its own worker threads: at
 //!   most `queue_depth` jobs in flight, `BUSY` beyond that, FIFO dispatch,
 //!   cancellation of queued jobs, drain-on-shutdown.
-//! * [`server`] — the TCP accept loop behind `kecss serve`.
+//! * [`server`] — the one serve entry point behind `kecss serve`:
+//!   [`Server`] binds, runs and joins every role, which
+//!   [`ServerConfig::role`] picks ([`Role`]).
 //! * [`client`] — a blocking client (`kecss submit`, tests, CI smoke).
-//! * [`coordinator`] / [`worker`] — the fleet control plane (DESIGN.md §13):
-//!   a coordinator keeps this same client-facing protocol and dispatches
-//!   jobs to registered workers over the same wire format, with an explicit
-//!   job lifecycle ([`scheduler::JobState`]), heartbeat-based failure
-//!   detection, and retry-on-worker-loss — payloads stay byte-identical
-//!   regardless of fleet size or worker death because [`job::run`] is pure
-//!   in the spec.
+//! * [`coordinator`] / [`worker`] — the fleet roles' own parts (DESIGN.md
+//!   §13): a coordinator keeps this same client-facing protocol and
+//!   dispatches jobs to registered workers over the same wire format, with
+//!   an explicit job lifecycle ([`scheduler::JobState`]), heartbeat-based
+//!   failure detection, and retry-on-worker-loss; a worker is a standalone
+//!   server plus a heartbeat thread. Payloads stay byte-identical regardless
+//!   of fleet size or worker death because [`job::run`] is pure in the spec.
 //!
 //! # Example (in-process, ephemeral port)
 //!
@@ -73,7 +75,5 @@ pub mod server;
 pub mod wire;
 pub mod worker;
 
-pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle, FleetSummary};
 pub use scheduler::{JobId, JobState, Outcome, Scheduler, ServeSummary};
-pub use server::{Server, ServerConfig, ServerHandle};
-pub use worker::{Worker, WorkerConfig, WorkerHandle};
+pub use server::{Role, Server, ServerConfig, ServerHandle};

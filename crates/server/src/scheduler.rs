@@ -239,8 +239,8 @@ impl Slot {
 /// The work a queued job will perform when a worker claims it.
 type JobFn = dyn FnOnce() -> Result<Vec<u8>, String> + Send;
 
-/// Aggregate counters, returned by [`Scheduler::summary`] and printed by the
-/// server on exit.
+/// Aggregate counters, returned by [`Scheduler::summary`] and
+/// [`crate::server::Server::run`] for every role, and printed on exit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeSummary {
     /// Jobs accepted into the queue.
@@ -253,6 +253,9 @@ pub struct ServeSummary {
     pub cancelled: u64,
     /// Submissions rejected with `BUSY`.
     pub rejected: u64,
+    /// Worker-loss re-queues across all jobs (a coordinator's; 0 for the
+    /// scheduler, which has no workers to lose).
+    pub retries: u64,
 }
 
 struct Table {

@@ -3,7 +3,8 @@
 //!
 //! Covered here: end-to-end dispatch returning payloads byte-identical to the
 //! pure [`kecss_server::job::run`] oracle; worker registration visible in the
-//! `FLEET` status text; retry-on-worker-loss (a worker lost before its ack,
+//! `FLEET` status text, two workers sharing a port on two addresses
+//! included; retry-on-worker-loss (a worker lost before its ack,
 //! and scripted `KGW1` workers that ack and then close their link, tear a
 //! `RESULT` frame mid-body, go silent with the link held open, or keep
 //! heartbeating but never ack — each job must complete on a surviving worker
@@ -22,12 +23,9 @@
 
 use kecss_runtime::Executor;
 use kecss_server::client::{Client, ClientError};
-use kecss_server::coordinator::{Coordinator, CoordinatorConfig};
 use kecss_server::protocol::{Request, Response};
-use kecss_server::server::{Server, ServerConfig};
+use kecss_server::server::{Role, Server, ServerConfig, ServerHandle};
 use kecss_server::wire;
-use kecss_server::worker::{Worker, WorkerConfig};
-use kecss_server::CoordinatorHandle;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -39,31 +37,39 @@ use std::time::{Duration, Instant};
 const POLL: Duration = Duration::from_millis(20);
 const DEADLINE: Duration = Duration::from_secs(300);
 
-fn spawn_coordinator(queue_depth: usize, heartbeat_timeout: Duration) -> CoordinatorHandle {
-    Coordinator::bind(&CoordinatorConfig {
+fn spawn_coordinator(queue_depth: usize, heartbeat_timeout: Duration) -> ServerHandle {
+    Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         queue_depth,
-        heartbeat_timeout,
-        ..CoordinatorConfig::default()
+        role: Role::Coordinator {
+            heartbeat_timeout,
+            max_retries: 5,
+        },
+        ..ServerConfig::default()
     })
     .expect("bind an ephemeral port")
     .spawn()
 }
 
-fn spawn_worker(
-    coordinator: &str,
-    id: &str,
-    threads: usize,
-    queue_depth: usize,
-) -> kecss_server::WorkerHandle {
-    Worker::bind(&WorkerConfig {
-        addr: "127.0.0.1:0".into(),
-        coordinator: coordinator.into(),
-        worker_id: id.into(),
+/// A worker's config: 50 ms heartbeats to `coordinator`, bound to `addr`.
+fn worker_config(addr: &str, coordinator: &str, id: &str, threads: usize) -> ServerConfig {
+    ServerConfig {
+        addr: addr.into(),
         threads,
+        role: Role::Worker {
+            coordinator: coordinator.into(),
+            worker_id: id.into(),
+            heartbeat_interval: Duration::from_millis(50),
+            advertise: String::new(),
+        },
+        ..ServerConfig::default()
+    }
+}
+
+fn spawn_worker(coordinator: &str, id: &str, threads: usize, queue_depth: usize) -> ServerHandle {
+    Server::bind(&ServerConfig {
         queue_depth,
-        heartbeat_interval: Duration::from_millis(50),
-        ..WorkerConfig::default()
+        ..worker_config("127.0.0.1:0", coordinator, id, threads)
     })
     .expect("bind an ephemeral port")
     .spawn()
@@ -94,7 +100,7 @@ fn oracle(line: &str) -> Vec<u8> {
 
 /// Shuts a worker down through its own serving port (fleet workers answer the
 /// full standalone protocol, SHUTDOWN included).
-fn stop_worker(handle: kecss_server::WorkerHandle) {
+fn stop_worker(handle: ServerHandle) {
     let mut c = Client::connect(&handle.addr().to_string()).unwrap();
     c.shutdown().unwrap();
     handle.join();
@@ -662,6 +668,33 @@ fn a_heartbeat_with_no_port_to_dial_registers_no_worker() {
 }
 
 #[test]
+fn two_workers_with_no_id_on_one_port_register_as_two() {
+    // Linux routes all of 127.0.0.0/8 to loopback, so two workers can bind
+    // one port on two addresses. Each derives its id from the address the
+    // coordinator dials, not from the port alone.
+    let coordinator = spawn_coordinator(4, Duration::from_secs(3));
+    let addr = coordinator.addr().to_string();
+    let first = Server::bind(&worker_config("127.0.0.1:0", &addr, "", 1)).expect("bind");
+    let second = format!("127.0.0.2:{}", first.local_addr().port());
+    let second = Server::bind(&worker_config(&second, &addr, "", 1)).expect("bind");
+    let workers = [first.spawn(), second.spawn()];
+    wait_workers(&addr, 2);
+    let mut client = Client::connect(&addr).unwrap();
+    let fleet = client.fleet_status().unwrap();
+    assert!(fleet.contains("workers 2 live 2\n"), "{fleet}");
+    for worker in &workers {
+        let at = worker.addr();
+        assert!(
+            fleet.contains(&format!("worker worker-{at} {at} live")),
+            "{fleet}"
+        );
+    }
+    client.shutdown().unwrap();
+    coordinator.join();
+    workers.into_iter().for_each(stop_worker);
+}
+
+#[test]
 fn a_fleet_with_no_workers_queues_jobs_until_one_registers() {
     let coordinator = spawn_coordinator(4, Duration::from_secs(3));
     let addr = coordinator.addr().to_string();
@@ -729,7 +762,7 @@ fn timed_out_job<T: std::fmt::Debug>(waited: Result<T, ClientError>, started: In
 /// Cancels the still-queued job `id` over a fresh connection, then shuts the
 /// coordinator down. The cancel must come first: a coordinator drains queued
 /// jobs on shutdown, and with no workers that never ends.
-fn cancel_and_shut_down(coordinator: CoordinatorHandle, id: u64) {
+fn cancel_and_shut_down(coordinator: ServerHandle, id: u64) {
     let mut client = Client::connect(&coordinator.addr().to_string()).unwrap();
     assert_eq!(client.status(id).unwrap(), "QUEUED");
     client

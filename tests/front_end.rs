@@ -11,14 +11,13 @@
 //! buffers arriving byte-exact over both wire modes; the portable `poll(2)`
 //! backend serving both modes identically to the platform default; a
 //! coordinator and a standalone server answering the verbs they share with
-//! the same bytes; and request and reply decoders that survive arbitrary,
-//! flipped and truncated bytes.
+//! the same bytes, on either backend; and request and reply decoders that
+//! survive arbitrary, flipped and truncated bytes.
 
 use kecss_server::client::Client;
-use kecss_server::coordinator::{Coordinator, CoordinatorConfig};
 use kecss_server::protocol::{Request, Response};
 use kecss_server::scheduler::Scheduler;
-use kecss_server::server::{Backend, Server, ServerConfig, ServerHandle};
+use kecss_server::server::{Backend, Role, Server, ServerConfig, ServerHandle};
 use kecss_server::wire;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -562,8 +561,11 @@ impl RawConn {
 
 #[test]
 fn a_coordinator_and_a_standalone_server_answer_the_shared_verbs_byte_identically() {
-    for binary in [false, true] {
-        let mode = if binary { "KGW1" } else { "text" };
+    for (binary, backend) in [false, true]
+        .into_iter()
+        .flat_map(|b| [(b, None), (b, Some(Backend::Poll))])
+    {
+        let mode = format!("{} on {backend:?}", if binary { "KGW1" } else { "text" });
         // The standalone server's one worker waits at the gate on job 1.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let held = Arc::clone(&gate);
@@ -577,22 +579,29 @@ fn a_coordinator_and_a_standalone_server_answer_the_shared_verbs_byte_identicall
                     .unwrap();
             })),
         );
-        let server = Server::bind_with(
+        let mut server = Server::bind_with(
             &ServerConfig {
                 addr: "127.0.0.1:0".into(),
                 ..ServerConfig::default()
             },
             scheduler,
         )
-        .expect("bind an ephemeral port")
-        .spawn();
-        let coordinator = Coordinator::bind(&CoordinatorConfig {
+        .expect("bind an ephemeral port");
+        let mut coordinator = Server::bind(&ServerConfig {
             addr: "127.0.0.1:0".into(),
             queue_depth: 2,
-            ..CoordinatorConfig::default()
+            role: Role::Coordinator {
+                heartbeat_timeout: Duration::from_secs(3),
+                max_retries: 5,
+            },
+            ..ServerConfig::default()
         })
-        .expect("bind an ephemeral port")
-        .spawn();
+        .expect("bind an ephemeral port");
+        if let Some(backend) = backend {
+            server.set_backend(backend);
+            coordinator.set_backend(backend);
+        }
+        let (server, coordinator) = (server.spawn(), coordinator.spawn());
 
         let mut to_server = RawConn::open(&server.addr().to_string(), binary);
         let mut to_coordinator = RawConn::open(&coordinator.addr().to_string(), binary);
