@@ -680,11 +680,15 @@ fn parse_submit(rest: &[&String]) -> Result<Command, CliError> {
         });
     }
     let instance = InstanceSpec::parse(required(&map, "instance")?).map_err(CliError::Usage)?;
+    let k = number_or(&map, "k", 2)?;
+    // What a server would refuse is refused before connecting, in both wire
+    // modes: a frame cannot carry a k past u32.
+    instance.admit(k).map_err(CliError::Usage)?;
     Ok(Command::Submit {
         addr,
         action: SubmitAction::Job {
             instance,
-            k: number_or(&map, "k", 2)?,
+            k,
             algorithm: map
                 .get("algorithm")
                 .map(|v| parse_algorithm(v))
@@ -1381,6 +1385,20 @@ mod tests {
                 "--timeout",
             ),
             ("fleet-status --addr x:1 --watch true", "--watch"),
+            // What a server would refuse, `submit` refuses before it
+            // connects, in both wire modes.
+            (
+                "submit --addr x:1 --instance ring:20 --k 1000000",
+                "vertex count 3000006",
+            ),
+            (
+                "submit --addr x:1 --instance random:1048576 --k 1000 --binary true",
+                "edge count",
+            ),
+            (
+                "submit --addr x:1 --instance ring:20 --k 4294967298 --binary true",
+                "k = 4294967298",
+            ),
         ] {
             let parsed = parse(&argv(&line.split(' ').collect::<Vec<_>>()));
             assert!(

@@ -1,7 +1,8 @@
 //! Workspace-seam smoke test: drives the full generate → solve → verify
 //! pipeline through `kecss_cli::run` on a tiny instance, checks that a
 //! `--trace` sink leaves `solve`'s output unchanged, and runs the `kecss`
-//! binary as a worker heartbeating a server that refuses its beats.
+//! binary to verify a k past `u32` and as a worker heartbeating a server
+//! that refuses its beats.
 
 use kecss_server::client::Client;
 use std::io::{BufRead, BufReader, Read};
@@ -91,6 +92,27 @@ fn generate_solve_verify_pipeline() {
         out.to_lowercase().contains("ok") || out.contains("2-edge-connected"),
         "verify reports success: {out}"
     );
+}
+
+#[test]
+fn verify_refuses_a_k_past_u32() {
+    // 2^32 + 2 truncated to 32 bits is 2, which the triangle meets.
+    let instance = TempFile::new("triangle.graph");
+    let solution = TempFile::new("triangle.edges");
+    std::fs::write(instance.as_str(), "3\n0 1 1\n1 2 1\n2 0 1\n").unwrap();
+    std::fs::write(solution.as_str(), "0 1 1\n1 2 1\n2 0 1\n").unwrap();
+    let verify = |k: &str| {
+        Command::new(env!("CARGO_BIN_EXE_kecss"))
+            .args(["verify", "--input", instance.as_str()])
+            .args(["--solution", solution.as_str(), "--k", k])
+            .output()
+            .expect("kecss runs")
+    };
+    let past = verify("4294967298");
+    let stdout = String::from_utf8_lossy(&past.stdout);
+    assert_eq!(past.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("NOT 4294967298-edge-connected"), "{stdout}");
+    assert!(verify("2").status.success());
 }
 
 #[test]

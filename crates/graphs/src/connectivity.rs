@@ -213,12 +213,16 @@ pub fn is_k_edge_connected_in(graph: &Graph, edges: &EdgeSet, k: usize) -> bool 
         // what makes `kecss verify --k 2` feasible on 10⁶-edge instances.
         return is_connected_in(graph, edges) && (k == 1 || bridges_in(graph, edges).is_empty());
     }
+    // The flows count in `u32`. A k past it exceeds the edge count of any
+    // graph that fits in memory, so no cut is that large.
+    let Ok(k) = u32::try_from(k) else {
+        return false;
+    };
     // The BFS tree decides connectivity and orders the flows.
     let tree = bfs::bfs_in(graph, edges, 0);
     if tree.order.len() < graph.n() {
         return false;
     }
-    let k = k as u32;
     let mut flow = maxflow::UnitFlow::new(graph, edges);
     tree.order[1..].iter().all(|&v| {
         let parent = tree.parent[v].expect("a non-root vertex of a BFS tree has a parent");
@@ -233,10 +237,12 @@ fn is_k_edge_connected_in_star(graph: &Graph, edges: &EdgeSet, k: usize) -> bool
     if k == 0 || graph.n() <= 1 {
         return true;
     }
+    let Ok(k) = u32::try_from(k) else {
+        return false;
+    };
     if !is_connected_in(graph, edges) {
         return false;
     }
-    let k = k as u32;
     let mut flow = maxflow::UnitFlow::new(graph, edges);
     (1..graph.n()).all(|t| flow.max_flow_capped(0, t, k) >= k)
 }
@@ -334,6 +340,18 @@ mod tests {
             assert!(is_k_edge_connected(&g, k), "should be {k}-edge-connected");
         }
         assert!(!is_k_edge_connected(&g, 4));
+    }
+
+    #[test]
+    fn a_k_past_u32_is_not_certified() {
+        // 2^32 + 2 truncates to 2 in 32 bits, which the triangle meets.
+        let triangle = generators::cycle(3, 1);
+        let edges = triangle.full_edge_set();
+        let k = (1usize << 32) + 2;
+        assert!(!is_k_edge_connected_in(&triangle, &edges, k));
+        assert!(!is_k_edge_connected_in_star(&triangle, &edges, k));
+        assert!(is_k_edge_connected_in(&triangle, &edges, 2));
+        assert!(is_k_edge_connected_in_star(&triangle, &edges, 2));
     }
 
     #[test]

@@ -117,27 +117,39 @@ struct Csr {
 }
 
 impl Csr {
-    /// Builds the CSR from the edge list with a counting sort: two passes
-    /// over the edges, no per-vertex allocations. Iterating edges in id order
-    /// reproduces exactly the per-vertex ordering incremental `push`es gave.
+    /// Builds the CSR from the edge list with a counting sort: one pass
+    /// counts the degrees, then [`Csr::place`] lays out the entries. No
+    /// per-vertex allocations.
     fn build(n: usize, edges: &[Edge]) -> Csr {
-        let mut offsets = vec![0usize; n + 1];
+        let mut degrees = vec![0usize; n + 1];
         for e in edges {
-            offsets[e.u + 1] += 1;
-            offsets[e.v + 1] += 1;
+            degrees[e.u + 1] += 1;
+            degrees[e.v + 1] += 1;
         }
+        Csr::place(degrees, edges).expect("degrees counted from the same edges")
+    }
+
+    /// The one placement loop. On entry `offsets[v + 1]` holds the degree
+    /// of `v` (and `offsets[0]` is 0); a prefix sum turns them into the
+    /// offsets, then each edge's two `(neighbor, edge id)` entries go to its
+    /// endpoints' next free slots. Iterating edges in id order reproduces
+    /// exactly the per-vertex ordering incremental `push`es gave. `None` if
+    /// `edges` does not have those degrees.
+    fn place(mut offsets: Vec<usize>, edges: &[Edge]) -> Option<Csr> {
+        let n = offsets.len() - 1;
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
-        let mut cursor = offsets.clone();
+        let mut next = offsets[..n].to_vec();
         let mut entries = vec![(0usize, EdgeId(0)); 2 * edges.len()];
         for (i, e) in edges.iter().enumerate() {
-            entries[cursor[e.u]] = (e.v, EdgeId(i));
-            cursor[e.u] += 1;
-            entries[cursor[e.v]] = (e.u, EdgeId(i));
-            cursor[e.v] += 1;
+            *entries.get_mut(next[e.u])? = (e.v, EdgeId(i));
+            next[e.u] += 1;
+            *entries.get_mut(next[e.v])? = (e.u, EdgeId(i));
+            next[e.v] += 1;
         }
-        Csr { offsets, entries }
+        // Every vertex filled exactly its own range: the degrees were right.
+        (next[..] == offsets[1..]).then_some(Csr { offsets, entries })
     }
 }
 
@@ -214,28 +226,18 @@ impl Graph {
         }
     }
 
-    /// Assembles an already-frozen graph from externally built CSR arrays
-    /// (the two-pass streaming build in [`crate::stream`]). The caller
-    /// guarantees the arrays satisfy the [`Csr`] invariants — in particular
-    /// that `entries` is grouped by vertex with edge-id order within each
-    /// vertex, exactly what [`Csr::build`] would produce from `edges`.
-    pub(crate) fn from_csr_parts(
-        n: usize,
-        edges: Vec<Edge>,
-        offsets: Vec<usize>,
-        entries: Vec<(NodeId, EdgeId)>,
-    ) -> Graph {
-        debug_assert_eq!(offsets.len(), n + 1);
-        debug_assert_eq!(entries.len(), 2 * edges.len());
-        let csr = OnceLock::new();
-        let _ = csr.set(Csr { offsets, entries });
-        Graph {
-            n,
+    /// Builds an already-frozen graph from its edge list and the degree
+    /// counts a pass over the same edges took (`degrees[v + 1]` is the
+    /// degree of `v`), laying out the CSR with the placement loop of the
+    /// lazy build. `None` if the edges do not have those degrees.
+    pub(crate) fn frozen(n: usize, edges: Vec<Edge>, degrees: Vec<usize>) -> Option<Graph> {
+        debug_assert_eq!(degrees.len(), n + 1);
+        let graph = Graph {
             edges,
-            csr,
-            diameter: OnceLock::new(),
-            diameter_hint: OnceLock::new(),
-        }
+            ..Graph::new(n)
+        };
+        let _ = graph.csr.set(Csr::place(degrees, &graph.edges)?);
+        Some(graph)
     }
 
     /// Creates a graph with `n` vertices from an iterator of `(u, v, weight)`

@@ -14,7 +14,10 @@
 //!   and edge counts, then one fixed-width 16-byte record per edge —
 //!   `u: u32, v: u32, weight: u64`, all little-endian. Length-prefixed and
 //!   fixed-stride, so reading is one bulk I/O pass with no parsing; DESIGN.md
-//!   §10 specifies the layout.
+//!   §10 specifies the layout. The record has one encoder and one decoder,
+//!   [`encode_record`] and [`decode_record`], which the writer, the
+//!   streaming cursor and the service's inline `KGW1` records all call; the
+//!   header is read and checked in one place, [`BinaryCursor`].
 //!
 //! Solutions (edge subsets of an instance) mirror the same split:
 //!
@@ -30,7 +33,9 @@
 //! All writers stream through an [`io::Write`] sink and the path-level
 //! readers ([`read_graph`], [`read_solution`]) stream through the chunked
 //! cursors of [`crate::stream`] — a 10⁷-edge instance is never materialized
-//! as one in-memory buffer.
+//! as one in-memory buffer. The in-memory graph readers ([`read_text`],
+//! [`read_binary`]) drain the same cursors over a byte slice, so every graph
+//! reader accepts and rejects the same bytes with the same messages.
 
 use crate::graph::{Edge, EdgeId, EdgeSet, Graph};
 use crate::stream::{BinaryCursor, RecordCursor, TextCursor};
@@ -44,8 +49,8 @@ pub const BINARY_MAGIC: [u8; 4] = *b"KGB1";
 /// The file extension that selects the binary format.
 pub const BINARY_EXTENSION: &str = "graphb";
 
-/// Size of one binary edge record: `u32 u, u32 v, u64 weight`.
-const RECORD_BYTES: usize = 16;
+/// Size of one `KGB1` edge record: `u32 u, u32 v, u64 weight`.
+pub const RECORD_BYTES: usize = 16;
 
 /// The `.solb` magic: "KGS1" (Kecss Graph Solution, version 1).
 pub const SOLUTION_BINARY_MAGIC: [u8; 4] = *b"KGS1";
@@ -219,12 +224,28 @@ fn write_edge_lines<'g, W: Write>(
 /// Returns [`GraphIoError::Format`] on malformed content; errors carry the
 /// 1-based physical line number of the offending line.
 pub fn read_text(text: &str) -> Result<Graph, GraphIoError> {
-    let mut cursor = TextCursor::new(text.as_bytes())?;
-    let mut graph = Graph::new(cursor.header().n);
-    while let Some(record) = cursor.next_record()? {
-        graph.add_edge(record.u, record.v, record.weight);
-    }
-    Ok(graph)
+    read_records(TextCursor::new(text.as_bytes())?)
+}
+
+/// Encodes one `KGB1` edge record: `u: u32, v: u32, weight: u64`, all
+/// little-endian. Endpoints must fit `u32`: [`write_binary`] refuses a graph
+/// whose `n` does not. Every `KGB1` record is written through this.
+pub fn encode_record(u: usize, v: usize, weight: u64) -> [u8; RECORD_BYTES] {
+    let mut record = [0u8; RECORD_BYTES];
+    record[0..4].copy_from_slice(&(u as u32).to_le_bytes());
+    record[4..8].copy_from_slice(&(v as u32).to_le_bytes());
+    record[8..16].copy_from_slice(&weight.to_le_bytes());
+    record
+}
+
+/// Decodes one `KGB1` edge record into `(u, v, weight)`: the inverse of
+/// [`encode_record`]. The endpoints are not checked against any vertex
+/// count; [`BinaryCursor`] checks them against its header.
+pub fn decode_record(record: &[u8; RECORD_BYTES]) -> (usize, usize, u64) {
+    let [u0, u1, u2, u3, v0, v1, v2, v3, w @ ..] = *record;
+    let u = u32::from_le_bytes([u0, u1, u2, u3]) as usize;
+    let v = u32::from_le_bytes([v0, v1, v2, v3]) as usize;
+    (u, v, u64::from_le_bytes(w))
 }
 
 /// Streams a graph in the `KGB1` binary format to `sink`.
@@ -243,77 +264,30 @@ pub fn write_binary<W: Write>(sink: &mut W, graph: &Graph) -> Result<(), GraphIo
     sink.write_all(&BINARY_MAGIC)?;
     sink.write_all(&(graph.n() as u64).to_le_bytes())?;
     sink.write_all(&(graph.m() as u64).to_le_bytes())?;
-    let mut record = [0u8; RECORD_BYTES];
     for (_, e) in graph.edges() {
-        record[0..4].copy_from_slice(&(e.u as u32).to_le_bytes());
-        record[4..8].copy_from_slice(&(e.v as u32).to_le_bytes());
-        record[8..16].copy_from_slice(&e.weight.to_le_bytes());
-        sink.write_all(&record)?;
+        sink.write_all(&encode_record(e.u, e.v, e.weight))?;
     }
     Ok(())
 }
 
-/// Parses a graph from the `KGB1` binary format.
+/// Parses a graph from the `KGB1` binary format in memory, through the same
+/// [`BinaryCursor`] the streaming reader uses, so both accept and reject
+/// the same bytes.
 ///
 /// # Errors
 ///
 /// Returns [`GraphIoError::Format`] on a bad magic, truncated or oversized
 /// content, or invalid endpoints.
 pub fn read_binary(bytes: &[u8]) -> Result<Graph, GraphIoError> {
-    let header = 4 + 8 + 8;
-    if bytes.len() < header {
-        return Err(GraphIoError::Format(
-            "binary instance is shorter than the KGB1 header".into(),
-        ));
-    }
-    if bytes[0..4] != BINARY_MAGIC {
-        return Err(GraphIoError::Format(format!(
-            "bad magic {:02x?} (expected \"KGB1\"); is this a binary instance?",
-            &bytes[0..4]
-        )));
-    }
-    let le_u64 =
-        |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"));
-    let n = le_u64(4);
-    let m = le_u64(12);
-    // The writer rejects n > u32::MAX (u32 endpoints), so a larger header
-    // value can only be a corrupt or hostile file; reject it before it can
-    // size any allocation.
-    if n > u64::from(u32::MAX) {
-        return Err(GraphIoError::Format(format!(
-            "binary instance declares {n} vertices, beyond the format's u32 endpoint range"
-        )));
-    }
-    let n = n as usize;
-    // Checked arithmetic: a crafted edge count must not overflow the
-    // expected-length computation (wrap would mis-validate the body).
-    let expected = usize::try_from(m)
-        .ok()
-        .and_then(|m| m.checked_mul(RECORD_BYTES))
-        .ok_or_else(|| {
-            GraphIoError::Format(format!(
-                "binary instance declares an implausible edge count {m}"
-            ))
-        })?;
-    let m = m as usize;
-    let body = &bytes[header..];
-    if body.len() != expected {
-        return Err(GraphIoError::Format(format!(
-            "binary instance declares {m} edges ({expected} body bytes) but carries {}",
-            body.len()
-        )));
-    }
-    let mut graph = Graph::new(n);
-    for (idx, record) in body.chunks_exact(RECORD_BYTES).enumerate() {
-        let u = u32::from_le_bytes(record[0..4].try_into().expect("4-byte slice")) as usize;
-        let v = u32::from_le_bytes(record[4..8].try_into().expect("4-byte slice")) as usize;
-        let w = u64::from_le_bytes(record[8..16].try_into().expect("8-byte slice"));
-        if u >= n || v >= n || u == v {
-            return Err(GraphIoError::Format(format!(
-                "edge record {idx}: invalid endpoints {u} {v}"
-            )));
-        }
-        graph.add_edge(u, v, w);
+    read_records(BinaryCursor::new(bytes)?)
+}
+
+/// The in-memory builder of [`read_text`] and [`read_binary`]: every record
+/// of `cursor`, added in order to a graph of the header's `n`.
+fn read_records(mut cursor: impl RecordCursor) -> Result<Graph, GraphIoError> {
+    let mut graph = Graph::new(cursor.header().n);
+    while let Some(record) = cursor.next_record()? {
+        graph.add_edge(record.u, record.v, record.weight);
     }
     Ok(graph)
 }

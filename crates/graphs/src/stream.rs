@@ -11,29 +11,26 @@
 //!   records through a bounded chunk buffer (records may straddle chunk
 //!   boundaries and arbitrarily short reads); [`TextCursor`] streams the
 //!   plain-text format line by line and carries 1-based line numbers into
-//!   every error.
+//!   every error. They are the formats' only validators: the in-memory
+//!   readers of [`crate::io`] drain them over a byte slice.
 //! * [`Graph::from_edge_stream`] — a two-pass counting-sort CSR builder
-//!   that opens the source twice: pass 1 counts per-vertex degrees (and the
-//!   edge count for formats that do not declare one), pass 2 places the
-//!   `(neighbor, EdgeId)` entries straight into the final arrays. Nothing is
+//!   that opens the source twice: pass 1 validates the records and counts
+//!   per-vertex degrees and edges, pass 2 collects the edge list at its exact
+//!   size. The CSR entries are then placed by the same loop the lazy
+//!   `add_edge` + `freeze()` build runs, from pass 1's degrees. Nothing is
 //!   materialized beyond the graph's own storage — no file buffer, no
-//!   amortized-doubling edge vector — and the placement order equals the
-//!   legacy `add_edge` + `freeze()` order, so the frozen CSR is
-//!   bit-identical to the in-memory path (a determinism requirement:
-//!   adjacency order is observable through DFS tie-breaks and message
-//!   ordering).
+//!   amortized-doubling edge vector — and the frozen CSR is bit-identical to
+//!   the in-memory path (a determinism requirement: adjacency order is
+//!   observable through DFS tie-breaks and message ordering).
 //!
 //! [`peek_header`] exposes the header (vertex count, declared edge count)
 //! without touching the body, so a service can enforce instance caps
 //! *before* ingesting a single record (`kecss_server`'s `file:` specs do).
 
-use crate::graph::{Edge, EdgeId, Graph};
-use crate::io::{GraphFormat, GraphIoError, BINARY_MAGIC};
+use crate::graph::{Edge, Graph};
+use crate::io::{decode_record, GraphFormat, GraphIoError, BINARY_MAGIC, RECORD_BYTES};
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::Path;
-
-/// Size of one `KGB1` edge record: `u32 u, u32 v, u64 weight`.
-const RECORD_BYTES: usize = 16;
 
 /// Size of the `KGB1` header: magic + LE u64 vertex and edge counts.
 const HEADER_BYTES: usize = 4 + 8 + 8;
@@ -203,6 +200,9 @@ impl<R: Read> RecordCursor for BinaryCursor<R> {
         }
     }
 
+    // Inlined into the build loops: a call per record cost `read_binary`
+    // about half its time.
+    #[inline]
     fn next_record(&mut self) -> Result<Option<EdgeRecord>, GraphIoError> {
         if self.produced == self.m {
             // The declared records are all delivered; anything further —
@@ -224,10 +224,8 @@ impl<R: Read> RecordCursor for BinaryCursor<R> {
                 self.m, self.produced
             )));
         }
-        let record = &self.buf[self.pos..self.pos + RECORD_BYTES];
-        let u = u32::from_le_bytes(record[0..4].try_into().expect("4-byte slice")) as usize;
-        let v = u32::from_le_bytes(record[4..8].try_into().expect("4-byte slice")) as usize;
-        let weight = u64::from_le_bytes(record[8..16].try_into().expect("8-byte slice"));
+        let record = self.buf[self.pos..].first_chunk().expect("a whole record");
+        let (u, v, weight) = decode_record(record);
         self.pos += RECORD_BYTES;
         if u >= self.n || v >= self.n || u == v {
             return Err(GraphIoError::Format(format!(
@@ -362,20 +360,20 @@ pub fn peek_header(path: &Path) -> Result<StreamHeader, GraphIoError> {
 
 impl Graph {
     /// Builds a frozen graph from a re-openable edge-record stream in two
-    /// passes, never materializing an intermediate edge list or file buffer.
+    /// passes, never holding a file buffer.
     ///
     /// `open` is called twice (e.g. opening the same file twice). **Pass 1**
-    /// counts per-vertex degrees and the edge count; **pass 2** — after the
-    /// exact-size allocations — places the `(neighbor, EdgeId)` CSR entries
-    /// and the per-edge records directly into their final slots, in stream
-    /// order. Because both formats stream records in `EdgeId` order, the
-    /// placement order equals the legacy `add_edge` push order, and the
-    /// resulting frozen CSR is bit-identical to `add_edge` + `freeze()` —
-    /// peak memory is the final graph footprint itself (edge array + CSR +
-    /// offsets), with no transient proportional to the file size.
+    /// validates every record and counts per-vertex degrees and the edge
+    /// count; **pass 2** collects the edge list into an allocation of exactly
+    /// that size, in stream order. The CSR is then laid out by the same
+    /// placement loop the lazy `add_edge` + `freeze()` build runs, from pass
+    /// 1's degrees. Because both formats stream records in `EdgeId` order,
+    /// the frozen CSR is bit-identical to that build's. Peak memory is the
+    /// final graph footprint itself (edge array + CSR + offsets), with no
+    /// transient proportional to the file size.
     ///
-    /// If the source changes between the passes (header or record count
-    /// mismatch), the build fails rather than producing a torn graph.
+    /// If the source changes between the passes (vertex count, record count
+    /// or degrees), the build fails rather than producing a torn graph.
     ///
     /// # Errors
     ///
@@ -387,16 +385,16 @@ impl Graph {
         C: RecordCursor,
         F: FnMut() -> Result<C, GraphIoError>,
     {
-        // Pass 1: degree counts (straight into what becomes the CSR offset
-        // array) and the actual record count.
+        // Pass 1: degree counts (in the layout the placement loop takes)
+        // and the actual record count.
         let mut cursor = open()?;
         let header = cursor.header();
         let n = header.n;
-        let mut offsets = vec![0usize; n + 1];
+        let mut degrees = vec![0usize; n + 1];
         let mut m = 0usize;
         while let Some(record) = cursor.next_record()? {
-            offsets[record.u + 1] += 1;
-            offsets[record.v + 1] += 1;
+            degrees[record.u + 1] += 1;
+            degrees[record.v + 1] += 1;
             m += 1;
         }
         if let Some(declared) = header.declared_m {
@@ -408,43 +406,28 @@ impl Graph {
                 )));
             }
         }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
 
-        // Pass 2: exact-size allocations, then direct placement.
+        // Pass 2: the edge list at its exact size, then the placement loop.
+        let changed = |what: &str| {
+            GraphIoError::Format(format!(
+                "instance changed between streaming passes ({what})"
+            ))
+        };
         let mut cursor = open()?;
         if cursor.header().n != n {
-            return Err(GraphIoError::Format(
-                "instance changed between streaming passes (vertex count differs)".into(),
-            ));
+            return Err(changed("vertex count differs"));
         }
-        let mut edges: Vec<Edge> = Vec::with_capacity(m);
-        let mut entries = vec![(0usize, EdgeId(0)); 2 * m];
-        let mut placement = offsets.clone();
-        while let Some(record) = cursor.next_record()? {
-            let id = EdgeId(edges.len());
-            if id.index() == m {
-                return Err(GraphIoError::Format(
-                    "instance changed between streaming passes (more records than counted)".into(),
-                ));
+        let mut edges = Vec::with_capacity(m);
+        while let Some(EdgeRecord { u, v, weight }) = cursor.next_record()? {
+            if edges.len() == m {
+                return Err(changed("more records than counted"));
             }
-            entries[placement[record.u]] = (record.v, id);
-            placement[record.u] += 1;
-            entries[placement[record.v]] = (record.u, id);
-            placement[record.v] += 1;
-            edges.push(Edge {
-                u: record.u,
-                v: record.v,
-                weight: record.weight,
-            });
+            edges.push(Edge { u, v, weight });
         }
         if edges.len() != m {
-            return Err(GraphIoError::Format(
-                "instance changed between streaming passes (fewer records than counted)".into(),
-            ));
+            return Err(changed("fewer records than counted"));
         }
-        Ok(Graph::from_csr_parts(n, edges, offsets, entries))
+        Graph::frozen(n, edges, degrees).ok_or_else(|| changed("degrees differ"))
     }
 }
 
@@ -453,6 +436,7 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::io;
+    use crate::EdgeId;
     use rand::SeedableRng;
 
     /// A reader that hands out at most `max` bytes per `read` call, forcing
@@ -699,6 +683,22 @@ mod tests {
             TextCursor::new(source.as_bytes())
         });
         assert!(result.is_err());
+        // Same vertex and record counts, different endpoints. The second
+        // pair puts both of pass 2's edges on vertex 2, which pass 1 counted
+        // no slot for, so its entries would land past the entry array.
+        for (first, second) in [
+            ("3\n0 1 1\n1 2 1\n", "3\n0 1 1\n0 2 1\n"),
+            ("3\n0 1 1\n0 1 1\n", "3\n1 2 1\n1 2 1\n"),
+        ] {
+            let mut openings = 0;
+            let err = Graph::from_edge_stream(|| {
+                openings += 1;
+                let source = if openings == 1 { first } else { second };
+                TextCursor::new(source.as_bytes())
+            })
+            .unwrap_err();
+            assert!(err.to_string().contains("degrees differ"), "{err}");
+        }
     }
 
     #[test]

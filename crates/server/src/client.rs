@@ -48,6 +48,13 @@ pub enum ClientError {
         /// The job that did not finish in time.
         id: JobId,
     },
+    /// [`wait_for_live_workers`] ran out of time.
+    WorkersTimeout {
+        /// The live workers waited for.
+        wanted: usize,
+        /// The live workers at the last `FLEET` reply.
+        live: usize,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -57,6 +64,9 @@ impl std::fmt::Display for ClientError {
             ClientError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             ClientError::Server(msg) => write!(f, "server error: {msg}"),
             ClientError::Timeout { id } => write!(f, "timed out waiting for job {id}"),
+            ClientError::WorkersTimeout { wanted, live } => {
+                write!(f, "timed out with {live} of {wanted} workers live")
+            }
         }
     }
 }
@@ -407,9 +417,9 @@ pub(crate) fn read_reply_frame(reader: &mut impl Read) -> Result<Response, Clien
 ///
 /// # Errors
 ///
-/// I/O failures, protocol violations, and [`ClientError::Timeout`] (reported
-/// with job id 0 — there is no job yet) when the fleet does not reach the
-/// requested size in time.
+/// I/O failures, protocol violations, and [`ClientError::WorkersTimeout`],
+/// naming the workers wanted and the last live count, when the fleet does
+/// not reach the requested size in time.
 pub fn wait_for_live_workers(
     addr: &str,
     workers: usize,
@@ -438,7 +448,10 @@ pub fn wait_for_live_workers(
             return Ok(());
         }
         if Instant::now() >= deadline {
-            return Err(ClientError::Timeout { id: 0 });
+            return Err(ClientError::WorkersTimeout {
+                wanted: workers,
+                live,
+            });
         }
         std::thread::sleep(poll);
     }
@@ -471,6 +484,14 @@ mod tests {
             Err(ClientError::Protocol(message)) => assert!(message.contains("cap"), "{message}"),
             other => panic!("expected a protocol error, got {other:?}"),
         }
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn waiting_for_workers_times_out_naming_both_counts() {
+        let (addr, server) = fake_server(b"FLEET 17\nworkers 0 live 0\n");
+        let err = wait_for_live_workers(&addr, 1, Duration::ZERO, Duration::ZERO).unwrap_err();
+        assert_eq!(err.to_string(), "timed out with 0 of 1 workers live");
         server.join().unwrap();
     }
 }

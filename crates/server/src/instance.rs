@@ -1,5 +1,6 @@
 //! Instance specifications: the `<family>:<n>` / `inline:` grammar of the
-//! service protocol, and the shared family-level generation policy.
+//! service protocol, the rules every request grammar holds an instance to,
+//! and the shared family-level generation policy.
 //!
 //! This module is the single source of truth for how an instance family name
 //! plus a vertex count turns into a concrete [`Graph`]: the CLI's `generate`
@@ -7,7 +8,16 @@
 //! `ring:32` submitted over the wire is byte-for-byte the instance that
 //! `kecss generate --family ring --n 32` writes to disk (for equal `k`,
 //! `max-weight` and seed).
+//!
+//! Each instance-input rule is defined here once, and both request grammars
+//! (the text line and the `KGW1` frame) call it: the vertex cap
+//! [`MAX_INSTANCE_N`], checked before any edge is read; the inline-edge
+//! rules (distinct endpoints below `n`, at least one edge); and the
+//! admission check [`InstanceSpec::admit`], which bounds `k` to `u32` and a
+//! family instance, through [`family_size`], to [`MAX_INSTANCE_N`] vertices
+//! and [`MAX_INSTANCE_M`] edges.
 
+use graphs::io::RECORD_BYTES;
 use graphs::{generators, Graph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -68,8 +78,9 @@ impl fmt::Display for Family {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for undersized instances, `k == 0`, or a
-/// hypercube whose rounded size cannot be k-edge-connected.
+/// Returns a human-readable message for undersized instances, `k == 0`, an
+/// instance past [`MAX_INSTANCE_M`] edges ([`family_size`]), or a hypercube
+/// whose rounded size cannot be k-edge-connected.
 pub fn build_family(
     family: Family,
     n: usize,
@@ -83,21 +94,26 @@ pub fn build_family(
     if k == 0 {
         return Err("the connectivity target k must be at least 1".into());
     }
+    // No vertex bound here: `kecss generate` writes instances past
+    // `MAX_INSTANCE_N`. For every `n` a `SUBMIT` may name, the edge bound
+    // refuses each spec the admission's vertex bound does.
+    check_edge_count(family_size(family, n, k).1)?;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut graph = match family {
-        Family::Random => generators::random_k_edge_connected(n, k, 2 * n, &mut rng),
+        Family::Random => {
+            generators::random_k_edge_connected(n, k, RANDOM_EXTRA_PER_VERTEX * n, &mut rng)
+        }
         Family::RingOfCliques => {
-            let clique = (k + 2).max(4);
-            generators::ring_of_cliques((n / clique).max(3), clique, k.max(2), 1)
+            let (cliques, clique) = ring_shape(n, k);
+            generators::ring_of_cliques(cliques, clique, k.max(2), 1)
         }
         Family::Torus => {
-            let side = ((n as f64).sqrt().round() as usize).max(3);
+            let side = torus_side(n);
             generators::torus(side, side, 1)
         }
         Family::Harary => generators::harary(k, n, 1),
         Family::Hypercube => {
-            // Round n up to the next power of two; the dimension is its log.
-            let dim = (n.max(2).next_power_of_two().trailing_zeros() as usize).max(1);
+            let dim = hypercube_dim(n);
             if k > dim {
                 return Err(format!(
                     "a hypercube with n = {} vertices has edge connectivity exactly {dim}; \
@@ -114,12 +130,73 @@ pub fn build_family(
     Ok(graph)
 }
 
+/// The random extra edges a `random` instance draws per vertex, on top of
+/// its Harary base.
+const RANDOM_EXTRA_PER_VERTEX: usize = 2;
+
+/// The clique count and clique size of `ring:<n>` at `k`.
+fn ring_shape(n: usize, k: usize) -> (usize, usize) {
+    let clique = k.saturating_add(2).max(4);
+    ((n / clique).max(3), clique)
+}
+
+/// The side of the square `torus:<n>`.
+fn torus_side(n: usize) -> usize {
+    ((n as f64).sqrt().round() as usize).max(3)
+}
+
+/// The dimension of `hypercube:<n>`: `n` rounded up to a power of two.
+fn hypercube_dim(n: usize) -> usize {
+    (n.max(2).next_power_of_two().trailing_zeros() as usize).max(1)
+}
+
+/// The vertex and edge counts of the instance [`build_family`] builds for
+/// `family`, `n` and `k`, from its own shape arithmetic, saturating at
+/// `usize::MAX`. The edge count of `random` is an upper bound: its extra
+/// edges are drawn at random, without repeats.
+pub fn family_size(family: Family, n: usize, k: usize) -> (usize, usize) {
+    // ⌈kn/2⌉ edges make the Harary graph H(k, n); H(1, n) is a path.
+    let harary = if k == 1 {
+        n.saturating_sub(1)
+    } else {
+        k.saturating_mul(n).div_ceil(2)
+    };
+    match family {
+        Family::Random => (
+            n,
+            harary.saturating_add(RANDOM_EXTRA_PER_VERTEX.saturating_mul(n)),
+        ),
+        Family::RingOfCliques => {
+            let (cliques, clique) = ring_shape(n, k);
+            let per_clique = (clique.saturating_mul(clique - 1) / 2).saturating_add(k.max(2));
+            (
+                cliques.saturating_mul(clique),
+                cliques.saturating_mul(per_clique),
+            )
+        }
+        Family::Torus => {
+            let side = torus_side(n);
+            let cells = side.saturating_mul(side);
+            (cells, cells.saturating_mul(2))
+        }
+        Family::Harary => (n, harary),
+        Family::Hypercube => {
+            let dim = hypercube_dim(n);
+            let vertices = 1usize.checked_shl(dim as u32).unwrap_or(usize::MAX);
+            (vertices, dim.saturating_mul(vertices / 2))
+        }
+    }
+}
+
 /// The largest vertex count a submitted instance may request. A `SUBMIT`
 /// line is attacker-controlled input to a long-running process, and
 /// `Graph::new(n)` allocates per-vertex adjacency storage up front, so an
 /// unbounded `n` would let one request OOM the server. 2²⁰ vertices keeps
-/// the ROADMAP's "10⁶-vertex sweeps" ambition reachable while bounding a
-/// single job's instance at tens of MB.
+/// the ROADMAP's "10⁶-vertex sweeps" ambition reachable. With
+/// [`MAX_INSTANCE_M`] it bounds a single job's graph at about 0.95 GB (2²⁴
+/// edges at 24 bytes of edge list and 32 of CSR entries each): a family
+/// spec is held to both at admission ([`InstanceSpec::admit`]), whatever its
+/// `k` adds to `n`.
 pub const MAX_INSTANCE_N: usize = 1 << 20;
 
 /// The largest instance file a `file:` spec may name, checked against the
@@ -129,6 +206,32 @@ pub const MAX_INSTANCE_N: usize = 1 << 20;
 /// the [`MAX_INSTANCE_N`] header check. 256 MiB comfortably covers a
 /// [`MAX_INSTANCE_N`]-vertex instance in either format.
 pub const MAX_INSTANCE_FILE_BYTES: u64 = 256 << 20;
+
+/// The most edges a family instance may have: what a `KGB1` file of
+/// [`MAX_INSTANCE_FILE_BYTES`] holds, 2²⁴.
+pub const MAX_INSTANCE_M: usize = (MAX_INSTANCE_FILE_BYTES / RECORD_BYTES as u64) as usize;
+
+/// Refuses a vertex count above [`MAX_INSTANCE_N`]. Both request grammars
+/// call it on an instance's vertex count before reading any edge, and
+/// [`InstanceSpec::admit`] on the vertices a family spec builds.
+pub(crate) fn check_vertex_count(n: usize) -> Result<usize, String> {
+    if n > MAX_INSTANCE_N {
+        return Err(format!(
+            "requested vertex count {n} exceeds the service bound of {MAX_INSTANCE_N}"
+        ));
+    }
+    Ok(n)
+}
+
+/// Refuses an edge count above [`MAX_INSTANCE_M`].
+fn check_edge_count(m: usize) -> Result<(), String> {
+    if m > MAX_INSTANCE_M {
+        return Err(format!(
+            "requested edge count {m} exceeds the service bound of {MAX_INSTANCE_M}"
+        ));
+    }
+    Ok(())
+}
 
 /// A parsed instance field of a `SUBMIT` request.
 ///
@@ -180,15 +283,6 @@ impl InstanceSpec {
     ///
     /// Returns a human-readable message describing the malformed part.
     pub fn parse(field: &str) -> Result<Self, String> {
-        let check_n = |n: usize| -> Result<usize, String> {
-            if n > MAX_INSTANCE_N {
-                Err(format!(
-                    "requested vertex count {n} exceeds the service bound of {MAX_INSTANCE_N}"
-                ))
-            } else {
-                Ok(n)
-            }
-        };
         if let Some(path) = field.strip_prefix("file:") {
             // The rest of the field is the path verbatim (it may itself
             // contain ':'); only emptiness is a parse error — existence and
@@ -203,7 +297,7 @@ impl InstanceSpec {
         let mut parts = field.split(':');
         let head = parts.next().unwrap_or_default();
         if head == "inline" {
-            let n: usize = check_n(
+            let n: usize = check_vertex_count(
                 parts
                     .next()
                     .ok_or("inline instance is missing the vertex count")?
@@ -216,8 +310,8 @@ impl InstanceSpec {
             if parts.next().is_some() {
                 return Err("inline instance has trailing ':' fields".into());
             }
-            let mut edges = Vec::new();
-            for (i, item) in list.split(',').filter(|s| !s.is_empty()).enumerate() {
+            let items = list.split(',').filter(|s| !s.is_empty());
+            let edges = items.enumerate().map(|(i, item)| {
                 let nums: Vec<&str> = item.split('-').collect();
                 let [u, v, w] = nums.as_slice() else {
                     return Err(format!(
@@ -228,20 +322,10 @@ impl InstanceSpec {
                     s.parse()
                         .map_err(|_| format!("inline edge {i}: malformed {what} '{s}'"))
                 };
-                let u = parse(u, "endpoint")? as usize;
-                let v = parse(v, "endpoint")? as usize;
-                let w = parse(w, "weight")?;
-                if u >= n || v >= n || u == v {
-                    return Err(format!(
-                        "inline edge {i}: invalid endpoints {u} {v} for n = {n}"
-                    ));
-                }
-                edges.push((u, v, w));
-            }
-            if edges.is_empty() {
-                return Err("inline instance has no edges".into());
-            }
-            Ok(InstanceSpec::Inline { n, edges })
+                let (u, v) = (parse(u, "endpoint")?, parse(v, "endpoint")?);
+                Ok((u as usize, v as usize, parse(w, "weight")?))
+            });
+            InstanceSpec::inline(n, edges)
         } else {
             let family = Family::parse(head).ok_or_else(|| {
                 format!(
@@ -249,7 +333,7 @@ impl InstanceSpec {
                      inline:... or file:...)"
                 )
             })?;
-            let n: usize = check_n(
+            let n: usize = check_vertex_count(
                 parts
                     .next()
                     .ok_or_else(|| format!("family instance '{head}' is missing ':<n>'"))?
@@ -273,6 +357,56 @@ impl InstanceSpec {
                 max_weight,
             })
         }
+    }
+
+    /// An inline instance on `n` vertices from its edges in input order:
+    /// every edge joins two distinct vertices below `n`, and there is at
+    /// least one. The one definition of these rules: both request grammars
+    /// build their inline instances through it, after
+    /// [`check_vertex_count`], and an edge their own syntax rejects arrives
+    /// here as that edge's `Err`.
+    pub(crate) fn inline(
+        n: usize,
+        edges: impl Iterator<Item = Result<(usize, usize, u64), String>>,
+    ) -> Result<InstanceSpec, String> {
+        let mut checked = Vec::with_capacity(edges.size_hint().0);
+        for (i, edge) in edges.enumerate() {
+            let (u, v, w) = edge?;
+            if u >= n || v >= n || u == v {
+                return Err(format!(
+                    "inline edge {i}: invalid endpoints {u} {v} for n = {n}"
+                ));
+            }
+            checked.push((u, v, w));
+        }
+        if checked.is_empty() {
+            return Err("inline instance has no edges".into());
+        }
+        Ok(InstanceSpec::Inline { n, edges: checked })
+    }
+
+    /// Refuses what a `SUBMIT` may not ask for at `k`, before anything is
+    /// built: a `k` wider than `u32` (the `KGW1` field), and a family spec
+    /// whose instance would pass [`MAX_INSTANCE_N`] vertices or
+    /// [`MAX_INSTANCE_M`] edges ([`family_size`]). Both request grammars run
+    /// it on every `SUBMIT`, and `kecss submit` before it sends one.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message naming the bound.
+    pub fn admit(&self, k: usize) -> Result<(), String> {
+        if u32::try_from(k).is_err() {
+            return Err(format!(
+                "SUBMIT: k = {k} exceeds the service bound of {}",
+                u32::MAX
+            ));
+        }
+        if let InstanceSpec::Family { family, n, .. } = *self {
+            let (vertices, edges) = family_size(family, n, k);
+            check_vertex_count(vertices)?;
+            check_edge_count(edges)?;
+        }
+        Ok(())
     }
 
     /// The canonical wire form (parses back to an equal spec).
@@ -541,6 +675,83 @@ mod tests {
         }
         // The bound itself is accepted (parsing allocates nothing).
         assert!(InstanceSpec::parse(&format!("random:{MAX_INSTANCE_N}")).is_ok());
+    }
+
+    #[test]
+    fn family_size_counts_what_build_family_builds() {
+        for family in [
+            Family::Random,
+            Family::RingOfCliques,
+            Family::Torus,
+            Family::Harary,
+            Family::Hypercube,
+        ] {
+            for (n, k) in [(17, 1), (12, 2), (20, 3), (30, 4)] {
+                let graph = build_family(family, n, k, 1, 1).unwrap();
+                let (vertices, edges) = family_size(family, n, k);
+                assert_eq!(vertices, graph.n(), "{family}:{n} at k = {k}");
+                if family == Family::Random {
+                    assert!(edges >= graph.m(), "{family}:{n} at k = {k}");
+                } else {
+                    assert_eq!(edges, graph.m(), "{family}:{n} at k = {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn admission_refuses_what_k_inflates_past_the_bounds() {
+        // `wire`'s tests refuse the family specs in both grammars. Here: an
+        // inline spec is held to the k bound, `build_family` refuses the
+        // family specs too, and what stays admitted.
+        let inline = InstanceSpec::parse("inline:3:0-1-1,1-2-1,2-0-1").unwrap();
+        let err = inline.admit(1 << 32).unwrap_err();
+        assert!(err.contains("k = 4294967296"), "{err}");
+        // `kecss generate` refuses both family specs, before building.
+        for (family, n, k) in [
+            (Family::RingOfCliques, 20, 1_000_000),
+            (Family::Random, 1 << 20, 1000),
+        ] {
+            let err = build_family(family, n, k, 1, 1).unwrap_err();
+            assert!(err.contains("edge count"), "{family}:{n} at k = {k}: {err}");
+        }
+        // The widest k, the largest instances the suites submit, and a
+        // maximal hypercube stay admitted.
+        for (spec, k) in [
+            ("inline:3:0-1-1,1-2-1,2-0-1", u32::MAX as usize),
+            ("ring:100000", 2),
+            ("random:2048:100", 2),
+            ("harary:64:9", 6),
+            ("torus:1048576", 4),
+            ("hypercube:1048576", 20),
+        ] {
+            let admitted = InstanceSpec::parse(spec).unwrap().admit(k);
+            assert_eq!(admitted, Ok(()), "{spec} at k = {k}");
+        }
+    }
+
+    /// `build_family` holds instances to the edge bound only. For every `n`
+    /// a `SUBMIT` may name that loses nothing: a family spec past the vertex
+    /// bound is past the edge bound too.
+    #[test]
+    fn the_edge_bound_refuses_every_submit_the_vertex_bound_does() {
+        for family in [
+            Family::Random,
+            Family::RingOfCliques,
+            Family::Torus,
+            Family::Harary,
+            Family::Hypercube,
+        ] {
+            for n in [3, 20, 1000, MAX_INSTANCE_N - 1, MAX_INSTANCE_N] {
+                for k in (0..=32).flat_map(|e| [(1usize << e) - 1, 1 << e, (1 << e) + 1]) {
+                    let (vertices, edges) = family_size(family, n, k);
+                    assert!(
+                        vertices <= MAX_INSTANCE_N || edges > MAX_INSTANCE_M,
+                        "{family}:{n} at k = {k}: {vertices} vertices, {edges} edges"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,7 @@ impl Request {
                 let seed: u64 = seed
                     .parse()
                     .map_err(|_| format!("SUBMIT: malformed seed '{seed}'"))?;
+                instance.admit(k)?;
                 Ok(Request::Submit(JobSpec {
                     instance,
                     k,

@@ -31,16 +31,21 @@
 //! instance(kind 1) := utf8 canonical instance spec                        -- family / file
 //! ```
 //!
-//! Kind-0 instances decode into [`InstanceSpec::Inline`] through **the same
-//! validation** as the text parser (`u, v < n`, `u != v`, non-empty, `n` at
-//! most [`MAX_INSTANCE_N`]), so a binary submit and a text submit of the same
-//! instance are the same `JobSpec` — and therefore, by the job runner's
-//! determinism, yield byte-identical result payloads.
+//! Each record is decoded by `graphs::io::decode_record`, the decoder every
+//! `KGB1` reader shares. Kind-0 instances then pass **the same functions**
+//! as the text parser's inline instances (`instance::check_vertex_count` on
+//! `n` before any record is read, `InstanceSpec::inline` on the edges), and
+//! every decoded `SUBMIT` the same admission check
+//! ([`InstanceSpec::admit`]), so a binary submit and a text submit of the
+//! same instance are the same `JobSpec`, or the same refusal — and
+//! therefore, by the job runner's determinism, yield byte-identical result
+//! payloads.
 
-use crate::instance::{InstanceSpec, MAX_INSTANCE_N};
+use crate::instance::{check_vertex_count, InstanceSpec};
 use crate::job::{Algorithm, JobSpec};
 use crate::protocol::{Request, Response};
 use crate::scheduler::JobState;
+use graphs::io::{decode_record, encode_record, RECORD_BYTES};
 use kecss::cuts::EnumeratorPolicy;
 use std::sync::Arc;
 
@@ -235,6 +240,8 @@ impl<'a> Cursor<'a> {
 /// submit).
 fn encode_submit_body(spec: &crate::job::JobSpec) -> Vec<u8> {
     let mut body = Vec::new();
+    // An admitted spec's k fits (`InstanceSpec::admit`); the clamp only
+    // keeps a hand-built one from wrapping.
     body.extend_from_slice(&u32::try_from(spec.k).unwrap_or(u32::MAX).to_le_bytes());
     body.push(spec.algorithm.wire_code());
     body.push(enumerator_wire_code(spec.enumerator));
@@ -246,9 +253,7 @@ fn encode_submit_body(spec: &crate::job::JobSpec) -> Vec<u8> {
             body.extend_from_slice(&(*n as u64).to_le_bytes());
             body.extend_from_slice(&(edges.len() as u64).to_le_bytes());
             for &(u, v, w) in edges {
-                body.extend_from_slice(&(u as u32).to_le_bytes());
-                body.extend_from_slice(&(v as u32).to_le_bytes());
-                body.extend_from_slice(&w.to_le_bytes());
+                body.extend_from_slice(&encode_record(u, v, w));
             }
         }
         other => {
@@ -311,6 +316,7 @@ pub fn decode_request(opcode: u8, flags: u8, body: &[u8]) -> Result<Request, Str
                 other => return Err(format!("SUBMIT: unknown instance kind {other}")),
             };
             cur.done("SUBMIT")?;
+            instance.admit(k)?;
             let spec = JobSpec {
                 instance,
                 k,
@@ -362,40 +368,20 @@ pub fn decode_request(opcode: u8, flags: u8, body: &[u8]) -> Result<Request, Str
 }
 
 /// The zero-parse ingest path: fixed-stride `KGB1` records straight into an
-/// [`InstanceSpec::Inline`], validated exactly like the text parser.
+/// [`InstanceSpec::Inline`], under the text grammar's rules
+/// ([`check_vertex_count`], [`InstanceSpec::inline`]).
 fn decode_inline_records(cur: &mut Cursor<'_>) -> Result<InstanceSpec, String> {
-    let n = cur.u64("vertex count")? as usize;
-    if n > MAX_INSTANCE_N {
-        return Err(format!(
-            "requested vertex count {n} exceeds the service bound of {MAX_INSTANCE_N}"
-        ));
-    }
+    let n = check_vertex_count(cur.u64("vertex count")? as usize)?;
     let m = cur.u64("edge count")?;
     let records = cur.take(
         usize::try_from(m)
             .ok()
-            .and_then(|m| m.checked_mul(16))
+            .and_then(|m| m.checked_mul(RECORD_BYTES))
             .ok_or("edge count overflows the frame")?,
         "edge records",
     )?;
-    let mut edges = Vec::with_capacity(m as usize);
-    for (i, rec) in records.chunks_exact(16).enumerate() {
-        let u = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]) as usize;
-        let v = u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]) as usize;
-        let w = u64::from_le_bytes([
-            rec[8], rec[9], rec[10], rec[11], rec[12], rec[13], rec[14], rec[15],
-        ]);
-        if u >= n || v >= n || u == v {
-            return Err(format!(
-                "inline edge {i}: invalid endpoints {u} {v} for n = {n}"
-            ));
-        }
-        edges.push((u, v, w));
-    }
-    if edges.is_empty() {
-        return Err("inline instance has no edges".into());
-    }
-    Ok(InstanceSpec::Inline { n, edges })
+    let (records, _) = records.as_chunks::<RECORD_BYTES>();
+    InstanceSpec::inline(n, records.iter().map(|record| Ok(decode_record(record))))
 }
 
 /// Renders the head of a response's frame into `head` and returns the body
@@ -532,10 +518,16 @@ mod tests {
             unreachable!("built as Submit above")
         };
         let submit_wait = Request::SubmitWait(wait_spec.clone());
+        // The widest k a frame carries, and so the widest a SUBMIT may name.
+        let widest_k = Request::Submit(JobSpec {
+            k: u32::MAX as usize,
+            ..wait_spec.clone()
+        });
         for request in [
             inline,
             family,
             submit_wait,
+            widest_k,
             Request::Status(3),
             Request::Result(u64::MAX - 1),
             Request::ResultWait(5),
@@ -616,6 +608,30 @@ mod tests {
         huge[n_at..n_at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
         let err = decode_request(req::SUBMIT, 0, &huge).unwrap_err();
         assert!(err.contains("exceeds the service bound"), "{err}");
+    }
+
+    #[test]
+    fn submits_past_the_service_bounds_are_refused_by_both_grammars() {
+        for (instance, k, needle) in [
+            ("ring:20", 1_000_000, "vertex count 3000006 exceeds"),
+            ("random:1048576", 1000, "edge count 526385152 exceeds"),
+        ] {
+            let text = Request::parse(&format!("SUBMIT {instance} {k} 2ecss auto 1")).unwrap_err();
+            // A spec built in code skips the text grammar; its frame is
+            // refused on decode all the same.
+            let spec = JobSpec {
+                instance: InstanceSpec::parse(instance).unwrap(),
+                k,
+                algorithm: Algorithm::TwoEcss,
+                enumerator: EnumeratorPolicy::Auto,
+                seed: 1,
+            };
+            let frame = decode_request_frame(&encode_request(&Request::Submit(spec))).unwrap_err();
+            assert_eq!(text, frame);
+            assert!(text.contains(needle), "{instance} {k}: {text}");
+        }
+        let err = Request::parse("SUBMIT ring:20 4294967296 2ecss auto 1").unwrap_err();
+        assert!(err.contains("k = 4294967296"), "{err}");
     }
 
     #[test]

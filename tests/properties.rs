@@ -520,7 +520,8 @@ proptest! {
     /// bytes, on random text over the formats' alphabet, and on each valid
     /// encoding (text and `KGB1` graphs, text and `KGS1` solutions) with
     /// one bit flipped or cut short. The streaming cursors are drained at
-    /// chunk capacities that split every record.
+    /// chunk capacities that split every record, and accept and build what
+    /// the in-memory readers do.
     #[test]
     fn decoders_never_panic_on_corrupt_input(
         n in 3usize..12,
@@ -553,12 +554,14 @@ proptest! {
     }
 }
 
-/// Runs every decoder on `bytes`; solutions decode against `graph`.
+/// Runs every decoder on `bytes`; solutions decode against `graph`. The
+/// in-memory graph readers accept exactly the bytes their cursors, drained
+/// at every chunk capacity, accept, and build the same graph from them.
 fn decode_everything(bytes: &[u8], graph: &Graph) {
-    let _ = graphs::io::read_binary(bytes);
-    if let Ok(text) = std::str::from_utf8(bytes) {
-        let _ = graphs::io::read_text(text);
-    }
+    let binary = graphs::io::read_binary(bytes).ok();
+    let text = std::str::from_utf8(bytes)
+        .ok()
+        .map(|text| graphs::io::read_text(text).ok());
     let _ = graphs::io::read_solution_binary(bytes, graph);
     let _ = graphs::io::read_solution_text(bytes, graph);
     for capacity in [1usize, 5, 16] {
@@ -566,18 +569,27 @@ fn decode_everything(bytes: &[u8], graph: &Graph) {
             inner: bytes,
             max: capacity,
         };
-        if let Ok(cursor) = BinaryCursor::with_chunk_capacity(source(), capacity) {
-            drain(cursor);
-        }
-        if let Ok(cursor) = TextCursor::with_chunk_capacity(source(), capacity) {
-            drain(cursor);
+        let streamed = BinaryCursor::with_chunk_capacity(source(), capacity)
+            .ok()
+            .and_then(drain);
+        assert_eq!(streamed, binary, "KGB1 at chunk capacity {capacity}");
+        let streamed = TextCursor::with_chunk_capacity(source(), capacity)
+            .ok()
+            .and_then(drain);
+        if let Some(text) = &text {
+            assert_eq!(&streamed, text, "text at chunk capacity {capacity}");
         }
     }
 }
 
-/// Reads records until the end of input or the first error.
-fn drain(mut cursor: impl RecordCursor) {
-    while let Ok(Some(_)) = cursor.next_record() {}
+/// Reads records until the end of input or the first error; the graph they
+/// make if the input ended cleanly.
+fn drain(mut cursor: impl RecordCursor) -> Option<Graph> {
+    let mut graph = Graph::new(cursor.header().n);
+    while let Some(record) = cursor.next_record().ok()? {
+        graph.add_edge(record.u, record.v, record.weight);
+    }
+    Some(graph)
 }
 
 /// A reader handing out at most `max` bytes per call: forces streamed
