@@ -12,8 +12,8 @@
 //! * `harary(7, 16)` size-7 and `Q_8` size-8 — the `k = 8` regime, where
 //!   the flat scheme needs seconds per enumeration;
 //! * an end-to-end `k = 8` solve of `Q_8` through the default `auto` policy
-//!   (label budget trips → Karger–Stein fallback), the pipeline the ISSUE
-//!   requires under 10 s.
+//!   (`exact`, then the flow enumerator at sizes ≥ 4), which must stay
+//!   under 10 s.
 //!
 //! Both enumerators are exactly verified, so wherever both complete they
 //! must agree cut-for-cut; the table asserts it. Criterion then times the
@@ -65,8 +65,8 @@ fn print_series() {
         }
     }
 
-    // End-to-end k = 8 solve through the default auto policy (exact → label
-    // → Karger–Stein fallback), the ISSUE 8 single-digit-seconds target.
+    // End-to-end k = 8 solve through the default auto policy (exact, then
+    // flow at sizes >= 4), which must stay under 10 s.
     use rand::SeedableRng;
     let g = generators::hypercube(8, 1);
     let start = Instant::now();

@@ -266,9 +266,10 @@ strategy for kecss and greedy (default auto); `--strategy` is an alias.
 'exact' is the specialized size-1..3 enumerator (so k <= 4); 'label'
 enumerates XOR-zero cycle-space subsets of any size; 'contract' is flat
 randomized Karger contraction (the ablation baseline); 'ks' is recursive
-Karger-Stein contraction (DESIGN.md #12, the fast path for large k); 'auto'
-uses exact below size 4, then label, falling back to ks when the candidate
-pool explodes. Any k is supported with label/contract/ks/auto.
+Karger-Stein contraction (DESIGN.md #12); 'auto' uses exact below size 4,
+then lists the minimum cuts from max-flows (DESIGN.md #5), running label,
+then ks when the candidate pool explodes, only for a graph below the
+requested connectivity. Any k is supported with label/contract/ks/auto.
 
 The 'hypercube' family rounds --n to the next power of two and has edge
 connectivity exactly log2 n, giving ground truth for high-k runs.

@@ -1,8 +1,8 @@
 //! Workspace-seam smoke test: drives the full generate → solve → verify
 //! pipeline through `kecss_cli::run` on a tiny instance, checks that a
 //! `--trace` sink leaves `solve`'s output unchanged, and runs the `kecss`
-//! binary to verify a k past `u32` and as a worker heartbeating a server
-//! that refuses its beats.
+//! binary to verify a k past `u32`, to generate a Harary shape that cannot
+//! exist, and as a worker heartbeating a server that refuses its beats.
 
 use kecss_server::client::Client;
 use std::io::{BufRead, BufReader, Read};
@@ -113,6 +113,21 @@ fn verify_refuses_a_k_past_u32() {
     assert_eq!(past.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("NOT 4294967298-edge-connected"), "{stdout}");
     assert!(verify("2").status.success());
+}
+
+#[test]
+fn generate_refuses_a_harary_shape_with_a_usage_error() {
+    // H(3, 9) does not exist: an odd k above 1 needs an even n.
+    let instance = TempFile::new("harary9.graph");
+    let out = Command::new(env!("CARGO_BIN_EXE_kecss"))
+        .args(["generate", "--family", "harary", "--n", "9", "--k", "3"])
+        .args(["--output", instance.as_str()])
+        .output()
+        .expect("kecss runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("usage error"), "{stderr}");
+    assert!(stderr.contains("needs an even n"), "{stderr}");
 }
 
 #[test]

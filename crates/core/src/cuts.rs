@@ -2,10 +2,19 @@
 //! behind a pluggable [`CutEnumerator`] strategy architecture.
 //!
 //! `Aug_k` (Section 4) covers all cuts of size `k - 1` of a
-//! `(k-1)`-edge-connected spanning subgraph `H`. Four strategies enumerate
-//! those cuts, all sharing one contract — every candidate is *verified* by an
-//! exact removal test (batch-parallel through a [`kecss_runtime::Executor`]),
-//! so reported cuts are exact rather than w.h.p.:
+//! `(k-1)`-edge-connected spanning subgraph `H`, that is, its minimum cuts.
+//! Five strategies enumerate those cuts, all sharing one contract: every
+//! reported cut is exact rather than w.h.p. One finds them from max-flows,
+//! so each of its cuts is a cut by construction:
+//!
+//! * [`FlowEnumerator`] — any size, the minimum cuts only: a unit max-flow
+//!   from each vertex to the vertices before it in BFS order, capped at
+//!   `size + 1`, lists the residual closures where the flow is exactly
+//!   `size` (Picard–Queyranne). Deterministic and complete; a flow below
+//!   `size` proves `H` has a smaller cut, and the request is refused.
+//!
+//! The other four verify every candidate by an exact removal test
+//! (batch-parallel through a [`kecss_runtime::Executor`]):
 //!
 //! * [`ExactEnumerator`] — sizes 1–3: bridges (Tarjan), then cut pairs via
 //!   cycle-space label classes (Section 5.2) and label triples XOR-ing to
@@ -35,17 +44,20 @@
 //!   *output* is always exact (the same contract the flat fallback had).
 //!
 //! [`AutoEnumerator`] picks per size: exact specializations for `1..=3`, the
-//! label enumerator above that, Karger–Stein when the label budget trips.
-//! This lifts the former `k <= 4` cap of the whole k-ECSS pipeline: any `k`
-//! is now reachable (DESIGN.md §6).
+//! flow enumerator above that. Only when a flow proves `H` below the
+//! requested size does it run the label enumerator, and Karger–Stein when
+//! the label budget trips. This lifts the former `k <= 4` cap of the whole
+//! k-ECSS pipeline: any `k` is reachable (DESIGN.md §6).
 //!
 //! Because a `(k-1)`-edge-connected graph has at most `binom(n, 2)` minimum
 //! cuts (the paper cites [19, 6]), the enumeration is polynomial in the
 //! regime the driver uses it in (`size = λ(H)`); the verification step only
 //! runs on filtered candidates, so false positives cost little.
 
+mod flow;
 mod karger_stein;
 
+pub use flow::FlowEnumerator;
 pub use karger_stein::KargerSteinEnumerator;
 
 use crate::cycle_space::Circulation;
@@ -58,13 +70,12 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 
 /// The largest cut size the [`ExactEnumerator`] specializations handle.
-/// [`AutoEnumerator`] sends larger sizes to [`LabelEnumerator`], and to
-/// [`KargerSteinEnumerator`] when the label budget trips, so this is **not**
-/// a cap on the pipeline's `k` any more.
+/// [`AutoEnumerator`] sends larger sizes to [`FlowEnumerator`], so this is
+/// **not** a cap on the pipeline's `k` any more.
 pub const EXACT_MAX_CUT_SIZE: usize = 3;
 
 /// Default budget on label-class candidate visits before the pool counts as
-/// "exploded" and [`AutoEnumerator`] falls back to contraction.
+/// "exploded" and [`AutoEnumerator`]'s fallback moves on to contraction.
 pub const DEFAULT_LABEL_BUDGET: u64 = 4_000_000;
 
 /// A single cut: the edge ids, sorted.
@@ -93,15 +104,16 @@ pub fn covers(graph: &Graph, h: &EdgeSet, cut: &[EdgeId], e: EdgeId) -> bool {
 /// # Contract
 ///
 /// * The result is sorted (each cut's ids ascending, cuts in lexicographic
-///   order) and every reported cut is *verified*: its removal genuinely
+///   order) and every reported cut is exact: its removal genuinely
 ///   disconnects `(V, h)`.
 /// * When `h` is `size`-edge-connected — the regime the `Aug_k` driver always
 ///   calls from — the cuts of size `size` are exactly the minimum cuts, and
-///   every implementation aims to report all of them ([`ExactEnumerator`] and
-///   [`LabelEnumerator`] deterministically, [`ContractEnumerator`] w.h.p.).
-///   When `h` has smaller cuts, non-induced edge subsets that happen to
-///   disconnect (e.g. a bridge plus an arbitrary edge) are *not* reported,
-///   matching the pre-refactor behavior.
+///   every implementation aims to report all of them ([`FlowEnumerator`],
+///   [`ExactEnumerator`] and [`LabelEnumerator`] deterministically,
+///   [`ContractEnumerator`] w.h.p.). When `h` has smaller cuts, non-induced
+///   edge subsets that happen to disconnect (e.g. a bridge plus an arbitrary
+///   edge) are *not* reported, matching the pre-refactor behavior, and
+///   [`FlowEnumerator`] refuses the request.
 /// * `salt` perturbs any internal randomness; implementations must be
 ///   deterministic functions of `(graph, h, size, salt)`, so results are
 ///   bit-identical for every `exec` (DESIGN.md §8). Either keep all RNG
@@ -113,12 +125,13 @@ pub fn covers(graph: &Graph, h: &EdgeSet, cut: &[EdgeId], e: EdgeId) -> bool {
 ///
 /// # Errors
 ///
-/// * [`Error::InvalidCutRequest`] if `size == 0`, `h` is disconnected, or the
-///   strategy does not implement the requested size;
+/// * [`Error::InvalidCutRequest`] if `size == 0`, `h` is disconnected, the
+///   strategy does not implement the requested size, or (for
+///   [`FlowEnumerator`]) `h` has a cut of fewer than `size` edges;
 /// * [`Error::CandidateOverflow`] if a candidate budget was exceeded.
 pub trait CutEnumerator: Sync {
     /// The strategy's display name (`exact`, `label`, `contract`, `ks`,
-    /// `auto`).
+    /// `flow`, `auto`).
     fn name(&self) -> &'static str;
 
     /// Enumerates every cut of exactly `size` edges of `(V, h)`, verifying
@@ -145,7 +158,8 @@ pub enum EnumeratorPolicy {
     Contract,
     /// [`KargerSteinEnumerator`]: any size, recursive contraction.
     Ks,
-    /// [`AutoEnumerator`]: exact below 4, label above, Karger–Stein fallback.
+    /// [`AutoEnumerator`]: exact below 4, flow above; label, then
+    /// Karger–Stein, only when a flow proves a smaller cut.
     #[default]
     Auto,
 }
@@ -528,14 +542,19 @@ impl CutEnumerator for ContractEnumerator {
     }
 }
 
-/// The per-size policy: [`ExactEnumerator`] for sizes `1..=3`,
-/// [`LabelEnumerator`] above, and the [`KargerSteinEnumerator`] fallback
-/// when the label-class candidate pool explodes (the flat
-/// [`ContractEnumerator`] stays available as the `contract` ablation
-/// strategy). This is the default everywhere.
+/// The per-size policy, the default everywhere: [`ExactEnumerator`] for
+/// sizes `1..=3` and [`FlowEnumerator`] above.
+///
+/// The flow enumerator lists minimum cuts only. When its flows prove `h`
+/// has a cut of fewer than `size` edges, `auto` runs [`LabelEnumerator`],
+/// and [`KargerSteinEnumerator`] when the label-class candidate pool
+/// explodes, so [`cuts_of_size`] keeps its contract on any connected `h`.
+/// `Aug_k` and the greedy baseline never take that branch: their `h` is
+/// proven `size`-edge-connected. (The flat [`ContractEnumerator`] stays
+/// available as the `contract` ablation strategy.)
 #[derive(Clone, Copy, Debug)]
 pub struct AutoEnumerator {
-    /// Budget for the label stage (see [`LabelEnumerator`]).
+    /// Budget for the label fallback (see [`LabelEnumerator`]).
     pub label_budget: u64,
     /// Repetition override for the Karger–Stein fallback (see
     /// [`KargerSteinEnumerator`]).
@@ -567,6 +586,16 @@ impl CutEnumerator for AutoEnumerator {
         if size <= EXACT_MAX_CUT_SIZE {
             return ExactEnumerator.cuts(graph, h, size, salt, exec);
         }
+        check_request(graph, h, size)?;
+        if let Some(cuts) = flow::minimum_cuts(graph, h, size) {
+            return Ok(cuts);
+        }
+        kecss_obs::counter_with(
+            "solver_enum_fallback_total",
+            &[("from", "flow"), ("to", "label")],
+        )
+        .inc();
+        kecss_obs::event("enum_fallback", &[("from", "flow"), ("to", "label")]);
         match LabelEnumerator::with_budget(self.label_budget).cuts(graph, h, size, salt, exec) {
             Err(Error::CandidateOverflow { .. }) => {
                 kecss_obs::counter_with(
@@ -1029,6 +1058,38 @@ mod tests {
         };
         let via_fallback = auto.cuts(&g, &h, 4, 0, &exec).unwrap();
         assert_eq!(via_fallback, naive_induced_cuts(&g, &h, 4));
+    }
+
+    #[test]
+    fn auto_falls_back_to_label_then_ks_below_the_requested_size() {
+        // Without one edge the 3x4 torus is 3-edge-connected, so the flows
+        // at size 4 prove a smaller cut, the label budget trips, and
+        // Karger–Stein answers. Below λ the reference is the label
+        // enumerator's cocycles, not the brute-force induced 4-sets.
+        let g = generators::torus(3, 4, 1);
+        let mut h = g.full_edge_set();
+        h.remove(EdgeId(0));
+        assert_eq!(connectivity::edge_connectivity_in(&g, &h), 3);
+        let exec = Executor::Sequential;
+        let tiny = LabelEnumerator::with_budget(8);
+        let err = tiny.cuts(&g, &h, 4, 0, &exec).unwrap_err();
+        assert!(matches!(err, Error::CandidateOverflow { size: 4, .. }));
+        let label = LabelEnumerator::with_budget(u64::MAX)
+            .cuts(&g, &h, 4, 0, &exec)
+            .unwrap();
+        assert_eq!(label.len(), 10);
+        assert_eq!(naive_induced_cuts(&g, &h, 4).len(), 50);
+        let fallbacks = kecss_obs::counter_with(
+            "solver_enum_fallback_total",
+            &[("from", "flow"), ("to", "label")],
+        );
+        let before = fallbacks.get();
+        let auto = AutoEnumerator {
+            label_budget: 8,
+            repetitions: None,
+        };
+        assert_eq!(auto.cuts(&g, &h, 4, 0, &exec).unwrap(), label);
+        assert!(fallbacks.get() > before, "auto never fell back");
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! These are the *verifiers* for every algorithm in the workspace: the
 //! distributed approximation algorithms produce an edge set `H`, and the tests
 //! certify `H` with [`is_k_edge_connected_in`] (exact, max-flow based) before
-//! any approximation ratio is measured.
+//! any approximation ratio is measured. At `k >= 3` that is the prefix sweep
+//! of [`maxflow::PrefixSweep`]: one capped flow from each vertex to the
+//! vertices before it in BFS order.
 
-use crate::bfs;
 use crate::dsu::DisjointSets;
 use crate::graph::{EdgeId, EdgeSet, Graph, NodeId};
 use crate::maxflow;
@@ -191,13 +192,21 @@ pub fn edge_connectivity(graph: &Graph) -> usize {
 ///
 /// `k == 0` is trivially true; `k == 1` reduces to connectivity.
 ///
-/// For `k >= 3` this runs `n - 1` capped max-flows, one between each vertex
-/// and its parent in a BFS tree of the subgraph. That is exact: local edge
-/// connectivity satisfies `λ(u, w) >= min(λ(u, v), λ(v, w))`, and every cut
-/// of the subgraph separates the endpoints of some tree edge, so a cut
-/// smaller than `k` shows up as a tree edge whose flow is below `k`. The
-/// endpoints of a tree edge are adjacent, so on graphs with short cycles
-/// each augmenting search stays near them.
+/// For `k >= 3` this is the prefix sweep ([`maxflow::PrefixSweep`]): in a
+/// BFS order of the subgraph from vertex 0, one flow from each vertex `v` to
+/// the set `P(v)` of the vertices before it, capped at `k`. The subgraph is
+/// k-edge-connected exactly when every such flow reaches `k`:
+///
+/// * if its edge connectivity `λ` is at least `k`, every cut separating `v`
+///   from `P(v)` separates `v` from some vertex of `P(v)`, so the flow is at
+///   least `λ >= k`;
+/// * if `λ < k`, take a minimum cut `δ(S)` with vertex 0 outside `S`, and
+///   let `v` be the first vertex of `S` in BFS order. Then `P(v)` lies
+///   outside `S`, so the flow from `v` is at most `|δ(S)| < k`.
+///
+/// Each augmenting search ends at the first earlier vertex it reaches, and
+/// the BFS parent of `v` is one, so the paths stay short on sparse graphs
+/// too.
 pub fn is_k_edge_connected_in(graph: &Graph, edges: &EdgeSet, k: usize) -> bool {
     if k == 0 {
         return true;
@@ -218,20 +227,15 @@ pub fn is_k_edge_connected_in(graph: &Graph, edges: &EdgeSet, k: usize) -> bool 
     let Ok(k) = u32::try_from(k) else {
         return false;
     };
-    // The BFS tree decides connectivity and orders the flows.
-    let tree = bfs::bfs_in(graph, edges, 0);
-    if tree.order.len() < graph.n() {
+    // The BFS decides connectivity and orders the flows.
+    let Some(mut sweep) = maxflow::PrefixSweep::new(graph, edges) else {
         return false;
-    }
-    let mut flow = maxflow::UnitFlow::new(graph, edges);
-    tree.order[1..].iter().all(|&v| {
-        let parent = tree.parent[v].expect("a non-root vertex of a BFS tree has a parent");
-        flow.max_flow_capped(v, parent, k) >= k
-    })
+    };
+    (1..graph.n()).all(|i| sweep.flow(i, k) >= k)
 }
 
 /// [`is_k_edge_connected_in`]'s sweep as first written, one capped flow from
-/// vertex 0 to every other vertex: the oracle for the tree-ordered sweep.
+/// vertex 0 to every other vertex: the oracle for the prefix sweep.
 #[cfg(test)]
 fn is_k_edge_connected_in_star(graph: &Graph, edges: &EdgeSet, k: usize) -> bool {
     if k == 0 || graph.n() <= 1 {
@@ -255,7 +259,7 @@ pub fn is_k_edge_connected(graph: &Graph, k: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{bfs, generators};
 
     #[test]
     fn components_of_disconnected_graph() {

@@ -1,4 +1,5 @@
-//! Unit-capacity maximum flow for exact edge-connectivity queries.
+//! Unit-capacity maximum flow for exact edge-connectivity queries and for
+//! listing minimum cuts.
 //!
 //! Edge connectivity between two vertices of an undirected graph equals the
 //! maximum number of edge-disjoint paths between them (Menger), which is the
@@ -6,7 +7,15 @@
 //! each direction. The verifier uses this to certify the outputs of every
 //! k-ECSS algorithm, so it is deliberately simple (BFS augmenting paths) and
 //! exact.
+//!
+//! The sink may be a vertex set: each augmenting search ends at the first
+//! sink it reaches. [`PrefixSweep`] runs the one flow that the connectivity
+//! sweep and the flow cut enumerator share, from each vertex to the set of
+//! vertices before it in a BFS order. After a maximum flow, it lists the
+//! source sides of every minimum cut between the two (Picard–Queyranne,
+//! 1980): the residual closures.
 
+use crate::bfs;
 use crate::graph::{EdgeSet, Graph, NodeId};
 
 /// A residual arc in the unit-capacity flow network.
@@ -120,13 +129,29 @@ impl UnitFlow {
     pub fn max_flow_capped(&mut self, s: NodeId, t: NodeId, limit: u32) -> u32 {
         assert!(s < self.n && t < self.n, "flow endpoints out of range");
         assert_ne!(s, t, "source and sink must differ");
+        self.max_flow_to_set_capped(s, |v| v == t, limit)
+    }
+
+    /// Maximum flow from `s` to the set of vertices `is_sink` accepts,
+    /// stopping early once it reaches `limit`: the number of edge-disjoint
+    /// paths from `s` to the set. Each augmenting search ends at the first
+    /// sink it reaches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range or is itself a sink.
+    pub(crate) fn max_flow_to_set_capped(
+        &mut self,
+        s: NodeId,
+        is_sink: impl Fn(NodeId) -> bool,
+        limit: u32,
+    ) -> u32 {
+        assert!(s < self.n, "flow source out of range");
+        assert!(!is_sink(s), "the source must not be a sink");
         self.reset();
         let mut flow = 0;
-        while flow < limit {
-            match self.augment(s, t) {
-                true => flow += 1,
-                false => break,
-            }
+        while flow < limit && self.augment(s, &is_sink) {
+            flow += 1;
         }
         flow
     }
@@ -137,13 +162,15 @@ impl UnitFlow {
         self.max_flow_capped(s, t, cap)
     }
 
-    /// Finds one augmenting path by BFS and pushes one unit along it.
-    fn augment(&mut self, s: NodeId, t: NodeId) -> bool {
+    /// Finds one augmenting path from `s` to a sink by BFS and pushes one
+    /// unit along it.
+    fn augment(&mut self, s: NodeId, is_sink: &impl Fn(NodeId) -> bool) -> bool {
         let stamp = self.next_stamp();
         self.seen[s] = stamp;
         self.queue.clear();
         self.queue.push(s);
         let mut head = 0;
+        let mut sink = None;
         'bfs: while head < self.queue.len() {
             let v = self.queue[head];
             head += 1;
@@ -152,16 +179,17 @@ impl UnitFlow {
                 if arc.cap > 0 && self.seen[arc.to] != stamp {
                     self.seen[arc.to] = stamp;
                     self.pred[arc.to] = ai;
-                    if arc.to == t {
+                    if is_sink(arc.to) {
+                        sink = Some(arc.to);
                         break 'bfs;
                     }
                     self.queue.push(arc.to);
                 }
             }
         }
-        if self.seen[t] != stamp {
+        let Some(t) = sink else {
             return false;
-        }
+        };
         // Walk back from t, pushing one unit.
         let mut v = t;
         while v != s {
@@ -185,31 +213,159 @@ impl UnitFlow {
         self.stamp
     }
 
+    /// Calls `visit` once for every residual closure of the current flow
+    /// from `s` to the sinks: every vertex set `X` with `s` in `X` and no
+    /// sink in `X` that no residual arc leaves. `visit` gets the vertices of
+    /// `X` and a membership mask over all vertices.
+    ///
+    /// Call it after a maximum flow, one that no augmenting path grows. Then
+    /// the closures are exactly the source sides of the minimum cuts between
+    /// `s` and the sinks (Picard–Queyranne): every edge leaving `X` carries
+    /// one unit out of it, so `|δ(X)|` is the flow value.
+    ///
+    /// The closures are listed by include/exclude branching over the
+    /// vertices that neither `s` reaches nor that reach a sink. Including a
+    /// vertex adds everything it reaches; excluding it adds everything that
+    /// reaches it. Both branches always end in a closure, so the work is
+    /// `O(n + m)` per closure, never exponential.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range, or if `s` reaches a sink: the flow
+    /// was not maximum.
+    pub(crate) fn residual_closures(
+        &self,
+        s: NodeId,
+        is_sink: impl Fn(NodeId) -> bool,
+        mut visit: impl FnMut(&[NodeId], &[bool]),
+    ) {
+        assert!(s < self.n, "flow source out of range");
+        // `outside` holds the vertices no closure may contain: the sinks,
+        // everything that reaches one, and later every excluded vertex with
+        // everything that reaches it. `members` lists the closure so far,
+        // `inside` marks it.
+        let mut outside = vec![false; self.n];
+        let mut excluded: Vec<NodeId> = (0..self.n).filter(|&v| is_sink(v)).collect();
+        for &v in &excluded {
+            outside[v] = true;
+        }
+        self.close_backward(&mut excluded, 0, &mut outside);
+        let mut inside = vec![false; self.n];
+        let mut members = Vec::new();
+        self.close_forward(s, &mut members, &mut inside);
+        assert!(
+            members.iter().all(|&v| !outside[v]),
+            "the source reaches a sink: the flow is not maximum"
+        );
+        let open: Vec<NodeId> = (0..self.n).filter(|&v| !inside[v] && !outside[v]).collect();
+        excluded.clear();
+
+        // The decision stack: the position in `open` of each decided vertex,
+        // the lengths of `members` and `excluded` before it, and whether it
+        // is on its include branch.
+        let mut stack: Vec<(usize, usize, usize, bool)> = Vec::new();
+        let mut pos = 0;
+        loop {
+            while pos < open.len() && (inside[open[pos]] || outside[open[pos]]) {
+                pos += 1;
+            }
+            if pos < open.len() {
+                stack.push((pos, members.len(), excluded.len(), true));
+                self.close_forward(open[pos], &mut members, &mut inside);
+                pos += 1;
+                continue;
+            }
+            visit(&members, &inside);
+            // Back up to the last vertex still on its include branch, and
+            // take its exclude branch.
+            loop {
+                let Some((at, kept_members, kept_excluded, included)) = stack.pop() else {
+                    return;
+                };
+                for v in members.drain(kept_members..) {
+                    inside[v] = false;
+                }
+                for v in excluded.drain(kept_excluded..) {
+                    outside[v] = false;
+                }
+                if included {
+                    stack.push((at, kept_members, kept_excluded, false));
+                    outside[open[at]] = true;
+                    excluded.push(open[at]);
+                    self.close_backward(&mut excluded, kept_excluded, &mut outside);
+                    pos = at + 1;
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Adds `v`, which is not inside, and every vertex it reaches over
+    /// residual arcs to `members` and `inside`, stopping at vertices already
+    /// inside.
+    fn close_forward(&self, v: NodeId, members: &mut Vec<NodeId>, inside: &mut [bool]) {
+        let mut next = members.len();
+        inside[v] = true;
+        members.push(v);
+        while next < members.len() {
+            let u = members[next];
+            next += 1;
+            for &ai in self.head(u) {
+                let arc = self.arcs[ai];
+                if arc.cap > 0 && !inside[arc.to] {
+                    inside[arc.to] = true;
+                    members.push(arc.to);
+                }
+            }
+        }
+    }
+
+    /// Adds every vertex that reaches one of `list[from..]` over residual
+    /// arcs to `list` and `outside`, stopping at vertices already outside.
+    fn close_backward(&self, list: &mut Vec<NodeId>, from: usize, outside: &mut [bool]) {
+        let mut next = from;
+        while next < list.len() {
+            let u = list[next];
+            next += 1;
+            // The arcs into `u` are the reverses of the arcs out of it.
+            for &ai in self.head(u) {
+                let back = self.arcs[self.arcs[ai].rev];
+                let from = self.arcs[ai].to;
+                if back.cap > 0 && !outside[from] {
+                    outside[from] = true;
+                    list.push(from);
+                }
+            }
+        }
+    }
+
     /// The search as first written, allocating its buffers per path: the
     /// oracle for [`UnitFlow::augment`].
     #[cfg(test)]
-    fn augment_allocating(&mut self, s: NodeId, t: NodeId) -> bool {
+    fn augment_allocating(&mut self, s: NodeId, is_sink: &impl Fn(NodeId) -> bool) -> bool {
         let mut pred: Vec<Option<usize>> = vec![None; self.n];
         let mut seen = vec![false; self.n];
         seen[s] = true;
         let mut queue = std::collections::VecDeque::new();
         queue.push_back(s);
+        let mut sink = None;
         'bfs: while let Some(v) = queue.pop_front() {
             for &ai in self.head(v) {
                 let arc = self.arcs[ai];
                 if arc.cap > 0 && !seen[arc.to] {
                     seen[arc.to] = true;
                     pred[arc.to] = Some(ai);
-                    if arc.to == t {
+                    if is_sink(arc.to) {
+                        sink = Some(arc.to);
                         break 'bfs;
                     }
                     queue.push_back(arc.to);
                 }
             }
         }
-        if !seen[t] {
+        let Some(t) = sink else {
             return false;
-        }
+        };
         let mut v = t;
         while v != s {
             let ai = pred[v].expect("predecessor must exist on augmenting path");
@@ -221,15 +377,104 @@ impl UnitFlow {
         true
     }
 
-    /// [`UnitFlow::max_flow_capped`] over [`UnitFlow::augment_allocating`].
+    /// [`UnitFlow::max_flow_to_set_capped`] over
+    /// [`UnitFlow::augment_allocating`].
     #[cfg(test)]
-    fn max_flow_capped_allocating(&mut self, s: NodeId, t: NodeId, limit: u32) -> u32 {
+    fn max_flow_capped_allocating(
+        &mut self,
+        s: NodeId,
+        is_sink: impl Fn(NodeId) -> bool,
+        limit: u32,
+    ) -> u32 {
         self.reset();
         let mut flow = 0;
-        while flow < limit && self.augment_allocating(s, t) {
+        while flow < limit && self.augment_allocating(s, &is_sink) {
             flow += 1;
         }
         flow
+    }
+}
+
+/// The prefix sweep of a connected subgraph: a BFS order of it from vertex
+/// 0, and for each position `i` a flow from `order[i]` to its prefix
+/// `P = order[..i]`, the vertices before it.
+///
+/// One search serves the connectivity sweep and the flow cut enumerator.
+/// Every augmenting search ends at the first vertex of `P` it reaches, and a
+/// vertex's BFS parent is in `P`, so on sparse graphs too the paths stay
+/// short.
+#[derive(Clone, Debug)]
+pub struct PrefixSweep {
+    order: Vec<NodeId>,
+    /// `rank[v]` is the position of `v` in `order`.
+    rank: Vec<usize>,
+    flow: UnitFlow,
+    /// The position of the last flow when it stopped below its limit, so
+    /// that it is a maximum flow and its residual closures are cuts.
+    maximum_at: Option<usize>,
+}
+
+impl PrefixSweep {
+    /// The sweep over the subgraph of `graph` given by `edges`, or `None`
+    /// when that subgraph is disconnected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` has no vertex.
+    pub fn new(graph: &Graph, edges: &EdgeSet) -> Option<Self> {
+        let order = bfs::bfs_in(graph, edges, 0).order;
+        if order.len() < graph.n() {
+            return None;
+        }
+        let mut rank = vec![0; graph.n()];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v] = i;
+        }
+        Some(PrefixSweep {
+            order,
+            rank,
+            flow: UnitFlow::new(graph, edges),
+            maximum_at: None,
+        })
+    }
+
+    /// The flow from `order[i]` to the vertices before it, capped at
+    /// `limit`. At `i = 0` the prefix is empty and the flow is 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below `n`.
+    pub fn flow(&mut self, i: usize, limit: u32) -> u32 {
+        let rank = &self.rank;
+        let flow = self
+            .flow
+            .max_flow_to_set_capped(self.order[i], |w| rank[w] < i, limit);
+        self.maximum_at = (flow < limit).then_some(i);
+        flow
+    }
+
+    /// Calls `visit` once for every residual closure of the last
+    /// [`PrefixSweep::flow`], from `v = order[i]`: every vertex set `X` with
+    /// `v` in `X`, no vertex of the prefix in `X`, and no residual arc
+    /// leaving `X`. These are the sides, away from vertex 0, of the minimum
+    /// cuts between `v` and its prefix. `visit` gets the vertices of `X` and
+    /// a membership mask over all vertices.
+    ///
+    /// Each edge leaving `X` carries one unit of flow out of it, so `|δ(X)|`
+    /// is the flow value. The closures are listed by include/exclude
+    /// branching, in `O(n + m)` time each.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the last flow stopped below its limit, which makes it
+    /// a maximum flow.
+    pub fn closures(&self, visit: impl FnMut(&[NodeId], &[bool])) {
+        let i = self
+            .maximum_at
+            .expect("closures follow a flow that stopped below its limit");
+        let rank = &self.rank;
+        self.flow
+            .residual_closures(self.order[i], |w| rank[w] < i, visit);
     }
 }
 
@@ -324,6 +569,30 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn the_closures_of_a_cycle_are_its_arcs_from_the_source() {
+        // On the cycle 0-1-...-5 the flow from 1 to {0} is 2, and its
+        // minimum cuts are {01, j(j+1)}: the closures {1, ..., j}.
+        let g = generators::cycle(6, 1);
+        let mut f = UnitFlow::new(&g, &g.full_edge_set());
+        assert_eq!(f.max_flow_to_set_capped(1, |v| v == 0, 3), 2);
+        let mut closures = Vec::new();
+        f.residual_closures(
+            1,
+            |v| v == 0,
+            |members, inside| {
+                assert_eq!(inside.iter().filter(|&&x| x).count(), members.len());
+                assert!(members.iter().all(|&v| inside[v]));
+                let mut members = members.to_vec();
+                members.sort_unstable();
+                closures.push(members);
+            },
+        );
+        closures.sort();
+        let expected: Vec<Vec<NodeId>> = (2..=6).map(|j| (1..j).collect()).collect();
+        assert_eq!(closures, expected);
+    }
+
+    #[test]
     fn the_visited_stamp_survives_its_wrap() {
         let g = generators::harary(4, 12, 1);
         let all = g.full_edge_set();
@@ -337,7 +606,7 @@ pub(crate) mod tests {
             let mut oracle = f.clone();
             assert_eq!(
                 f.max_flow_capped(s, t, 8),
-                oracle.max_flow_capped_allocating(s, t, 8),
+                oracle.max_flow_capped_allocating(s, |v| v == t, 8),
                 "{s} -> {t} across the wrap"
             );
         }
@@ -369,7 +638,8 @@ pub(crate) mod tests {
         })]
 
         /// The allocation-free search pushes the same flow as the search
-        /// that allocated its buffers per path.
+        /// that allocated its buffers per path, to one sink and to a random
+        /// sink set.
         #[test]
         fn capped_flow_matches_the_allocating_search(
             n in 2usize..24,
@@ -389,8 +659,14 @@ pub(crate) mod tests {
                 }
                 proptest::prop_assert_eq!(
                     fast.max_flow_capped(s, t, limit),
-                    oracle.max_flow_capped_allocating(s, t, limit),
+                    oracle.max_flow_capped_allocating(s, |v| v == t, limit),
                     "{} -> {} capped at {}", s, t, limit
+                );
+                let sinks: Vec<bool> = (0..n).map(|v| v != s && (v == t || rng.gen_range(0..4u32) == 0)).collect();
+                proptest::prop_assert_eq!(
+                    fast.max_flow_to_set_capped(s, |v| sinks[v], limit),
+                    oracle.max_flow_capped_allocating(s, |v| sinks[v], limit),
+                    "{} -> {:?} capped at {}", s, sinks, limit
                 );
             }
         }

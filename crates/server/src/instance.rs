@@ -79,8 +79,10 @@ impl fmt::Display for Family {
 /// # Errors
 ///
 /// Returns a human-readable message for undersized instances, `k == 0`, an
-/// instance past [`MAX_INSTANCE_M`] edges ([`family_size`]), or a hypercube
-/// whose rounded size cannot be k-edge-connected.
+/// instance past [`MAX_INSTANCE_M`] edges ([`family_size`]), a hypercube
+/// whose rounded size cannot be k-edge-connected, or a `harary` or `random`
+/// shape its Harary base cannot have (`k >= n`, or an odd `k` above 1 on an
+/// odd `n`).
 pub fn build_family(
     family: Family,
     n: usize,
@@ -101,6 +103,7 @@ pub fn build_family(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut graph = match family {
         Family::Random => {
+            check_harary_shape(family, n, k)?;
             generators::random_k_edge_connected(n, k, RANDOM_EXTRA_PER_VERTEX * n, &mut rng)
         }
         Family::RingOfCliques => {
@@ -111,7 +114,10 @@ pub fn build_family(
             let side = torus_side(n);
             generators::torus(side, side, 1)
         }
-        Family::Harary => generators::harary(k, n, 1),
+        Family::Harary => {
+            check_harary_shape(family, n, k)?;
+            generators::harary(k, n, 1)
+        }
         Family::Hypercube => {
             let dim = hypercube_dim(n);
             if k > dim {
@@ -128,6 +134,25 @@ pub fn build_family(
         generators::randomize_weights(&mut graph, max_weight, &mut rng);
     }
     Ok(graph)
+}
+
+/// Refuses the shapes the Harary graph `H(k, n)`, the base of the `harary`
+/// and `random` families, cannot have: it needs `k < n`, and an even `n`
+/// when `k` is odd and above 1.
+fn check_harary_shape(family: Family, n: usize, k: usize) -> Result<(), String> {
+    if k >= n {
+        return Err(format!(
+            "a {family} instance needs k < n, got k = {k} on n = {n} vertices; \
+             lower k or raise n"
+        ));
+    }
+    if k > 1 && k % 2 == 1 && n % 2 == 1 {
+        return Err(format!(
+            "a {family} instance at odd k = {k} needs an even n, got n = {n}; \
+             raise n by one"
+        ));
+    }
+    Ok(())
 }
 
 /// The random extra edges a `random` instance draws per vertex, on top of
@@ -772,5 +797,27 @@ mod tests {
                 .is_err(),
             "Q_4 cannot be 6-edge-connected"
         );
+    }
+
+    #[test]
+    fn harary_shapes_the_generator_cannot_build_are_refused() {
+        for (family, n, k, rule) in [
+            (Family::Harary, 9, 3, "needs an even n"),
+            (Family::Random, 9, 5, "needs an even n"),
+            (Family::Random, 5, 7, "needs k < n"),
+            (Family::Harary, 6, 6, "needs k < n"),
+        ] {
+            let err = build_family(family, n, k, 1, 1).unwrap_err();
+            assert!(err.contains(rule), "{family}:{n} at k = {k}: {err}");
+        }
+        for (family, n, k) in [
+            (Family::Harary, 16, 5),
+            (Family::Random, 129, 1),
+            (Family::Harary, 9, 2),
+            (Family::Random, 9, 8),
+        ] {
+            let graph = build_family(family, n, k, 40, 1).unwrap();
+            assert_eq!(graph.n(), n, "{family}:{n} at k = {k}");
+        }
     }
 }

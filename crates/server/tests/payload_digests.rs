@@ -13,11 +13,13 @@
 //! the thurimella job's verifier charges its labels from the height of a
 //! BFS tree there too.
 //!
-//! The three `kecss` jobs at k ≥ 4 cover the cut enumerators over circulation
-//! labels: XOR-zero triples at k = 4, a size-4 label enumeration that
-//! completes, and one that overflows its budget and falls back to
-//! Karger–Stein. A wrong label lookup or budget decision changes their cuts,
-//! and with them the bytes.
+//! The `kecss` jobs at k ≥ 4 cover the cut enumerators: XOR-zero label
+//! triples at k = 4, and at k = 5 and 6 the flow enumerator that `auto`
+//! runs at sizes ≥ 4. The same two k ≥ 5 instances also run through the
+//! explicit `label` and `ks` policies, so a label enumeration that completes
+//! and a Karger–Stein one stay pinned by their bytes; those payloads equal
+//! the `auto` ones but for the `spec` line. A wrong label lookup, residual
+//! closure or contraction changes their cuts, and with them the bytes.
 
 use kecss_runtime::Executor;
 use kecss_server::job;
@@ -46,42 +48,51 @@ const PINNED: &[(&str, u64)] = &[
     ("random:48:100 4 kecss auto 2", 0x2080_04ca_852a_0c61),
     ("hypercube:32 5 kecss auto 3", 0xa6d1_4faa_b66a_84dc),
     ("harary:40 6 kecss auto 1", 0x031e_eaf9_5a6a_8423),
+    ("hypercube:32 5 kecss label 3", 0x32ac_207b_c9a6_160b),
+    ("harary:40 6 kecss ks 1", 0xa2a3_8271_fcca_54da),
     ("ring:5000 2 thurimella auto 1", 0x72a0_52fd_a80f_911e),
     ("ring:5000 1 mst auto 2", 0x0367_4a49_f839_c214),
 ];
 
-/// Pinned specs that reach the label enumerator, and whether one of its
-/// enumerations overflows the default budget and falls back to Karger–Stein.
-const LABEL_SPECS: &[(&str, bool)] = &[
-    ("hypercube:32 5 kecss auto 3", false),
-    ("harary:40 6 kecss auto 1", true),
+/// Pinned specs and the strategy whose enumeration each must complete,
+/// growing `solver_enum_candidates_total{strategy}`. The `auto` specs must
+/// also run no label enumeration.
+const ENUMERATOR_SPECS: &[(&str, &str)] = &[
+    ("hypercube:32 5 kecss auto 3", "flow"),
+    ("harary:40 6 kecss auto 1", "flow"),
+    ("hypercube:32 5 kecss label 3", "label"),
+    ("harary:40 6 kecss ks 1", "ks"),
 ];
 
 #[test]
 fn payload_digests_match_the_pinned_constants() {
-    let label_candidates =
-        kecss_obs::counter_with("solver_enum_candidates_total", &[("strategy", "label")]);
-    let fallbacks = kecss_obs::counter_with(
-        "solver_enum_fallback_total",
-        &[("from", "label"), ("to", "ks")],
-    );
+    let candidates = |strategy| {
+        kecss_obs::counter_with("solver_enum_candidates_total", &[("strategy", strategy)])
+    };
+    let label_candidates = candidates("label");
     let mut mismatches = Vec::new();
     for &(args, pinned) in PINNED {
         let Ok(Request::Submit(spec)) = Request::parse(&format!("SUBMIT {args}")) else {
             panic!("`{args}` is not a SUBMIT");
         };
-        let (candidates_before, fallbacks_before) = (label_candidates.get(), fallbacks.get());
+        let strategy = ENUMERATOR_SPECS
+            .iter()
+            .find(|&&(s, _)| s == args)
+            .map(|&(_, strategy)| strategy);
+        let before = strategy.map(|s| (candidates(s).get(), label_candidates.get()));
         let payload = job::run(&spec, &Executor::Sequential).unwrap_or_else(|e| panic!("{e}"));
-        if let Some(&(_, falls_back)) = LABEL_SPECS.iter().find(|&&(s, _)| s == args) {
+        if let (Some(strategy), Some((before, label_before))) = (strategy, before) {
             assert!(
-                label_candidates.get() > candidates_before,
-                "`{args}` never completed a label enumeration"
+                candidates(strategy).get() > before,
+                "`{args}` never completed a {strategy} enumeration"
             );
-            assert_eq!(
-                fallbacks.get() > fallbacks_before,
-                falls_back,
-                "`{args}`: whether the label enumerator fell back to ks"
-            );
+            if strategy == "flow" {
+                assert_eq!(
+                    label_candidates.get(),
+                    label_before,
+                    "`{args}` ran a label enumeration"
+                );
+            }
         }
         let text = String::from_utf8_lossy(&payload);
         assert!(text.contains(" yes\n"), "`{args}` did not verify:\n{text}");

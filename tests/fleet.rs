@@ -578,10 +578,11 @@ fn one_link_carries_a_burst_of_jobs_that_finish_out_of_order() {
     let worker = spawn_worker(&addr, "wide", 2, 16);
     wait_workers(&addr, 1);
 
-    // A slow job first (~40x the six fast ones together), then fast ones:
-    // the fast jobs finish, and come back on the link, while the slow one
-    // still runs on the other thread.
-    let mut lines = vec!["SUBMIT harary:64:9 6 kecss auto 1".to_string()];
+    // A slow job first, then fast ones: the fast jobs finish, and come back
+    // on the link, while the slow one still runs on the other thread. In a
+    // debug build the slow job takes ~200 ms, ~120x the six fast ones
+    // together (~1.7 ms), and its 3-ECSS solve runs no cut enumeration.
+    let mut lines = vec!["SUBMIT torus:256 3 3ecss auto 1".to_string()];
     lines.extend((1..=6).map(|seed| format!("SUBMIT ring:20 2 2ecss auto {seed}")));
     let missing = "SUBMIT file:/no/such/inst.graph 2 2ecss auto 1";
     let mut client = Client::connect(&addr).unwrap();

@@ -15,6 +15,8 @@
 //!   readers at chunk capacities that straddle every record boundary, and
 //!   solutions round-trip between the text and `KGS1` binary encodings;
 //! * the word-parallel exact diameter agrees with one BFS per vertex;
+//! * the flow cut enumerator lists the minimum cuts the label enumerator
+//!   finds with no budget, and refuses a size above the edge connectivity;
 //! * the file decoders return `Ok` or `Err`, never panic, on random bytes,
 //!   bit-flipped and truncated encodings.
 
@@ -455,6 +457,53 @@ proptest! {
         let mut text2 = Vec::new();
         graphs::io::write_solution_text(&mut text2, &graph, &from_binary).unwrap();
         prop_assert_eq!(&text2, &text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// On random k-edge-connected graphs, and on subgraphs of them without a
+    /// few edges, the flow enumerator lists at `s = λ(H)` exactly the cuts
+    /// the label enumerator finds with no budget. Above λ it refuses the
+    /// request; below λ its family is empty.
+    #[test]
+    fn flow_cuts_match_the_unbudgeted_label_enumerator(
+        n in 6usize..18,
+        k in 2usize..6,
+        extra in 0usize..12,
+        drop in 0usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        use kecss::cuts::{CutEnumerator, FlowEnumerator, LabelEnumerator};
+        use kecss_runtime::Executor;
+        // Harary graphs of odd k need an even n.
+        let n = if k % 2 == 1 { n + n % 2 } else { n };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = generators::random_k_edge_connected(n, k, extra, &mut rng);
+        let mut h = g.full_edge_set();
+        for id in g.edge_ids().skip(seed as usize % g.m()).take(drop) {
+            h.remove(id);
+        }
+        let lambda = connectivity::edge_connectivity_in(&g, &h);
+        if lambda == 0 {
+            // The dropped edges disconnected H: no cut request applies.
+            return Ok(());
+        }
+        let exec = Executor::Sequential;
+        let flow = |size| FlowEnumerator.cuts(&g, &h, size, 0, &exec);
+        let label = LabelEnumerator::with_budget(u64::MAX)
+            .cuts(&g, &h, lambda, 0, &exec)
+            .unwrap();
+        prop_assert!(!label.is_empty());
+        prop_assert_eq!(flow(lambda).unwrap(), label);
+        prop_assert!(matches!(
+            flow(lambda + 1),
+            Err(kecss::Error::InvalidCutRequest { .. })
+        ));
+        if lambda > 1 {
+            prop_assert!(flow(lambda - 1).unwrap().is_empty());
+        }
     }
 }
 
