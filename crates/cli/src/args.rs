@@ -390,17 +390,15 @@ fn number_or<T: std::str::FromStr>(
     map.get(key).map_or(Ok(default), |v| parse_number(key, v))
 }
 
-/// An address a coordinator can dial back: `HOST:PORT` with a non-empty host
-/// and a port other than 0. Host names (`worker-a:7461`) are valid.
+/// An address a coordinator can dial back
+/// ([`kecss_server::protocol::is_dialable`]).
 fn parse_dialable(key: &str, value: &str) -> Result<String, CliError> {
-    match value.rsplit_once(':') {
-        Some((host, port)) if !host.is_empty() && port.parse::<u16>().is_ok_and(|p| p != 0) => {
-            Ok(value.to_string())
-        }
-        _ => Err(CliError::Usage(format!(
+    if !kecss_server::protocol::is_dialable(value) {
+        return Err(CliError::Usage(format!(
             "flag --{key} expects HOST:PORT with a port other than 0, got '{value}'"
-        ))),
+        )));
     }
+    Ok(value.to_string())
 }
 
 fn parse_generate(rest: &[&String]) -> Result<Command, CliError> {

@@ -158,26 +158,36 @@ pub fn is_two_edge_connected_in(graph: &Graph, edges: &EdgeSet) -> bool {
     graph.n() >= 2 && is_connected_in(graph, edges) && bridges_in(graph, edges).is_empty()
 }
 
-/// Exact edge connectivity of the subgraph `(V, edges)`.
+/// Exact edge connectivity `λ` of the subgraph `(V, edges)`.
 ///
-/// Returns 0 for disconnected (or single-vertex) subgraphs. Computed as
-/// `min_{t != 0} maxflow(0, t)`, which is exact because a global minimum cut
-/// separates vertex 0 from at least one other vertex.
+/// Returns 0 for disconnected (or single-vertex) subgraphs. Computed by the
+/// prefix sweep ([`maxflow::PrefixSweep`]): `λ` is the least flow from a
+/// vertex `v` to the set `P(v)` of the vertices before it in BFS order, and
+/// each flow is capped at the least so far. By the argument of
+/// [`is_k_edge_connected_in`], every such flow is at least `λ`, and the flow
+/// from the first vertex, in BFS order, of the side of a minimum cut away
+/// from vertex 0 is at most `λ`.
 pub fn edge_connectivity_in(graph: &Graph, edges: &EdgeSet) -> usize {
-    let n = graph.n();
-    if n <= 1 {
+    if graph.n() <= 1 {
         return 0;
     }
-    if !is_connected_in(graph, edges) {
+    let Some(mut sweep) = maxflow::PrefixSweep::new(graph, edges) else {
+        return 0;
+    };
+    (1..graph.n()).fold(u32::MAX, |least, i| sweep.flow(i, least)) as usize
+}
+
+/// [`edge_connectivity_in`] as first written, `min_{t != 0} maxflow(0, t)`:
+/// the oracle for the prefix sweep's `λ`.
+#[cfg(test)]
+fn edge_connectivity_in_star(graph: &Graph, edges: &EdgeSet) -> usize {
+    if graph.n() <= 1 || !is_connected_in(graph, edges) {
         return 0;
     }
     let mut flow = maxflow::UnitFlow::new(graph, edges);
     let mut best = u32::MAX;
-    for t in 1..n {
+    for t in 1..graph.n() {
         best = best.min(flow.max_flow_capped(0, t, best));
-        if best == 0 {
-            break;
-        }
     }
     best as usize
 }
@@ -397,6 +407,26 @@ mod tests {
                     "k = {}", k
                 );
             }
+        }
+
+        /// The sweep's `λ` is the least flow from vertex 0 to each other
+        /// vertex, on random multigraphs and random edge subsets of them.
+        #[test]
+        fn the_sweeps_connectivity_matches_the_star_sweep(
+            n in 1usize..14,
+            m in 0usize..70,
+            keep in 50u32..101,
+            seed in 0u64..1_000_000,
+        ) {
+            let (g, edges) = if n == 1 {
+                (Graph::new(1), EdgeSet::new(0))
+            } else {
+                crate::maxflow::tests::random_masked(n, m, keep, seed)
+            };
+            proptest::prop_assert_eq!(
+                edge_connectivity_in(&g, &edges),
+                edge_connectivity_in_star(&g, &edges)
+            );
         }
     }
 

@@ -39,6 +39,8 @@ struct Arc {
 /// visited marks and its queue live here and are reused by every path. A
 /// vertex is visited in the current search when its mark equals `stamp`,
 /// which each search advances, so no search clears the marks of the last.
+/// Likewise a flow restores only the arcs the last flow pushed along, not
+/// all `2m`, so a flow costs what its searches touch.
 #[derive(Clone, Debug)]
 pub struct UnitFlow {
     n: usize,
@@ -56,6 +58,9 @@ pub struct UnitFlow {
     /// The BFS queue, scanned front to back by index: each vertex enters it
     /// at most once per search.
     queue: Vec<NodeId>,
+    /// The arcs the flows since the last reset pushed along, each with its
+    /// reverse: every arc not listed here is still at capacity 1.
+    pushed: Vec<usize>,
 }
 
 impl UnitFlow {
@@ -102,6 +107,7 @@ impl UnitFlow {
             seen: vec![0; n],
             stamp: 0,
             queue: Vec::with_capacity(n),
+            pushed: Vec::new(),
         }
     }
 
@@ -111,10 +117,13 @@ impl UnitFlow {
         &self.head_arcs[self.head_offsets[v]..self.head_offsets[v + 1]]
     }
 
+    /// Puts every arc the last flow pushed along back to capacity 1, the
+    /// state of an undirected unit edge with no flow.
     fn reset(&mut self) {
-        // Undirected unit edges: both directions back to capacity 1.
-        for arc in &mut self.arcs {
-            arc.cap = 1;
+        for ai in self.pushed.drain(..) {
+            self.arcs[ai].cap = 1;
+            let rev = self.arcs[ai].rev;
+            self.arcs[rev].cap = 1;
         }
     }
 
@@ -194,6 +203,7 @@ impl UnitFlow {
         let mut v = t;
         while v != s {
             let ai = self.pred[v];
+            self.pushed.push(ai);
             self.arcs[ai].cap -= 1;
             let rev = self.arcs[ai].rev;
             self.arcs[rev].cap += 1;
@@ -378,7 +388,8 @@ impl UnitFlow {
     }
 
     /// [`UnitFlow::max_flow_to_set_capped`] over
-    /// [`UnitFlow::augment_allocating`].
+    /// [`UnitFlow::augment_allocating`], resetting every arc as first
+    /// written: the oracle for the restore of the pushed arcs too.
     #[cfg(test)]
     fn max_flow_capped_allocating(
         &mut self,
@@ -386,7 +397,10 @@ impl UnitFlow {
         is_sink: impl Fn(NodeId) -> bool,
         limit: u32,
     ) -> u32 {
-        self.reset();
+        for arc in &mut self.arcs {
+            arc.cap = 1;
+        }
+        self.pushed.clear();
         let mut flow = 0;
         while flow < limit && self.augment_allocating(s, &is_sink) {
             flow += 1;
@@ -478,54 +492,42 @@ impl PrefixSweep {
     }
 }
 
-/// The local edge connectivity between `s` and `t` in the subgraph given by
-/// `edges` (the maximum number of edge-disjoint `s`–`t` paths).
-pub fn local_edge_connectivity_in(graph: &Graph, edges: &EdgeSet, s: NodeId, t: NodeId) -> u32 {
-    UnitFlow::new(graph, edges).max_flow(s, t)
-}
-
-/// The local edge connectivity capped at `limit` (early exit).
-pub fn local_edge_connectivity_capped(
-    graph: &Graph,
-    edges: &EdgeSet,
-    s: NodeId,
-    t: NodeId,
-    limit: u32,
-) -> u32 {
-    UnitFlow::new(graph, edges).max_flow_capped(s, t, limit)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::generators;
 
+    /// The maximum `s`–`t` flow in the subgraph given by `edges`.
+    fn flow_in(g: &Graph, edges: &EdgeSet, s: NodeId, t: NodeId) -> u32 {
+        UnitFlow::new(g, edges).max_flow(s, t)
+    }
+
     #[test]
     fn flow_on_cycle_is_two() {
         let g = generators::cycle(6, 1);
         let all = g.full_edge_set();
-        assert_eq!(local_edge_connectivity_in(&g, &all, 0, 3), 2);
+        assert_eq!(flow_in(&g, &all, 0, 3), 2);
     }
 
     #[test]
     fn flow_on_path_is_one() {
         let g = generators::path(4, 1);
         let all = g.full_edge_set();
-        assert_eq!(local_edge_connectivity_in(&g, &all, 0, 3), 1);
+        assert_eq!(flow_in(&g, &all, 0, 3), 1);
     }
 
     #[test]
     fn flow_on_complete_graph_equals_degree() {
         let g = generators::complete(5, 1);
         let all = g.full_edge_set();
-        assert_eq!(local_edge_connectivity_in(&g, &all, 0, 4), 4);
+        assert_eq!(flow_in(&g, &all, 0, 4), 4);
     }
 
     #[test]
     fn capped_flow_stops_early() {
         let g = generators::complete(6, 1);
         let all = g.full_edge_set();
-        assert_eq!(local_edge_connectivity_capped(&g, &all, 0, 5, 2), 2);
+        assert_eq!(UnitFlow::new(&g, &all).max_flow_capped(0, 5, 2), 2);
     }
 
     #[test]
@@ -535,8 +537,8 @@ pub(crate) mod tests {
         // Keep only edges 0-1, 1-2 (a path); connectivity drops to 1.
         half.insert(crate::EdgeId(0));
         half.insert(crate::EdgeId(1));
-        assert_eq!(local_edge_connectivity_in(&g, &half, 0, 2), 1);
-        assert_eq!(local_edge_connectivity_in(&g, &half, 0, 3), 0);
+        assert_eq!(flow_in(&g, &half, 0, 2), 1);
+        assert_eq!(flow_in(&g, &half, 0, 3), 0);
     }
 
     #[test]
@@ -546,7 +548,7 @@ pub(crate) mod tests {
         g.add_edge(0, 1, 1);
         g.add_edge(0, 1, 1);
         let all = g.full_edge_set();
-        assert_eq!(local_edge_connectivity_in(&g, &all, 0, 1), 3);
+        assert_eq!(flow_in(&g, &all, 0, 1), 3);
     }
 
     #[test]
@@ -555,7 +557,7 @@ pub(crate) mod tests {
         g.add_edge(0, 1, 1);
         g.add_edge(2, 3, 1);
         let all = g.full_edge_set();
-        assert_eq!(local_edge_connectivity_in(&g, &all, 0, 3), 0);
+        assert_eq!(flow_in(&g, &all, 0, 3), 0);
     }
 
     #[test]

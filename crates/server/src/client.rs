@@ -397,10 +397,9 @@ fn timed_out(error: ClientError, id: JobId) -> ClientError {
     }
 }
 
-/// Reads one binary reply frame — header, body, then decode. A binary-mode
-/// [`Client`] and the coordinator's worker links both read their replies
-/// through this.
-pub(crate) fn read_reply_frame(reader: &mut impl Read) -> Result<Response, ClientError> {
+/// Reads one binary reply frame — header, body, then decode — for a
+/// binary-mode [`Client`].
+fn read_reply_frame(reader: &mut impl Read) -> Result<Response, ClientError> {
     let mut header = [0u8; wire::FRAME_HEADER_BYTES];
     reader.read_exact(&mut header)?;
     let (opcode, _flags, body_len) =

@@ -1,4 +1,4 @@
-//! The fleet control plane: the job table and the dispatcher of a
+//! The fleet control plane: the job table of a
 //! [`crate::server::Role::Coordinator`] server, which speaks the **same**
 //! client-facing protocol as the standalone server (one responder,
 //! [`crate::event_loop`], answers both), plus `HEARTBEAT` and `FLEET`, and
@@ -9,10 +9,12 @@
 //! * **One place decides.** Admission, assignment, which job a link's reply
 //!   answers, whether a worker is lost and when to look again are decided by
 //!   one state machine, `fleet::Fleet`, that reads no clock and holds no
-//!   socket, lock or thread. The threads only do I/O around it — the
-//!   readiness loop, one dispatcher, one reader per link — passing in the
-//!   time and what they saw, and carrying out the actions it returns.
-//! * **Workers are plain servers.** The dispatcher writes each job as one
+//!   socket, lock or thread.
+//! * **One thread does the I/O.** The readiness loop steps the machine for
+//!   its clients and for every worker link, and carries out the actions it
+//!   returns: each link is one more nonblocking connection of the loop, and
+//!   only its dial runs on a thread of its own (`dial`).
+//! * **Workers are plain servers.** The loop writes each job as one
 //!   wait-flagged `SUBMIT` on its worker's one `KGW1` link, and the worker
 //!   acks, then pushes the terminal reply on it.
 //! * **Retries.** A worker loss — a failed dial, a link read or write error,
@@ -22,229 +24,84 @@
 //!   short back-off and charges nothing. [`crate::job::run`] is pure in the
 //!   spec, so neither the worker nor the retries can change a payload byte.
 
-mod fleet;
+pub(crate) mod fleet;
 #[cfg(test)]
 mod sim;
 
-use crate::client::read_reply_frame;
 use crate::event_loop::Service;
 use crate::job::JobSpec;
-use crate::protocol::{Request, Response};
+use crate::protocol::Response;
 use crate::scheduler::{CompletionHook, JobId, JobState, Outcome, ServeSummary};
-use crate::wire;
-use fleet::{Action, Event, Fleet, LinkId, Verdict};
-use std::collections::HashMap;
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
-use std::thread::JoinHandle;
+use fleet::{Action, Event, Fleet, Verdict};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// One persistent `KGW1` connection to a worker, dialled and read by its own
-/// [`run_link`] thread, so a dial that hangs holds up only its jobs.
-struct Link {
-    worker: String,
-    /// Set by the reader once its dial succeeds.
-    stream: OnceLock<TcpStream>,
-    /// Frames sent while the link is still dialling, written after the
-    /// preamble; `None` once the dial took them or the link was closed.
-    dialling: Mutex<Option<Vec<u8>>>,
-}
-
-impl Link {
-    /// Sends one frame, or queues it until the dial finishes (a link closed
-    /// while dialling drops it). A failed write closes the link, and its
-    /// reader then reports the loss.
-    fn send(&self, frame: &[u8]) {
-        let mut dialling = self.dialling.lock().expect("link lock poisoned");
-        let Some(mut stream) = self.stream.get() else {
-            return dialling.iter_mut().for_each(|f| f.extend_from_slice(frame));
-        };
-        drop(dialling);
-        if stream.write_all(frame).is_err() {
-            self.close();
-        }
-    }
-
-    /// Dials `addr`, then writes the preamble and the queued frames; the
-    /// dial and every write are bounded by `timeout`. Returns the read half,
-    /// or `None` when the link was closed while dialling.
-    fn dial(&self, addr: &str, timeout: Duration) -> std::io::Result<Option<TcpStream>> {
+/// Connects a worker's link for the readiness loop: nonblocking, with
+/// `TCP_NODELAY`, the connect bounded by `timeout`. Returns the cause of a
+/// failure as the loss reports it. Each dial runs on a thread of its own that
+/// only does this, so a dial that hangs holds up only its worker's jobs.
+pub(crate) fn dial(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
+    let connect = || {
         let target = addr.to_socket_addrs()?.next().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, "no address resolved")
         })?;
         let stream = TcpStream::connect_timeout(&target, timeout)?;
         stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(timeout))?;
-        let reader = stream.try_clone()?;
-        let mut dialling = self.dialling.lock().expect("link lock poisoned");
-        let Some(frames) = dialling.take() else {
-            return Ok(None);
-        };
-        (&stream).write_all(&[&wire::PREAMBLE[..], &frames].concat())?;
-        let _ = self.stream.set(stream);
-        Ok(Some(reader))
-    }
-
-    /// Shuts the socket down, which wakes the reader even when the worker
-    /// has gone silent; a link still dialling drops its socket once dialled.
-    fn close(&self) {
-        self.dialling.lock().expect("link lock poisoned").take();
-        if let Some(stream) = self.stream.get() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// A link's thread: dials `addr`, hands each decoded reply to the machine
-/// until the link fails, then reports the failure.
-fn run_link(shared: &Shared, id: LinkId, link: &Link, addr: &str) {
-    let worker = || link.worker.clone();
-    let cause = match link.dial(addr, shared.timeout) {
-        Ok(None) => return,
-        Err(e) => format!("cannot dial {addr}: {e}"),
-        Ok(Some(stream)) => {
-            let mut reader = BufReader::new(stream);
-            loop {
-                match read_reply_frame(&mut reader) {
-                    Ok(response) => shared.step(Event::Reply(worker(), id, response)),
-                    Err(e) => break e.to_string(),
-                };
-            }
-        }
+        stream.set_nonblocking(true)?;
+        Ok(stream)
     };
-    shared.step(Event::LinkError(worker(), id, cause));
+    connect().map_err(|e: std::io::Error| format!("cannot dial {addr}: {e}"))
 }
 
-/// The coordinator's job table: the fleet machine, the dispatcher's wakeup
-/// and the worker links.
-#[derive(Default)]
+/// The coordinator's job table: the fleet machine, which only the readiness
+/// loop steps.
 pub(crate) struct Shared {
     fleet: Mutex<Fleet>,
-    /// Wakes the dispatcher: signalled when a step kicks, and on shutdown.
-    dispatch: Condvar,
-    /// The readiness loop's completion hook (push delivery + drain wakeups).
-    completion_hook: OnceLock<CompletionHook>,
-    /// The links the machine dialled, by number, and their reader threads.
-    links: Mutex<HashMap<LinkId, Arc<Link>>>,
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    /// Bounds each dial and each link write.
-    timeout: Duration,
-    /// This `Shared`, for the link threads a dial starts.
-    me: Weak<Shared>,
+    /// Bounds each dial.
+    pub(crate) timeout: Duration,
 }
 
 impl Shared {
     /// The table of a coordinator admitting `queue_depth` jobs in flight.
-    pub(crate) fn new(queue_depth: usize, timeout: Duration, max_retries: u32) -> Arc<Shared> {
-        Arc::new_cyclic(|me| Shared {
+    pub(crate) fn new(queue_depth: usize, timeout: Duration, max_retries: u32) -> Shared {
+        Shared {
             fleet: Mutex::new(Fleet::new(queue_depth, timeout, max_retries)),
             timeout,
-            me: me.clone(),
-            ..Shared::default()
-        })
-    }
-
-    /// Wakes the dispatcher once the readiness loop has returned: it finds
-    /// the machine closed and idle, and returns.
-    pub(crate) fn wake_dispatcher(&self) {
-        drop(self.lock());
-        self.dispatch.notify_all();
-    }
-
-    /// Closes the worker links and joins their readers (after the
-    /// dispatcher, the only thread that dials, has returned), then returns
-    /// the final counters.
-    pub(crate) fn close_links(&self) -> ServeSummary {
-        let links = std::mem::take(&mut *self.links());
-        links.values().for_each(|link| link.close());
-        let readers = std::mem::take(&mut *self.readers.lock().expect("reader list poisoned"));
-        for reader in readers {
-            reader.join().expect("a link reader panicked");
         }
-        self.lock().summary
     }
 
     fn lock(&self) -> MutexGuard<'_, Fleet> {
         self.fleet.lock().expect("coordinator lock poisoned")
     }
 
-    fn links(&self) -> MutexGuard<'_, HashMap<LinkId, Arc<Link>>> {
-        self.links.lock().expect("link table poisoned")
+    /// Runs `event` through the machine now. Its actions wait for
+    /// [`Shared::actions`].
+    pub(crate) fn step(&self, event: Event) -> Verdict {
+        self.lock().step(event, Instant::now())
     }
 
-    /// Runs `event` through the machine now, then carries out its actions.
-    fn step(&self, event: Event) -> Verdict {
+    /// Takes the actions of the steps since the last call, in order. When
+    /// one of those steps kicked, or `deadline` has passed, it steps
+    /// [`Event::Wake`] first and moves `deadline` to the machine's next one.
+    /// Otherwise `deadline` stands: only a step that kicks can make a
+    /// deadline earlier.
+    pub(crate) fn actions(&self, deadline: &mut Option<Instant>) -> Vec<Action> {
         let mut fleet = self.lock();
-        let verdict = fleet.step(event, Instant::now());
-        self.act(fleet);
-        verdict
+        let now = Instant::now();
+        if std::mem::take(&mut fleet.kicked) || deadline.is_some_and(|at| at <= now) {
+            fleet.step(Event::Wake, now);
+            // The wake's own kick asks for nothing more: it has just
+            // assigned what was ready.
+            fleet.kicked = false;
+            *deadline = fleet.next_wake(now).map(|wait| now + wait);
+        }
+        std::mem::take(&mut fleet.actions)
     }
 
-    /// Takes the machine's actions and releases its lock, then carries them
-    /// out in order, so no I/O and no completion hook runs under it. Only the
-    /// dispatcher dials and sends, and a link is closed only once dialled.
-    fn act(&self, mut fleet: MutexGuard<'_, Fleet>) {
-        let kicked = std::mem::take(&mut fleet.kicked);
-        let actions = std::mem::take(&mut fleet.actions);
-        drop(fleet);
-        if kicked {
-            self.dispatch.notify_all();
-        }
-        for action in actions {
-            match action {
-                Action::Dial(worker, id, addr) => {
-                    let (stream, dialling) = (OnceLock::new(), Mutex::new(Some(vec![])));
-                    let link = Arc::new(Link {
-                        worker,
-                        stream,
-                        dialling,
-                    });
-                    self.links().insert(id, Arc::clone(&link));
-                    let shared = self.me.upgrade().expect("the coordinator is running");
-                    let reader = std::thread::spawn(move || run_link(&shared, id, &link, &addr));
-                    let mut readers = self.readers.lock().expect("reader list poisoned");
-                    let finished = readers.extract_if(.., |r| r.is_finished());
-                    finished.for_each(|r| r.join().expect("a link reader panicked"));
-                    readers.push(reader);
-                }
-                Action::Send(id, spec) => {
-                    let link = self.links().get(&id).cloned();
-                    let frame = || wire::encode_request(&Request::SubmitWait(spec));
-                    link.inspect(|link| link.send(&frame()));
-                }
-                Action::Close(id) => {
-                    let link = self.links().remove(&id);
-                    link.inspect(|link| link.close());
-                }
-                Action::Terminal(id) => {
-                    self.completion_hook.get().inspect(|hook| hook(id));
-                }
-            }
-        }
-    }
-}
-
-/// The dispatcher: wakes the machine (which sweeps lost workers and assigns
-/// queued jobs), writes the `SUBMIT`s it asks for, and sleeps until its next
-/// deadline or a kick, read and begun under one lock so no kick is lost.
-pub(crate) fn dispatcher_loop(shared: &Shared) {
-    let mut fleet = shared.lock();
-    loop {
-        fleet.step(Event::Wake, Instant::now());
-        shared.act(fleet);
-        fleet = shared.lock();
-        if fleet.closed && fleet.open.is_empty() {
-            return;
-        }
-        fleet = match fleet.next_wake(Instant::now()) {
-            Some(wait) if wait.is_zero() => fleet,
-            Some(wait) => shared.dispatch.wait_timeout(fleet, wait).expect("lock").0,
-            None => shared
-                .dispatch
-                .wait(fleet)
-                .expect("coordinator lock poisoned"),
-        };
+    /// The final counters.
+    pub(crate) fn summary(&self) -> ServeSummary {
+        self.lock().summary
     }
 }
 
@@ -285,9 +142,9 @@ impl Service for Shared {
         self.lock().open.is_empty()
     }
 
-    fn set_completion_hook(&self, hook: CompletionHook) {
-        let _ = self.completion_hook.set(hook);
-    }
+    /// Needs no hook: the loop that steps the machine carries out its
+    /// `Terminal` actions itself.
+    fn set_completion_hook(&self, _hook: CompletionHook) {}
 
     fn heartbeat(&self, worker: String, addr: String) -> Response {
         let Verdict::Beat(reply) = self.step(Event::Heartbeat(worker, addr)) else {
@@ -304,7 +161,7 @@ impl Service for Shared {
 
 #[cfg(test)]
 mod tests {
-    use super::fleet::{splitmix64, terminal_err_job, FleetJob, LinkState, WorkerEntry};
+    use super::fleet::{splitmix64, terminal_err_job, FleetJob, LinkId, LinkState, WorkerEntry};
     use super::*;
 
     fn ring_spec() -> JobSpec {

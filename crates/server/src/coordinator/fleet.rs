@@ -1,7 +1,8 @@
 //! The fleet state machine: every coordinator decision, with no clock,
-//! socket, lock or thread of its own (DESIGN.md §13). The threads feed it
-//! [`Event`]s with the time they read and carry out the [`Action`]s it
-//! appends, so a test can drive it over virtual time with no socket at all.
+//! socket, lock or thread of its own (DESIGN.md §13). The readiness loop
+//! feeds it [`Event`]s with the time it read and carries out the
+//! [`Action`]s it appends, so a test can drive it over virtual time with no
+//! socket at all.
 
 use crate::job::JobSpec;
 use crate::protocol::Response;
@@ -51,7 +52,7 @@ pub(super) const BUSY_BACKOFF: Duration = Duration::from_millis(25);
 /// but its worker's current one is stale and changes nothing.
 pub(crate) type LinkId = u64;
 
-/// What a thread saw.
+/// What the loop saw.
 pub(crate) enum Event {
     Submit(JobSpec),
     Cancel(JobId),
@@ -63,11 +64,12 @@ pub(crate) enum Event {
     Reply(String, LinkId, Response),
     /// A failed dial, read or write, or a torn frame, on a link of a worker.
     LinkError(String, LinkId, String),
-    /// The dispatcher woke: sweep lost workers and assign queued jobs.
+    /// A kick or a deadline woke the machine: sweep lost workers and
+    /// assign queued jobs.
     Wake,
 }
 
-/// What the threads must do for the machine, in order.
+/// What the loop must do for the machine, in order.
 #[derive(Debug)]
 pub(crate) enum Action {
     /// Dial a new link to a worker at an address.
@@ -170,9 +172,9 @@ pub(crate) struct Fleet {
     /// Set by `SHUTDOWN`: later submissions are refused.
     pub(super) closed: bool,
     /// Set by every step that makes dispatch work or an earlier deadline;
-    /// whoever takes the actions clears it and wakes the dispatcher.
+    /// whoever takes the actions clears it and steps [`Event::Wake`].
     pub(super) kicked: bool,
-    /// The actions appended since the threads last took them.
+    /// The actions appended since the loop last took them.
     pub(super) actions: Vec<Action>,
     pub(super) summary: ServeSummary,
 }
@@ -262,8 +264,7 @@ impl Fleet {
     /// worker. An address with no port to dial registers none: that worker
     /// would be listed live but could never take a job.
     fn beat(&mut self, worker: String, addr: String, now: Instant) -> Verdict {
-        let port = addr.rsplit_once(':').filter(|(host, _)| !host.is_empty());
-        if !port.is_some_and(|(_, port)| port.parse::<u16>().is_ok_and(|p| p != 0)) {
+        if !crate::protocol::is_dialable(&addr) {
             let refusal = format!("worker {worker} advertises '{addr}', which has no port to dial");
             return Verdict::Beat(Response::Err(refusal));
         }

@@ -21,6 +21,13 @@
 //!                                           └─ Shutdown(r)  -> queue, drop listener, drain
 //! ```
 //!
+//! **A coordinator's worker links are connections too**, in a third mode:
+//! the loop writes their `SUBMIT` frames, reads their reply frames, steps
+//! the fleet machine with what it reads and carries out the actions the
+//! machine returns, and sleeps no longer than the machine's next deadline.
+//! Only a link's dial runs elsewhere, on a thread that connects and hands
+//! the socket back, so a dial that hangs holds up only its worker.
+//!
 //! **The event thread never blocks**: solver work runs on the scheduler's
 //! worker threads (or on fleet workers); reads and writes are
 //! nonblocking with pending bytes parked in per-connection queues.
@@ -52,6 +59,8 @@
 //! text and binary framing both serialize the same [`Response`] values, so
 //! connection interleaving and wire mode cannot influence result bytes.
 
+use crate::coordinator::fleet::{self, Action, LinkId};
+use crate::coordinator::{dial, Shared};
 use crate::job::JobSpec;
 use crate::protocol::{Request, Response};
 use crate::scheduler::{CompletionHook, JobId, JobState, Outcome};
@@ -62,7 +71,8 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The longest text request line the server will buffer (inline instances
@@ -263,6 +273,9 @@ enum Mode {
     Text,
     /// `KGW1` binary frames.
     Binary,
+    /// A coordinator's `KGW1` link to a worker, by worker id and link
+    /// number: `SUBMIT` frames out, reply frames in.
+    Link(String, LinkId),
 }
 
 /// Per-connection state.
@@ -328,7 +341,7 @@ impl OutQueue {
         };
         let before = tail.len();
         let body = match mode {
-            Mode::Binary => wire::encode_response_head(response, tail),
+            Mode::Binary | Mode::Link(..) => wire::encode_response_head(response, tail),
             // A connection that never sent a byte (Sniff) is answered in text.
             Mode::Text | Mode::Sniff => response.text_head(tail),
         };
@@ -337,6 +350,12 @@ impl OutQueue {
             self.pending += body.len();
             self.chunks.push_back(Chunk::Shared(Arc::clone(body)));
         }
+    }
+
+    /// Queues bytes framed already: a link's preamble and its `SUBMIT`s.
+    fn push_frame(&mut self, frame: Vec<u8>) {
+        self.pending += frame.len();
+        self.chunks.push_back(Chunk::Owned(frame));
     }
 
     /// Drops the first `n` unsent bytes, which the socket accepted.
@@ -379,11 +398,61 @@ impl OutQueue {
 /// The poller key reserved for the listener.
 const LISTENER_KEY: usize = 0;
 
+/// Why a link that read its end, or failed a write, was lost: the words a
+/// blocking reader of the link reported, which a job's retry-budget failure
+/// quotes.
+const LINK_EOF: &str = "connection error: failed to fill whole buffer";
+
+/// A coordinator's link by its number: queued frames while its dial runs,
+/// then the key of its connection.
+enum Link {
+    Dialling(String, OutQueue),
+    Up(usize),
+}
+
+/// What a dial thread hands back: the link's number and its socket, or the
+/// cause its dial failed.
+type Dialled = (LinkId, Result<TcpStream, String>);
+
+/// What the request handlers share: the role's job table and limits, a
+/// coordinator's machine, the parked `RESULT WAIT`s, whether a `SHUTDOWN`
+/// has been answered, and the buffer every socket is read into.
+struct Cx<'a> {
+    service: &'a dyn Service,
+    config: &'a ServerConfig,
+    coordinator: Option<&'a Shared>,
+    waiters: HashMap<JobId, Vec<usize>>,
+    shutting_down: bool,
+    chunk: Vec<u8>,
+}
+
+/// The loop's state: its connections, client and link alike, and a
+/// coordinator's links and dials.
+struct Loop<'a> {
+    poller: Arc<Poller>,
+    listener: Option<TcpListener>,
+    conns: HashMap<usize, Conn>,
+    next_key: usize,
+    cx: Cx<'a>,
+    /// Completed job ids, pushed by pool workers (or by the fleet machine's
+    /// actions), drained by the loop.
+    ready: Arc<Mutex<Vec<JobId>>>,
+    links: HashMap<LinkId, Link>,
+    dialled: mpsc::Sender<Dialled>,
+    returned: mpsc::Receiver<Dialled>,
+    dials: Vec<JoinHandle<()>>,
+    /// When the fleet machine must next see a `Wake`, for a coordinator.
+    deadline: Option<Instant>,
+}
+
 /// Runs the readiness loop until a `SHUTDOWN` request has been answered and
 /// the service has drained. Consumes the listener (it is dropped the moment
 /// shutdown begins, so late connects are refused by the OS). Each
 /// connection is bounded by `config`'s request limit and write-queue bound;
-/// `backend` overrides the platform's readiness backend.
+/// `backend` overrides the platform's readiness backend. A coordinator
+/// passes its machine as `coordinator`, and the loop then drives its worker
+/// links too; once drained, it closes them and joins every dial still
+/// running, which the dial's timeout bounds.
 ///
 /// # Errors
 ///
@@ -394,6 +463,7 @@ pub(crate) fn run_event_loop(
     service: &dyn Service,
     config: &ServerConfig,
     backend: Option<Backend>,
+    coordinator: Option<&Shared>,
 ) -> std::io::Result<()> {
     let poller = Arc::new(match backend {
         Some(backend) => Poller::with_backend(backend)?,
@@ -401,10 +471,7 @@ pub(crate) fn run_event_loop(
     });
     listener.set_nonblocking(true)?;
     poller.add(listener.as_raw_fd(), LISTENER_KEY, Interest::READABLE)?;
-    let mut listener = Some(listener);
-
-    // Completed job ids, pushed by pool workers, drained by the loop.
-    let ready: Arc<Mutex<Vec<JobId>>> = Arc::new(Mutex::new(Vec::new()));
+    let ready: Arc<Mutex<Vec<JobId>>> = Arc::default();
     {
         let ready = Arc::clone(&ready);
         let waker = Arc::clone(&poller);
@@ -413,157 +480,283 @@ pub(crate) fn run_event_loop(
             let _ = waker.notify();
         }));
     }
+    let (dialled, returned) = mpsc::channel();
+    let mut state = Loop {
+        poller,
+        listener: Some(listener),
+        conns: HashMap::new(),
+        next_key: LISTENER_KEY + 1,
+        cx: Cx {
+            service,
+            config,
+            coordinator,
+            waiters: HashMap::new(),
+            shutting_down: false,
+            chunk: vec![0; 64 * 1024],
+        },
+        ready,
+        links: HashMap::new(),
+        dialled,
+        returned,
+        dials: Vec::new(),
+        deadline: None,
+    };
+    let served = state.run();
+    let dials = std::mem::take(&mut state.dials);
+    drop(state);
+    for dial in dials {
+        dial.join().expect("a link's dial panicked");
+    }
+    served
+}
 
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut waiters: HashMap<JobId, Vec<usize>> = HashMap::new();
-    let mut next_key: usize = LISTENER_KEY + 1;
-    let mut events: Vec<Event> = Vec::new();
-    let mut shutting_down = false;
-    let mut flush_deadline: Option<Instant> = None;
-
-    loop {
-        // Exit: shutdown requested, every accepted job terminal, every
-        // pushed reply delivered, and every queued byte flushed (or the
-        // flush cap for stalled readers has lapsed).
-        if shutting_down && service.idle() && ready.lock().expect("ready list poisoned").is_empty()
-        {
-            let unflushed = conns.values().any(|c| c.out.pending > 0);
-            let expired = flush_deadline.is_some_and(|d| Instant::now() >= d);
-            if !unflushed || expired {
-                return Ok(());
-            }
-        }
-
-        let timeout = if shutting_down {
-            // Belt and braces: re-check the drain condition periodically
-            // even if a wakeup is lost.
-            Some(Duration::from_millis(100))
-        } else {
-            None
-        };
-        poller.wait(&mut events, timeout)?;
-
-        let round: Vec<Event> = std::mem::take(&mut events);
-        for event in round {
-            if event.key == LISTENER_KEY {
-                accept_ready(&poller, &mut listener, &mut conns, &mut next_key);
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&event.key) else {
-                continue;
-            };
-            let mut dead = false;
-            if event.readable && conn.closing {
-                // Drain and discard: a closing connection's socket must not
-                // keep reporting readable forever (level-triggered).
-                dead = !discard_input(conn);
-            } else if event.readable {
-                dead = !read_ready(
-                    conn,
-                    service,
-                    config,
-                    &mut waiters,
-                    event.key,
-                    &mut shutting_down,
-                );
-                if shutting_down && listener.is_some() {
-                    // Stop accepting the moment shutdown is requested; the
-                    // OS refuses late connects once the fd closes.
-                    if let Some(l) = listener.take() {
-                        let _ = poller.delete(l.as_raw_fd());
-                    }
+impl Loop<'_> {
+    fn run(&mut self) -> std::io::Result<()> {
+        let mut events: Vec<Event> = Vec::new();
+        let mut flush_deadline: Option<Instant> = None;
+        loop {
+            // Exit: shutdown requested, every accepted job terminal, every
+            // pushed reply delivered, and every queued byte flushed (or the
+            // flush cap for stalled readers has lapsed).
+            if self.cx.shutting_down && self.cx.service.idle() && self.ready().is_empty() {
+                let unflushed = self.conns.values().any(|c| c.out.pending > 0);
+                let expired = flush_deadline.is_some_and(|d| Instant::now() >= d);
+                if !unflushed || expired {
+                    return Ok(());
                 }
             }
-            if !dead && (event.writable || conn.out.pending > 0) {
-                dead = !conn.out.flush(&mut conn.stream);
+
+            // Belt and braces while shutting down: re-check the drain
+            // condition periodically even if a wakeup is lost.
+            let tick = self.cx.shutting_down.then_some(Duration::from_millis(100));
+            let wake = self
+                .deadline
+                .map(|at| at.saturating_duration_since(Instant::now()));
+            self.poller
+                .wait(&mut events, tick.into_iter().chain(wake).min())?;
+
+            for event in std::mem::take(&mut events) {
+                if event.key == LISTENER_KEY {
+                    self.accept_ready();
+                    continue;
+                }
+                let Some(conn) = self.conns.get_mut(&event.key) else {
+                    continue;
+                };
+                let dead = if event.readable && conn.closing {
+                    // Drain and discard: a closing connection's socket must
+                    // not keep reporting readable forever (level-triggered).
+                    (!discard_input(conn)).then(|| LINK_EOF.to_string())
+                } else if event.readable {
+                    read_ready(conn, &mut self.cx, event.key).err()
+                } else {
+                    None
+                };
+                if self.cx.shutting_down {
+                    // Stop accepting the moment shutdown is requested; the
+                    // OS refuses late connects once the fd closes.
+                    if let Some(l) = self.listener.take() {
+                        let _ = self.poller.delete(l.as_raw_fd());
+                    }
+                }
+                self.settle(event.key, dead);
             }
-            if dead || (conn.closing && conn.out.pending == 0) {
-                let conn = conns.remove(&event.key).expect("conn exists");
-                let _ = poller.delete(conn.stream.as_raw_fd());
-            } else {
-                sync_write_interest(&poller, event.key, conn);
+            self.take_dials();
+            self.drive();
+            self.deliver();
+
+            if self.cx.shutting_down && flush_deadline.is_none() {
+                flush_deadline = Some(Instant::now() + SHUTDOWN_FLUSH_CAP);
             }
         }
+    }
 
-        // Deliver push-on-complete replies for jobs that went terminal.
-        let done: Vec<JobId> = std::mem::take(&mut *ready.lock().expect("ready list poisoned"));
+    fn ready(&self) -> std::sync::MutexGuard<'_, Vec<JobId>> {
+        self.ready.lock().expect("ready list poisoned")
+    }
+
+    /// Accepts every pending connection (level-triggered: stop at
+    /// `WouldBlock`).
+    fn accept_ready(&mut self) {
+        loop {
+            let Some(listener) = self.listener.as_ref() else {
+                return;
+            };
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    if self
+                        .register(stream, Mode::Sniff, OutQueue::default())
+                        .is_err()
+                    {
+                        // fd exhaustion or similar: drop the connection,
+                        // keep serving the others.
+                        kecss_obs::counter_with("server_conn_limit_total", &[("kind", "register")])
+                            .inc();
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Adds a nonblocking socket to the poller and the connection table.
+    fn register(&mut self, stream: TcpStream, mode: Mode, out: OutQueue) -> std::io::Result<usize> {
+        let key = self.next_key;
+        self.next_key += 1;
+        self.poller
+            .add(stream.as_raw_fd(), key, Interest::READABLE)?;
+        let conn = Conn {
+            stream,
+            buf: Vec::new(),
+            out,
+            mode,
+            served: 0,
+            closing: false,
+            wants_write: false,
+        };
+        self.conns.insert(key, conn);
+        Ok(key)
+    }
+
+    /// Writes what connection `key` can take and keeps its write interest in
+    /// step, or removes it: when `dead` says why it died, when a write fails,
+    /// or once a closing connection has flushed. A link removed for a
+    /// failure is reported lost to the machine.
+    fn settle(&mut self, key: usize, mut dead: Option<String>) {
+        let Some(conn) = self.conns.get_mut(&key) else {
+            return;
+        };
+        if dead.is_none() && !conn.out.flush(&mut conn.stream) {
+            dead = Some(LINK_EOF.into());
+        }
+        if dead.is_none() && !(conn.closing && conn.out.pending == 0) {
+            return sync_write_interest(&self.poller, key, conn);
+        }
+        let conn = self.remove(key).expect("conn exists");
+        if let (Mode::Link(worker, id), Some(coordinator)) = (conn.mode, self.cx.coordinator) {
+            self.links.remove(&id);
+            let cause = dead.expect("a link never closes itself");
+            coordinator.step(fleet::Event::LinkError(worker, id, cause));
+        }
+    }
+
+    /// Drops connection `key` from the table and the poller; its socket
+    /// closes with it.
+    fn remove(&mut self, key: usize) -> Option<Conn> {
+        let conn = self.conns.remove(&key)?;
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        Some(conn)
+    }
+
+    /// Takes every socket a dial handed back. A link still dialling becomes
+    /// a connection whose queue holds the preamble and the frames sent
+    /// meanwhile; a failed dial is a loss with the dial's cause; a socket
+    /// whose link was closed meanwhile is dropped.
+    fn take_dials(&mut self) {
+        while let Ok((id, dialled)) = self.returned.try_recv() {
+            let Some(Link::Dialling(worker, out)) = self.links.remove(&id) else {
+                continue;
+            };
+            let mode = Mode::Link(worker.clone(), id);
+            let registered = dialled
+                .and_then(|stream| self.register(stream, mode, out).map_err(|e| e.to_string()));
+            match registered {
+                Ok(key) => {
+                    self.links.insert(id, Link::Up(key));
+                    self.settle(key, None);
+                }
+                Err(cause) => {
+                    let coordinator = self.cx.coordinator.expect("only a coordinator dials");
+                    coordinator.step(fleet::Event::LinkError(worker, id, cause));
+                }
+            }
+        }
+    }
+
+    /// Carries out a coordinator's actions until a round leaves none (a
+    /// failed link write steps the machine again).
+    fn drive(&mut self) {
+        let Some(coordinator) = self.cx.coordinator else {
+            return;
+        };
+        loop {
+            let actions = coordinator.actions(&mut self.deadline);
+            if actions.is_empty() {
+                return;
+            }
+            for action in actions {
+                self.act(action, coordinator.timeout);
+            }
+        }
+    }
+
+    /// Carries out one action of the fleet machine.
+    fn act(&mut self, action: Action, timeout: Duration) {
+        match action {
+            Action::Dial(worker, id, addr) => {
+                let mut out = OutQueue::default();
+                out.push_frame(wire::PREAMBLE.to_vec());
+                self.links.insert(id, Link::Dialling(worker, out));
+                let (dialled, waker) = (self.dialled.clone(), Arc::clone(&self.poller));
+                let finished = self.dials.extract_if(.., |dial| dial.is_finished());
+                finished.for_each(|dial| dial.join().expect("a link's dial panicked"));
+                self.dials.push(std::thread::spawn(move || {
+                    let _ = dialled.send((id, dial(&addr, timeout)));
+                    let _ = waker.notify();
+                }));
+            }
+            Action::Send(id, spec) => {
+                let frame = wire::encode_request(&Request::SubmitWait(spec));
+                match self.links.get_mut(&id) {
+                    Some(Link::Dialling(_, out)) => out.push_frame(frame),
+                    Some(&mut Link::Up(key)) => {
+                        let conn = self
+                            .conns
+                            .get_mut(&key)
+                            .expect("a link that is up has a conn");
+                        conn.out.push_frame(frame);
+                        self.settle(key, None);
+                    }
+                    None => {}
+                }
+            }
+            Action::Close(id) => {
+                if let Some(Link::Up(key)) = self.links.remove(&id) {
+                    self.remove(key);
+                }
+            }
+            Action::Terminal(id) => self.ready().push(id),
+        }
+    }
+
+    /// Delivers the push-on-complete replies of the jobs that went terminal.
+    fn deliver(&mut self) {
+        let done: Vec<JobId> = std::mem::take(&mut *self.ready());
         for id in done {
-            let Some(keys) = waiters.remove(&id) else {
+            let Some(keys) = self.cx.waiters.remove(&id) else {
                 continue;
             };
             for key in keys {
                 // A waiter whose connection died must not consume the
                 // payload: skip it before calling `pushed_reply`.
-                let Some(conn) = conns.get_mut(&key) else {
+                let Some(conn) = self.conns.get_mut(&key) else {
                     continue;
                 };
-                let Some(reply) = pushed_reply(service, id) else {
+                let Some(reply) = pushed_reply(self.cx.service, id) else {
                     // Not terminal after all (cannot happen for hook-pushed
                     // ids, but a lost entry must not wedge the waiter).
-                    waiters.entry(id).or_default().push(key);
+                    self.cx.waiters.entry(id).or_default().push(key);
                     continue;
                 };
-                queue_reply(conn, config, &reply);
-                if !conn.out.flush(&mut conn.stream) || (conn.closing && conn.out.pending == 0) {
-                    let conn = conns.remove(&key).expect("conn exists");
-                    let _ = poller.delete(conn.stream.as_raw_fd());
-                } else {
-                    sync_write_interest(&poller, key, conn);
-                }
+                queue_reply(conn, self.cx.config, &reply);
+                self.settle(key, None);
             }
-        }
-
-        if shutting_down && flush_deadline.is_none() {
-            flush_deadline = Some(Instant::now() + SHUTDOWN_FLUSH_CAP);
-        }
-    }
-}
-
-/// Accepts every pending connection (level-triggered: stop at `WouldBlock`).
-fn accept_ready(
-    poller: &Poller,
-    listener: &mut Option<TcpListener>,
-    conns: &mut HashMap<usize, Conn>,
-    next_key: &mut usize,
-) {
-    let Some(listener) = listener.as_ref() else {
-        return;
-    };
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let key = *next_key;
-                *next_key += 1;
-                if poller
-                    .add(stream.as_raw_fd(), key, Interest::READABLE)
-                    .is_err()
-                {
-                    // fd exhaustion or similar: drop the connection, keep
-                    // serving the others.
-                    kecss_obs::counter_with("server_conn_limit_total", &[("kind", "register")])
-                        .inc();
-                    continue;
-                }
-                conns.insert(
-                    key,
-                    Conn {
-                        stream,
-                        buf: Vec::new(),
-                        out: OutQueue::default(),
-                        mode: Mode::Sniff,
-                        served: 0,
-                        closing: false,
-                        wants_write: false,
-                    },
-                );
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return,
         }
     }
 }
@@ -584,58 +777,43 @@ fn discard_input(conn: &mut Conn) -> bool {
     }
 }
 
-/// Reads whatever the socket has, parses complete requests and dispatches
-/// them. Returns `false` when the connection is dead (EOF or I/O error).
-fn read_ready(
-    conn: &mut Conn,
-    service: &dyn Service,
-    config: &ServerConfig,
-    waiters: &mut HashMap<JobId, Vec<usize>>,
-    key: usize,
-    shutting_down: &mut bool,
-) -> bool {
-    let mut chunk = [0u8; 64 * 1024];
+/// Reads whatever the socket has and handles every complete request (or,
+/// on a link, reply) in it. Fails with the cause when the connection is
+/// dead: EOF, an I/O error, or framing it cannot recover from.
+fn read_ready(conn: &mut Conn, cx: &mut Cx, key: usize) -> Result<(), String> {
     loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => return false,
+        match conn.stream.read(&mut cx.chunk) {
+            Ok(0) => return Err(LINK_EOF.into()),
             Ok(n) => {
-                conn.buf.extend_from_slice(&chunk[..n]);
-                if !process_buffer(conn, service, config, waiters, key, shutting_down) {
-                    return false;
-                }
+                conn.buf.extend_from_slice(&cx.chunk[..n]);
+                process_buffer(conn, cx, key)?;
                 if conn.closing {
-                    return true;
+                    return Ok(());
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return false,
+            Err(e) => return Err(format!("connection error: {e}")),
         }
     }
 }
 
-/// Parses and dispatches every complete request currently buffered. Returns
-/// `false` to drop the connection immediately (unrecoverable framing).
-fn process_buffer(
-    conn: &mut Conn,
-    service: &dyn Service,
-    config: &ServerConfig,
-    waiters: &mut HashMap<JobId, Vec<usize>>,
-    key: usize,
-    shutting_down: &mut bool,
-) -> bool {
+/// Handles every complete request buffered — or, on a link, steps the
+/// machine with every complete reply. Fails with the cause when the
+/// connection must be dropped at once (unrecoverable framing).
+fn process_buffer(conn: &mut Conn, cx: &mut Cx, key: usize) -> Result<(), String> {
     loop {
         if conn.closing {
-            return true;
+            return Ok(());
         }
-        match conn.mode {
+        match &conn.mode {
             Mode::Sniff => {
                 if conn.buf.first().is_some_and(|b| *b != wire::PREAMBLE[0]) {
                     conn.mode = Mode::Text;
                     continue;
                 }
                 if conn.buf.len() < wire::PREAMBLE.len() {
-                    return true; // need more bytes
+                    return Ok(()); // need more bytes
                 }
                 if conn.buf[..4] == wire::PREAMBLE {
                     conn.buf.drain(..4);
@@ -655,69 +833,63 @@ fn process_buffer(
                         kecss_obs::counter_with("server_conn_limit_total", &[("kind", "line")])
                             .inc();
                         let refusal = Response::Err("request line exceeds the size limit".into());
-                        queue_reply(conn, config, &refusal);
+                        queue_reply(conn, cx.config, &refusal);
                         conn.closing = true;
                     }
-                    return true;
+                    return Ok(());
                 };
                 let line: Vec<u8> = conn.buf.drain(..=pos).collect();
-                if !check_request_budget(conn, config) {
-                    return true;
+                if !check_request_budget(conn, cx.config) {
+                    return Ok(());
                 }
                 let Ok(text) = std::str::from_utf8(&line) else {
-                    return false; // not a text protocol client after all
+                    // Not a text protocol client after all.
+                    return Err("request line is not UTF-8".into());
                 };
                 match Request::parse(text.trim_end()) {
-                    Ok(request) => {
-                        dispatch(conn, service, config, waiters, key, shutting_down, request);
-                    }
+                    Ok(request) => dispatch(conn, cx, key, request),
                     Err(message) => {
                         kecss_obs::counter_with("server_reply_err_total", &[("cause", "parse")])
                             .inc();
-                        queue_reply(conn, config, &Response::Err(message));
+                        queue_reply(conn, cx.config, &Response::Err(message));
                     }
                 }
             }
             Mode::Binary => {
-                if conn.buf.len() < wire::FRAME_HEADER_BYTES {
-                    return true;
-                }
-                let header: [u8; wire::FRAME_HEADER_BYTES] = conn.buf[..wire::FRAME_HEADER_BYTES]
-                    .try_into()
-                    .expect("sized");
-                let (opcode, flags, body_len) = match wire::parse_frame_header(&header) {
-                    Ok(parsed) => parsed,
+                let (opcode, flags, body) = match wire::take_frame(&mut conn.buf) {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => return Ok(()), // frame still in flight
                     Err(message) => {
                         // An over-cap frame cannot be skipped (its length is
                         // the lie); answer and drop.
                         kecss_obs::counter_with("server_conn_limit_total", &[("kind", "frame")])
                             .inc();
-                        queue_reply(conn, config, &Response::Err(message));
+                        queue_reply(conn, cx.config, &Response::Err(message));
                         conn.closing = true;
-                        return true;
+                        return Ok(());
                     }
                 };
-                if conn.buf.len() < wire::FRAME_HEADER_BYTES + body_len {
-                    return true; // frame body still in flight
-                }
-                let body: Vec<u8> = conn
-                    .buf
-                    .drain(..wire::FRAME_HEADER_BYTES + body_len)
-                    .skip(wire::FRAME_HEADER_BYTES)
-                    .collect();
-                if !check_request_budget(conn, config) {
-                    return true;
+                if !check_request_budget(conn, cx.config) {
+                    return Ok(());
                 }
                 match wire::decode_request(opcode, flags, &body) {
-                    Ok(request) => {
-                        dispatch(conn, service, config, waiters, key, shutting_down, request);
-                    }
+                    Ok(request) => dispatch(conn, cx, key, request),
                     Err(message) => {
                         kecss_obs::counter_with("server_reply_err_total", &[("cause", "parse")])
                             .inc();
-                        queue_reply(conn, config, &Response::Err(message));
+                        queue_reply(conn, cx.config, &Response::Err(message));
                     }
                 }
+            }
+            Mode::Link(worker, id) => {
+                let violation = |message| format!("protocol violation: {message}");
+                let Some((opcode, _, body)) = wire::take_frame(&mut conn.buf).map_err(violation)?
+                else {
+                    return Ok(());
+                };
+                let response = wire::decode_response(opcode, &body).map_err(violation)?;
+                let coordinator = cx.coordinator.expect("only a coordinator has links");
+                coordinator.step(fleet::Event::Reply(worker.clone(), *id, response));
             }
         }
     }
@@ -743,27 +915,19 @@ fn check_request_budget(conn: &mut Conn, config: &ServerConfig) -> bool {
 
 /// Hands one parsed request to the service and queues the reply (or parks a
 /// subscription).
-fn dispatch(
-    conn: &mut Conn,
-    service: &dyn Service,
-    config: &ServerConfig,
-    waiters: &mut HashMap<JobId, Vec<usize>>,
-    key: usize,
-    shutting_down: &mut bool,
-    request: Request,
-) {
-    match respond(service, request) {
-        ServiceReply::Line(response) => queue_reply(conn, config, &response),
-        ServiceReply::Subscribe(id) => subscribe(conn, service, config, waiters, key, id),
+fn dispatch(conn: &mut Conn, cx: &mut Cx, key: usize, request: Request) {
+    match respond(cx.service, request) {
+        ServiceReply::Line(response) => queue_reply(conn, cx.config, &response),
+        ServiceReply::Subscribe(id) => subscribe(conn, cx, key, id),
         ServiceReply::LineAndSubscribe(response, id) => {
             // Ack first so the wire order is always ack-then-result, then
             // park exactly like a RESULT WAIT.
-            queue_reply(conn, config, &response);
-            subscribe(conn, service, config, waiters, key, id);
+            queue_reply(conn, cx.config, &response);
+            subscribe(conn, cx, key, id);
         }
         ServiceReply::Shutdown(response) => {
-            queue_reply(conn, config, &response);
-            *shutting_down = true;
+            queue_reply(conn, cx.config, &response);
+            cx.shutting_down = true;
         }
     }
 }
@@ -775,23 +939,16 @@ fn dispatch(
 /// the check and the hook see it — the fetched-once table makes the second
 /// delivery a GONE, and `waiters` is emptied for this id either way before
 /// any duplicate could queue.
-fn subscribe(
-    conn: &mut Conn,
-    service: &dyn Service,
-    config: &ServerConfig,
-    waiters: &mut HashMap<JobId, Vec<usize>>,
-    key: usize,
-    id: JobId,
-) {
-    waiters.entry(id).or_default().push(key);
-    if let Some(response) = pushed_reply(service, id) {
-        if let Some(keys) = waiters.get_mut(&id) {
+fn subscribe(conn: &mut Conn, cx: &mut Cx, key: usize, id: JobId) {
+    cx.waiters.entry(id).or_default().push(key);
+    if let Some(response) = pushed_reply(cx.service, id) {
+        if let Some(keys) = cx.waiters.get_mut(&id) {
             keys.retain(|k| *k != key);
             if keys.is_empty() {
-                waiters.remove(&id);
+                cx.waiters.remove(&id);
             }
         }
-        queue_reply(conn, config, &response);
+        queue_reply(conn, cx.config, &response);
     }
 }
 

@@ -358,6 +358,14 @@ impl Response {
     }
 }
 
+/// Whether `addr` is an address a coordinator can dial back, as a
+/// `HEARTBEAT` must advertise: `HOST:PORT` with a non-empty host and a port
+/// other than 0. Host names (`worker-a:7461`) qualify.
+pub fn is_dialable(addr: &str) -> bool {
+    addr.rsplit_once(':')
+        .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok_and(|p| p != 0))
+}
+
 fn invalid(message: String) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, message)
 }

@@ -148,7 +148,7 @@ impl JobState {
     /// The transition table. Exactly these moves are legal:
     ///
     /// ```text
-    /// Queued   -> Assigned          (dispatcher picked a live worker)
+    /// Queued   -> Assigned          (the coordinator picked a live worker)
     /// Queued   -> Cancelled         (client CANCEL while queued)
     /// Assigned -> Running           (worker acknowledged the dispatch)
     /// Assigned -> Queued            (worker lost or BUSY before it started)
@@ -592,7 +592,13 @@ fn work(state: &State) {
     }
 }
 
-/// Runs a claimed job and stores its outcome. Called with no lock held.
+/// The largest payload both framings carry: a `KGW1` `RESULT` body is the
+/// 8-byte job id and then the payload, within [`crate::wire::MAX_FRAME_BODY`],
+/// which bounds a text `RESULT`'s payload too.
+const MAX_PAYLOAD: usize = crate::wire::MAX_FRAME_BODY - 8;
+
+/// Runs a claimed job and stores its outcome. Called with no lock held. A
+/// payload past [`MAX_PAYLOAD`] fails its job: no reply could carry it.
 fn execute(state: &State, id: JobId, work: Box<JobFn>) {
     if let Some(hook) = &state.start_hook {
         hook(id);
@@ -603,6 +609,10 @@ fn execute(state: &State, id: JobId, work: Box<JobFn>) {
     // observed in a torn intermediate state.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
     let outcome = match result {
+        Ok(Ok(payload)) if payload.len() > MAX_PAYLOAD => Outcome::Failed(format!(
+            "a payload of {} bytes exceeds the {MAX_PAYLOAD} bytes a reply carries",
+            payload.len()
+        )),
         Ok(Ok(payload)) => Outcome::Done(Arc::new(payload)),
         Ok(Err(message)) => Outcome::Failed(message),
         Err(panic) => {
@@ -738,6 +748,28 @@ mod tests {
         for word in ["", "queued", "LIMBO", "DONE "] {
             assert_eq!(JobState::parse(word), None, "{word:?}");
         }
+    }
+
+    #[test]
+    fn a_payload_past_what_a_reply_carries_fails_its_job() {
+        let scheduler = Scheduler::new(1, 4);
+        let fits = (scheduler.submit_with(Box::new(|| Ok(vec![7; MAX_PAYLOAD])))).unwrap();
+        let Some(Outcome::Done(bytes)) = scheduler.wait(fits) else {
+            panic!("a payload at the cap must be served")
+        };
+        assert_eq!(bytes.len(), MAX_PAYLOAD);
+        let over = (scheduler.submit_with(Box::new(|| Ok(vec![7; MAX_PAYLOAD + 1])))).unwrap();
+        let message = format!(
+            "a payload of {} bytes exceeds the {MAX_PAYLOAD} bytes a reply carries",
+            MAX_PAYLOAD + 1
+        );
+        match scheduler.wait(over) {
+            Some(Outcome::Failed(failure)) => assert_eq!(failure, message),
+            Some(Outcome::Done(bytes)) => panic!("a {}-byte payload was served", bytes.len()),
+            other => panic!("unexpected {other:?}"),
+        }
+        let summary = scheduler.shutdown();
+        assert_eq!((summary.completed, summary.failed), (1, 1));
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! every request over the role's job table: a [`Scheduler`] solving on its
 //! own worker pool (standalone and worker), or the fleet table dispatching
 //! to registered workers (coordinator), so the event thread never blocks.
-//! Beside the loop a role runs at most one thread of its own: a worker's
-//! heartbeats ([`crate::worker`]) or a coordinator's dispatcher
-//! ([`crate::coordinator`]). Both wire modes — the text line protocol and
-//! `KGW1` binary frames — are served on the same port, sniffed from the
-//! first bytes of each connection. `SHUTDOWN` stops accepting and refuses
+//! A coordinator's worker links are connections of that same loop
+//! ([`crate::coordinator`]); a worker runs one thread of its own beside it,
+//! its heartbeats ([`crate::worker`]). Both wire modes — the text line
+//! protocol and `KGW1` binary frames — are served on the same port, sniffed
+//! from the first bytes of each connection. `SHUTDOWN` stops accepting and refuses
 //! further submissions, then [`Server::run`] drains the in-flight jobs
 //! before returning — nothing that was accepted is ever dropped.
 
-use crate::coordinator::{dispatcher_loop, Shared};
+use crate::coordinator::Shared;
 use crate::event_loop::{run_event_loop, Service};
 use crate::scheduler::{Scheduler, ServeSummary};
 use crate::worker::heartbeat_loop;
@@ -93,7 +93,7 @@ pub enum Role {
     Coordinator {
         /// A worker whose last heartbeat, or oldest unacked `SUBMIT`, is
         /// older than this is lost and its jobs re-queued; it also bounds
-        /// each dial and link write (at least 1 ms).
+        /// each dial (at least 1 ms).
         heartbeat_timeout: Duration,
         /// Worker-loss re-queues a job tolerates before failing.
         max_retries: u32,
@@ -124,7 +124,7 @@ enum Table {
     /// Standalone and worker: jobs solved on the local pool.
     Scheduler(Scheduler),
     /// Coordinator: jobs dispatched to the fleet.
-    Fleet(Arc<Shared>),
+    Fleet(Shared),
 }
 
 /// A bound, not-yet-running server. Splitting bind from run lets callers
@@ -254,12 +254,11 @@ impl Server {
         }
     }
 
-    /// Runs the readiness loop, and beside it the role's one thread (a
-    /// worker's heartbeats or a coordinator's dispatcher), until a
-    /// `SHUTDOWN` request arrives; then drains the in-flight jobs, stops
-    /// that thread and returns the final counters. A coordinator's drain
-    /// needs live workers: one shut down with queued jobs and no workers
-    /// waits until a worker registers (heartbeats on already-open
+    /// Runs the readiness loop — and beside it a worker's heartbeats —
+    /// until a `SHUTDOWN` request arrives; then drains the in-flight jobs,
+    /// stops the heartbeats and returns the final counters. A coordinator's
+    /// drain needs live workers: one shut down with queued jobs and no
+    /// workers waits until a worker registers (heartbeats on already-open
     /// connections are still served; only new connects are refused).
     ///
     /// # Panics
@@ -267,50 +266,46 @@ impl Server {
     /// Panics if the readiness poller cannot be constructed (fd exhaustion).
     pub fn run(self) -> ServeSummary {
         let stop = Arc::new(AtomicBool::new(false));
-        let (service, side): (&dyn Service, _) = match (&self.table, &self.config.role) {
-            (Table::Fleet(fleet), _) => {
-                let shared = Arc::clone(fleet);
-                let dispatcher = std::thread::spawn(move || dispatcher_loop(&shared));
-                (&**fleet, Some(dispatcher))
-            }
-            (
-                Table::Scheduler(scheduler),
-                Role::Worker {
-                    coordinator,
-                    worker_id,
-                    heartbeat_interval,
-                    advertise,
-                },
-            ) => {
+        let (service, coordinator): (&dyn Service, _) = match &self.table {
+            Table::Fleet(fleet) => (fleet, Some(fleet)),
+            Table::Scheduler(scheduler) => (scheduler, None),
+        };
+        let beats = match &self.config.role {
+            Role::Worker {
+                coordinator,
+                worker_id,
+                heartbeat_interval,
+                advertise,
+            } => {
                 let (coordinator, worker_id, advertise) =
                     (coordinator.clone(), worker_id.clone(), advertise.clone());
                 let interval = (*heartbeat_interval).max(Duration::from_millis(10));
                 let stop = Arc::clone(&stop);
-                let beats = std::thread::spawn(move || {
+                Some(std::thread::spawn(move || {
                     heartbeat_loop(&coordinator, &worker_id, &advertise, interval, &stop);
-                });
-                (scheduler, Some(beats))
+                }))
             }
-            (Table::Scheduler(scheduler), _) => (scheduler, None),
+            _ => None,
         };
-        run_event_loop(self.listener, service, &self.config, self.backend)
-            .expect("readiness loop failed to start");
-        // The loop returns once every admitted job is terminal: the
-        // heartbeats stop, and the dispatcher, woken, finds the fleet closed
-        // and idle and returns.
+        run_event_loop(
+            self.listener,
+            service,
+            &self.config,
+            self.backend,
+            coordinator,
+        )
+        .expect("readiness loop failed to start");
+        // The loop returns once every admitted job is terminal.
         stop.store(true, Ordering::SeqCst);
-        if let Table::Fleet(fleet) = &self.table {
-            fleet.wake_dispatcher();
-        }
-        if let Some(side) = side {
-            side.join().expect("the role's thread panicked");
+        if let Some(beats) = beats {
+            beats.join().expect("the heartbeat thread panicked");
         }
         match &self.table {
             Table::Scheduler(scheduler) => {
                 scheduler.drain();
                 scheduler.summary()
             }
-            Table::Fleet(fleet) => fleet.close_links(),
+            Table::Fleet(fleet) => fleet.summary(),
         }
     }
 

@@ -154,6 +154,29 @@ pub fn parse_frame_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<(u8, u8, 
     Ok((opcode, flags, body_len))
 }
 
+/// Takes one whole frame off the front of `buf`: its opcode, flags and
+/// body, or `None` while the frame is still arriving. Requests on a server's
+/// connections and replies on a coordinator's worker links are both read
+/// through this.
+///
+/// # Errors
+///
+/// [`parse_frame_header`]'s message for an over-cap body length; `buf` is
+/// left as it was.
+pub(crate) fn take_frame(buf: &mut Vec<u8>) -> Result<Option<(u8, u8, Vec<u8>)>, String> {
+    let Some(header) = buf.first_chunk::<FRAME_HEADER_BYTES>() else {
+        return Ok(None);
+    };
+    let (opcode, flags, body_len) = parse_frame_header(header)?;
+    let end = FRAME_HEADER_BYTES + body_len;
+    if buf.len() < end {
+        return Ok(None);
+    }
+    let body = buf[FRAME_HEADER_BYTES..end].to_vec();
+    buf.drain(..end);
+    Ok(Some((opcode, flags, body)))
+}
+
 /// Wraps a body in a frame (header + body) with zero flags.
 pub fn encode_frame(opcode: u8, body: &[u8]) -> Vec<u8> {
     encode_frame_flags(opcode, 0, body)

@@ -9,8 +9,9 @@
 //! `RESULT` frame mid-body, go silent with the link held open, or keep
 //! heartbeating but never ack — each job must complete on a surviving worker
 //! with the identical payload); jobs queued with no workers until one
-//! registers; a worker whose dial hangs, which must not hold up the others;
-//! many jobs in flight on one worker link, each with its own outcome; `BUSY`
+//! registers; a worker whose dial hangs, and one that stops reading its link,
+//! neither of which may hold up the others; many jobs in flight on one
+//! worker link, each with its own outcome; `BUSY`
 //! back-off against a depth-1 worker without charging the retry budget;
 //! waits that time out naming their job, in both wire modes; and the
 //! determinism property that fleet size never changes a payload byte.
@@ -252,10 +253,10 @@ fn a_job_on_a_dying_worker_retries_on_a_survivor_with_identical_bytes() {
 /// `NeverAck` stop heartbeating and ack it first.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Script {
-    /// Close the link: the link reader sees EOF.
+    /// Close the link: the coordinator reads its end.
     Close,
     /// Write a `RESULT` frame whose header names more body bytes than
-    /// follow, and close: the reader sees a frame torn mid-body.
+    /// follow, and close: the coordinator reads a frame torn mid-body.
     Tear,
     /// Go black: hold the link open without sending anything more until the
     /// coordinator closes it.
@@ -428,7 +429,7 @@ fn a_black_holed_worker_is_swept_and_its_link_closed() {
     let survivor = spawn_worker(&addr, "survivor", 1, 4);
     // The held link never answers, so only the heartbeat deadline can free
     // the job: one heartbeat timeout after the last beat, when the
-    // dispatcher wakes. The bound leaves room for a loaded host.
+    // coordinator wakes. The bound leaves room for a loaded host.
     let payload = client.wait_result(id, DEADLINE).unwrap();
     assert!(acked.elapsed() < timeout * 10, "took {:?}", acked.elapsed());
     assert_eq!(
@@ -436,7 +437,7 @@ fn a_black_holed_worker_is_swept_and_its_link_closed() {
         oracle(line),
         "the retry must give the standalone bytes"
     );
-    // The dispatcher closed the link: the scripted worker read its end.
+    // The coordinator closed the link: the scripted worker read its end.
     assert_eq!(events.recv_timeout(DEADLINE), Ok("eof"));
     let fleet = client.fleet_status().unwrap();
     assert!(fleet.contains(&format!("worker {scripted} ")), "{fleet}");
@@ -471,7 +472,7 @@ fn a_worker_that_never_acks_is_lost_at_the_ack_deadline() {
         oracle(line),
         "the retry must give the standalone bytes"
     );
-    // The dispatcher closed the unacked link.
+    // The coordinator closed the unacked link.
     assert_eq!(events.recv_timeout(DEADLINE), Ok("eof"));
 
     client.shutdown().unwrap();
@@ -544,6 +545,120 @@ fn a_worker_whose_dial_hangs_does_not_hold_up_the_others() {
     assert_eq!((summary.completed, summary.failed), (lines.len() as u64, 0));
     assert!(summary.retries >= 1, "{summary:?}");
     stop_worker(healthy);
+}
+
+/// A scripted worker that registers and keeps heartbeating every 50 ms,
+/// accepts the one link the coordinator dials, reports `"linked"`, and never
+/// reads a byte of it. Its listener goes with the accept, so no later dial
+/// reaches it. Setting the returned flag stops its heartbeats, and its
+/// thread then drops the link. Returns its worker id too.
+fn deaf_worker(
+    coordinator: &str,
+) -> (
+    String,
+    mpsc::Receiver<&'static str>,
+    Arc<AtomicBool>,
+    JoinHandle<()>,
+) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap().to_string();
+    let id = format!("deaf-{}", listener.local_addr().unwrap().port());
+    let stop = Arc::new(AtomicBool::new(false));
+    let beats = beat_until(coordinator, &id, &addr, &stop);
+    let (events, received) = mpsc::channel();
+    let held = Arc::clone(&stop);
+    let script = std::thread::spawn(move || {
+        let (link, _) = listener.accept().expect("the coordinator dials its link");
+        drop(listener);
+        events.send("linked").unwrap();
+        beats.join().unwrap();
+        drop(link);
+    });
+    (id, received, held, script)
+}
+
+/// A job that is cheap to solve but large on the wire: `mst` over
+/// `copies` parallel edges of a triangle, 16 bytes each in a `KGW1` frame.
+fn parallel_triangle(copies: usize, seed: u64) -> kecss_server::job::JobSpec {
+    let edges = (0..copies)
+        .map(|i| (i % 3, (i + 1) % 3, 1 + (i as u64 * 7919 + seed) % 1000))
+        .collect();
+    kecss_server::job::JobSpec {
+        instance: kecss_server::instance::InstanceSpec::Inline { n: 3, edges },
+        k: 1,
+        algorithm: kecss_server::job::Algorithm::MstOnly,
+        enumerator: kecss::cuts::EnumeratorPolicy::Auto,
+        seed,
+    }
+}
+
+#[test]
+fn a_worker_that_stops_reading_does_not_hold_up_the_others() {
+    let timeout = Duration::from_secs(3);
+    let coordinator = spawn_coordinator(32, timeout);
+    let addr = coordinator.addr().to_string();
+    let (deaf, linked, stop, script) = deaf_worker(&addr);
+    wait_workers(&addr, 1);
+
+    // The deaf worker is the only live one: the first job opens its link,
+    // and every job until the healthy worker joins goes there too — four
+    // 4 MiB SUBMITs, far more than the loopback socket buffers hold.
+    let mut client = Client::connect_binary(&addr).unwrap();
+    let mut specs = vec![parallel_triangle(3, 0)];
+    let submit = |client: &mut Client, spec: &kecss_server::job::JobSpec| {
+        (client.submit(spec).unwrap()).unwrap_or_else(|depth| panic!("BUSY at depth {depth}"))
+    };
+    let mut ids = vec![submit(&mut client, &specs[0])];
+    assert_eq!(linked.recv_timeout(DEADLINE), Ok("linked"));
+    for seed in 1..=4 {
+        specs.push(parallel_triangle(1 << 18, seed));
+        ids.push(submit(&mut client, &specs[seed as usize]));
+    }
+    let healthy = spawn_worker(&addr, "healthy", 1, 16);
+    wait_workers(&addr, 2);
+
+    // Every job given to the healthy worker is done long before the deaf
+    // worker's ack deadline: only the deaf worker's jobs are still open.
+    let submitted = Instant::now();
+    let small = specs.len();
+    specs.extend((1..=12).map(|seed| parallel_triangle(3, seed)));
+    ids.extend(specs[small..].iter().map(|spec| submit(&mut client, spec)));
+    loop {
+        let fleet = client.fleet_status().unwrap();
+        let open = fleet.lines().filter(|l| l.starts_with("job "));
+        let held_up = open
+            .filter(|l| !l.contains(&format!(" worker {deaf} ")))
+            .count();
+        let served = fleet
+            .lines()
+            .any(|l| l.starts_with("worker healthy ") && !l.contains(" dispatched 0 "));
+        if held_up == 0 && served {
+            break;
+        }
+        assert!(
+            submitted.elapsed() < timeout / 2,
+            "the worker that stopped reading held up the healthy worker:\n{fleet}"
+        );
+        std::thread::sleep(POLL);
+    }
+
+    // The deaf worker beats no more, so its ack deadline finds it lost, and
+    // its jobs re-run on the healthy worker, with the oracle's bytes.
+    stop.store(true, Ordering::SeqCst);
+    for (spec, id) in specs.iter().zip(&ids) {
+        let payload = client.wait_result(*id, DEADLINE).unwrap();
+        let oracle = kecss_server::job::run(spec, &Executor::Sequential).unwrap();
+        assert_eq!(payload, oracle, "job {id} differs");
+    }
+    let fleet = client.fleet_status().unwrap();
+    assert!(fleet.contains(&format!("worker {deaf} ")), "{fleet}");
+    assert!(fleet.contains(" dead "), "{fleet}");
+    client.shutdown().unwrap();
+    let summary = coordinator.join();
+    assert_eq!((summary.completed, summary.failed), (ids.len() as u64, 0));
+    assert!(summary.retries >= 1, "{summary:?}");
+    stop_worker(healthy);
+    script.join().unwrap();
 }
 
 /// The failure text a standalone server gives for `line`, after its
