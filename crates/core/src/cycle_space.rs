@@ -27,6 +27,9 @@ pub struct Circulation {
     /// The labelled edges grouped by label, built on first use: a check that
     /// only reads single labels (the bridge test `φ(e) = 0`) never pays for it.
     index: OnceLock<LabelIndex>,
+    /// Per vertex, the XOR of the labels of its incident non-tree edges, then
+    /// of its subtree; kept so that a resample allocates nothing.
+    subtree: Vec<u64>,
 }
 
 impl Circulation {
@@ -52,44 +55,72 @@ impl Circulation {
             (1..=64).contains(&bits),
             "label width must be between 1 and 64 bits"
         );
-        let mask = if bits == 64 {
+        let mut circulation = Circulation {
+            labels: Vec::new(),
+            bits,
+            index: OnceLock::new(),
+            subtree: Vec::new(),
+        };
+        circulation.resample(graph, h, tree, rng);
+        circulation
+    }
+
+    /// Redraws this circulation over `h` in its own buffers, with the same
+    /// draws, in the same order, as [`Circulation::sample`] makes. An index
+    /// built before is rebuilt in its own vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree` contains an edge outside `h`.
+    pub(crate) fn resample<R: Rng>(
+        &mut self,
+        graph: &Graph,
+        h: &EdgeSet,
+        tree: &RootedTree,
+        rng: &mut R,
+    ) {
+        let mask = if self.bits == 64 {
             u64::MAX
         } else {
-            (1u64 << bits) - 1
+            (1u64 << self.bits) - 1
         };
-        let mut labels: Vec<Option<u64>> = vec![None; graph.m()];
-        // Accumulate, per vertex, the XOR of the labels of incident non-tree edges.
-        let mut acc = vec![0u64; graph.n()];
-        let tree_edges = tree.edge_set(graph);
+        self.labels.clear();
+        self.labels.resize(graph.m(), None);
+        let acc = &mut self.subtree;
+        acc.clear();
+        acc.resize(graph.n(), 0);
+        // Accumulate, per vertex, the XOR of the labels of incident non-tree
+        // edges. A tree edge is the parent edge of one of its endpoints; each
+        // is met once, so all of them are in `h` iff the count reaches
+        // |tree| − 1.
+        let mut tree_edges_in_h = 0;
         for id in h.iter() {
-            if tree_edges.contains(id) {
-                assert!(h.contains(id), "tree edge outside H");
+            let e = graph.edge(id);
+            if tree.parent_edge(e.u) == Some(id) || tree.parent_edge(e.v) == Some(id) {
+                tree_edges_in_h += 1;
                 continue;
             }
             let label = rng.gen::<u64>() & mask;
-            labels[id.index()] = Some(label);
-            let e = graph.edge(id);
+            self.labels[id.index()] = Some(label);
             acc[e.u] ^= label;
             acc[e.v] ^= label;
         }
+        assert_eq!(tree_edges_in_h + 1, tree.len(), "tree edge outside H");
         // Tree edge {v, p(v)} label = XOR of acc over the subtree of v: a
         // non-tree edge contributes to the subtree XOR once iff exactly one of
         // its endpoints lies in the subtree, i.e. iff its fundamental cycle
         // uses the tree edge.
-        let mut subtree = acc;
         for &v in tree.bfs_order().iter().rev() {
             if let Some(p) = tree.parent(v) {
                 let edge = tree
                     .parent_edge(v)
                     .expect("non-root vertex has a parent edge");
-                labels[edge.index()] = Some(subtree[v]);
-                subtree[p] ^= subtree[v];
+                self.labels[edge.index()] = Some(acc[v]);
+                acc[p] ^= acc[v];
             }
         }
-        Circulation {
-            labels,
-            bits,
-            index: OnceLock::new(),
+        if let Some(index) = self.index.get_mut() {
+            index.rebuild(&self.labels);
         }
     }
 
@@ -234,49 +265,71 @@ const SLOTS_PER_EDGE: usize = 8;
 
 impl LabelIndex {
     fn build(labels: &[Option<u64>]) -> Self {
+        let mut index = LabelIndex {
+            class_of: Vec::new(),
+            start: Vec::new(),
+            edges: Vec::new(),
+            class_label: Vec::new(),
+            slots: Vec::new(),
+        };
+        index.rebuild(labels);
+        index
+    }
+
+    /// Regroups `labels` in this index's own vectors.
+    fn rebuild(&mut self, labels: &[Option<u64>]) {
         let labelled = labels.iter().flatten().count();
         assert!(
             labelled < NO_CLASS as usize,
             "too many labelled edges for the label index"
         );
-        let mut index = LabelIndex {
-            class_of: vec![NO_CLASS; labels.len()],
-            // Class sizes first, then their prefix sums.
-            start: Vec::new(),
-            edges: vec![EdgeId(0); labelled],
-            class_label: Vec::new(),
-            slots: vec![NO_CLASS; (SLOTS_PER_EDGE * labelled).next_power_of_two()],
-        };
+        self.class_of.clear();
+        self.class_of.resize(labels.len(), NO_CLASS);
+        // Class sizes first, then the end of each class.
+        self.start.clear();
+        self.edges.clear();
+        self.edges.resize(labelled, EdgeId(0));
+        self.class_label.clear();
+        self.slots.clear();
+        self.slots
+            .resize((SLOTS_PER_EDGE * labelled).next_power_of_two(), NO_CLASS);
         for (edge, label) in labels.iter().enumerate() {
             let Some(label) = *label else { continue };
-            let class = match index.probe(label) {
+            let class = match self.probe(label) {
                 Ok(class) => class,
                 Err(slot) => {
-                    let class = index.class_label.len() as u32;
-                    index.slots[slot] = class;
-                    index.class_label.push(label);
-                    index.start.push(0);
+                    let class = self.class_label.len() as u32;
+                    self.slots[slot] = class;
+                    self.class_label.push(label);
+                    self.start.push(0);
                     class
                 }
             };
-            index.class_of[edge] = class;
-            index.start[class as usize] += 1;
+            self.class_of[edge] = class;
+            self.start[class as usize] += 1;
         }
         let mut sum = 0;
-        for entry in &mut index.start {
+        for entry in &mut self.start {
             sum += *entry;
-            *entry = sum - *entry;
+            *entry = sum;
         }
-        index.start.push(sum);
-        // A second pass in id order keeps every class sorted.
-        let mut next = index.start.clone();
-        for (edge, &class) in index.class_of.iter().enumerate() {
+        // Placing the edges from the back, each class's end moves down to its
+        // start, and every class stays in id order.
+        for (edge, &class) in self.class_of.iter().enumerate().rev() {
             if class != NO_CLASS {
-                index.edges[next[class as usize] as usize] = EdgeId(edge);
-                next[class as usize] += 1;
+                let start = &mut self.start[class as usize];
+                *start -= 1;
+                self.edges[*start as usize] = EdgeId(edge);
             }
         }
-        index
+        self.start.push(sum);
+    }
+
+    /// The class of every edge, `NO_CLASS` for an unlabelled edge. Classes
+    /// are numbered densely in order of their first edge, so two indexes
+    /// group the same edges exactly when these slices are equal.
+    pub(crate) fn partition(&self) -> &[u32] {
+        &self.class_of
     }
 
     /// The number of distinct labels.
@@ -405,7 +458,7 @@ pub fn labelling_rounds(tree: &RootedTree) -> u64 {
 mod tests {
     use super::*;
     use graphs::{connectivity, generators, mst};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn spanning_tree(graph: &Graph, h: &EdgeSet) -> RootedTree {
@@ -757,6 +810,71 @@ mod tests {
         assert_eq!(index.class_of(EdgeId(1)), None);
         assert_eq!(index.class_of(EdgeId(9)), None);
         assert_eq!(LabelIndex::build(&[None, None]).find(0), None);
+    }
+
+    #[test]
+    fn partitions_compare_by_grouping_not_by_label() {
+        let partition = |labels: &[Option<u64>]| LabelIndex::build(labels).partition().to_vec();
+        let base = partition(&[Some(5), Some(9), Some(5), None, Some(7)]);
+        // The same groups under other labels, one past the table's size.
+        assert_eq!(
+            base,
+            partition(&[Some(100), Some(3), Some(100), None, Some(1 << 40)])
+        );
+        // A collision merges the classes of edges 0 and 1.
+        assert_ne!(base, partition(&[Some(5), Some(5), Some(5), None, Some(7)]));
+        // The class of edges 0 and 2 splits.
+        assert_ne!(base, partition(&[Some(5), Some(9), Some(6), None, Some(7)]));
+        // Edge 3 joins the labelled edges.
+        assert_ne!(
+            base,
+            partition(&[Some(5), Some(9), Some(5), Some(8), Some(7)])
+        );
+    }
+
+    #[test]
+    fn resampling_in_place_draws_what_a_fresh_sample_draws() {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        let g = generators::random_k_edge_connected(24, 2, 30, &mut rng);
+        let full = g.full_edge_set();
+        let tree = spanning_tree(&g, &full);
+        // The tree and every other edge first, then all of G.
+        let mut h = tree.edge_set(&g);
+        for id in g.edge_ids().step_by(2) {
+            h.insert(id);
+        }
+        for bits in [64, 3] {
+            let mut reused = Circulation::sample(&g, &h, &tree, bits, &mut rng);
+            reused.index();
+            for seed in 0..4 {
+                let mut fresh_rng = ChaCha8Rng::seed_from_u64(seed);
+                let fresh = Circulation::sample(&g, &full, &tree, bits, &mut fresh_rng);
+                let mut reused_rng = ChaCha8Rng::seed_from_u64(seed);
+                reused.resample(&g, &full, &tree, &mut reused_rng);
+                assert_eq!(reused.labels, fresh.labels, "bits {bits}, seed {seed}");
+                assert_eq!(reused_rng.next_u64(), fresh_rng.next_u64());
+                assert_eq!(reused.index().partition(), fresh.index().partition());
+                assert!(reused.label_classes().eq(fresh.label_classes()));
+                for label in fresh.labels.iter().flatten() {
+                    assert_eq!(reused.index().find(*label), fresh.index().find(*label));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tree edge outside H")]
+    fn a_tree_edge_outside_h_is_refused() {
+        let g = generators::cycle(5, 1);
+        let mut h = g.full_edge_set();
+        h.remove(EdgeId(4));
+        // The path 4-0-1-2-3 (every edge but 3) is a spanning tree of the
+        // cycle that contains edge 4, which is not in H.
+        let mut tree_edges = g.full_edge_set();
+        tree_edges.remove(EdgeId(3));
+        let tree = RootedTree::new(&g, &tree_edges, 0);
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        Circulation::sample(&g, &h, &tree, 64, &mut rng);
     }
 
     #[test]

@@ -51,9 +51,7 @@ pub struct KEcssSolution {
 ///   [`CutEnumerator`] strategies lifted the former `k <= 4` cap);
 /// * [`Error::InsufficientConnectivity`] if the graph is not k-edge-connected.
 pub fn solve<R: Rng>(graph: &Graph, k: usize, rng: &mut R) -> Result<KEcssSolution> {
-    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
-    let auto = AutoEnumerator::default();
-    solve_with_enumerator(graph, k, model, rng, &Executor::Sequential, &auto)
+    solve_with_exec(graph, k, rng, &Executor::Sequential)
 }
 
 /// Same as [`solve`], running the per-level cut verification through `exec`
@@ -69,8 +67,7 @@ pub fn solve_with_exec<R: Rng>(
     rng: &mut R,
     exec: &Executor,
 ) -> Result<KEcssSolution> {
-    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
-    solve_with_enumerator(graph, k, model, rng, exec, &AutoEnumerator::default())
+    solve_with_exec_enumerator(graph, k, rng, exec, &AutoEnumerator::default())
 }
 
 /// Same as [`solve_with_exec`] with an explicit [`CutEnumerator`] strategy,
@@ -86,15 +83,16 @@ pub fn solve_with_exec_enumerator<R: Rng>(
     exec: &Executor,
     enumerator: &dyn CutEnumerator,
 ) -> Result<KEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_enumerator(
-        graph,
-        k,
-        CostModel::new(graph.n(), diameter),
-        rng,
-        exec,
-        enumerator,
-    )
+    if k == 0 {
+        return Err(Error::ZeroK);
+    }
+    // Phase spans are observational only (DESIGN.md §11): they time scopes
+    // and stream traces, but never feed back into the solution bytes.
+    let _solve_span = kecss_obs::span("solve");
+    // A refused graph never pays for the diameter.
+    ensure_k_connected(graph, k)?;
+    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
+    solve_proven(graph, k, model, rng, exec, enumerator)
 }
 
 /// The most general entry point: explicit cost model, executor *and*
@@ -115,21 +113,34 @@ pub fn solve_with_enumerator<R: Rng>(
     if k == 0 {
         return Err(Error::ZeroK);
     }
-    // Phase spans are observational only (DESIGN.md §11): they time scopes
-    // and stream traces, but never feed back into the solution bytes.
     let _solve_span = kecss_obs::span("solve");
-    // The precheck is the only proof that G is k-edge-connected, hence
-    // i-edge-connected for every level i: each level trusts it.
-    {
-        let _span = kecss_obs::span("connectivity_check");
-        if !verification::is_k_edge_connected_in(graph, &graph.full_edge_set(), k) {
-            return Err(Error::InsufficientConnectivity {
-                required: k,
-                actual: connectivity::edge_connectivity(graph),
-            });
-        }
-    }
+    ensure_k_connected(graph, k)?;
+    solve_proven(graph, k, model, rng, exec, enumerator)
+}
 
+/// The precheck: the only proof that G is k-edge-connected, hence
+/// i-edge-connected for every level i. Each level trusts it.
+fn ensure_k_connected(graph: &Graph, k: usize) -> Result<()> {
+    let _span = kecss_obs::span("connectivity_check");
+    if !verification::is_k_edge_connected_in(graph, &graph.full_edge_set(), k) {
+        return Err(Error::InsufficientConnectivity {
+            required: k,
+            actual: connectivity::edge_connectivity(graph),
+        });
+    }
+    Ok(())
+}
+
+/// [`solve_with_enumerator`] on a graph already proven k-edge-connected, for
+/// `k ≥ 1`.
+fn solve_proven<R: Rng>(
+    graph: &Graph,
+    k: usize,
+    model: CostModel,
+    rng: &mut R,
+    exec: &Executor,
+    enumerator: &dyn CutEnumerator,
+) -> Result<KEcssSolution> {
     let mut ledger = RoundLedger::new(model);
     let mut levels = Vec::with_capacity(k);
 

@@ -22,6 +22,18 @@
 //! Every iteration costs `O(depth(T))` rounds — `O(D)` for the BFS tree of
 //! the unweighted variant, `O(h_MST)` for the MST of the weighted variant —
 //! and there are `O(log³ n)` iterations.
+//!
+//! The charged rounds are a ledger, not this module's work (DESIGN.md §2),
+//! so the centralized loop does only what changed since the last iteration:
+//! each candidate's fundamental path is walked once per run, the circulation
+//! is redrawn into its own buffers, and Claim 5.8's coverage, the maximum
+//! class and its members are recomputed only after an admission or when the
+//! label partition of `H ∪ A` moved. The draws, the charges and the result
+//! are those of recomputing everything in every iteration (DESIGN.md §10).
+//!
+//! [`solve`] and [`solve_weighted`] prove the input 3-edge-connected before
+//! they compute its diameter for the cost model, so a refused graph costs
+//! only that proof.
 
 use crate::augk::ProbabilitySchedule;
 use crate::baselines::bfs_two_ecss;
@@ -31,7 +43,7 @@ use crate::error::{Error, Result};
 use crate::tap;
 use crate::verification;
 use congest::{CostModel, RoundLedger};
-use graphs::{connectivity, EdgeSet, Graph, NodeId, RootedTree};
+use graphs::{connectivity, EdgeId, EdgeSet, Graph, NodeId, RootedTree};
 use rand::Rng;
 
 /// Safety cap on iterations (`O(log³ n)` expected).
@@ -64,8 +76,10 @@ pub struct ThreeEcssSolution {
 /// Returns [`Error::InsufficientConnectivity`] if the graph is not
 /// 3-edge-connected.
 pub fn solve<R: Rng>(graph: &Graph, rng: &mut R) -> Result<ThreeEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model(graph, CostModel::new(graph.n(), diameter), rng)
+    // Phase spans are observational only (DESIGN.md §11).
+    let _solve_span = kecss_obs::span("solve");
+    ensure_three_connected(graph)?;
+    Ok(solve_proven(graph, inferred_model(graph), rng))
 }
 
 /// Same as [`solve`] with an explicit cost model.
@@ -78,12 +92,13 @@ pub fn solve_with_model<R: Rng>(
     model: CostModel,
     rng: &mut R,
 ) -> Result<ThreeEcssSolution> {
-    // Phase spans are observational only (DESIGN.md §11).
     let _solve_span = kecss_obs::span("solve");
-    {
-        let _span = kecss_obs::span("connectivity_check");
-        ensure_three_connected(graph)?;
-    }
+    ensure_three_connected(graph)?;
+    Ok(solve_proven(graph, model, rng))
+}
+
+/// [`solve_with_model`] on a graph already proven 3-edge-connected.
+fn solve_proven<R: Rng>(graph: &Graph, model: CostModel, rng: &mut R) -> ThreeEcssSolution {
     let mut ledger = RoundLedger::new(model);
 
     // Step 1: the O(D)-round 2-approximate unweighted 2-ECSS of [1]. Its BFS
@@ -106,7 +121,7 @@ pub fn solve_with_model<R: Rng>(
         rng,
         &mut ledger,
     );
-    Ok(assemble(graph, h, added, iterations, ledger))
+    assemble(graph, h, added, iterations, ledger)
 }
 
 /// Solves *weighted* 3-ECSS (the Section 5.4 remark): the base subgraph is the
@@ -120,8 +135,9 @@ pub fn solve_with_model<R: Rng>(
 /// Returns [`Error::InsufficientConnectivity`] if the graph is not
 /// 3-edge-connected.
 pub fn solve_weighted<R: Rng>(graph: &Graph, rng: &mut R) -> Result<ThreeEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_weighted_with_model(graph, CostModel::new(graph.n(), diameter), rng)
+    let _solve_span = kecss_obs::span("solve");
+    ensure_three_connected(graph)?;
+    solve_weighted_proven(graph, inferred_model(graph), rng)
 }
 
 /// Same as [`solve_weighted`] with an explicit cost model.
@@ -134,12 +150,17 @@ pub fn solve_weighted_with_model<R: Rng>(
     model: CostModel,
     rng: &mut R,
 ) -> Result<ThreeEcssSolution> {
-    // Phase spans are observational only (DESIGN.md §11).
     let _solve_span = kecss_obs::span("solve");
-    {
-        let _span = kecss_obs::span("connectivity_check");
-        ensure_three_connected(graph)?;
-    }
+    ensure_three_connected(graph)?;
+    solve_weighted_proven(graph, model, rng)
+}
+
+/// [`solve_weighted_with_model`] on a graph already proven 3-edge-connected.
+fn solve_weighted_proven<R: Rng>(
+    graph: &Graph,
+    model: CostModel,
+    rng: &mut R,
+) -> Result<ThreeEcssSolution> {
     let mut ledger = RoundLedger::new(model);
 
     // Step 1: weighted 2-ECSS = MST + weighted TAP (Theorem 1.1).
@@ -169,7 +190,11 @@ pub fn solve_weighted_with_model<R: Rng>(
     Ok(assemble(graph, h, added, iterations, ledger))
 }
 
+/// The one proof the solvers run that `graph` is 3-edge-connected; an entry
+/// point that infers its cost model runs it before the diameter, so a
+/// refused graph never pays for that.
 fn ensure_three_connected(graph: &Graph) -> Result<()> {
+    let _span = kecss_obs::span("connectivity_check");
     if !verification::is_k_edge_connected_in(graph, &graph.full_edge_set(), 3) {
         return Err(Error::InsufficientConnectivity {
             required: 3,
@@ -177,6 +202,11 @@ fn ensure_three_connected(graph: &Graph) -> Result<()> {
         });
     }
     Ok(())
+}
+
+/// The cost model of `graph`, from its exact hop diameter.
+fn inferred_model(graph: &Graph) -> CostModel {
+    CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()))
 }
 
 fn assemble(
@@ -200,10 +230,58 @@ fn assemble(
     }
 }
 
+/// The fundamental tree path of every candidate, walked once per run: the
+/// tree edges of candidate `i`'s path, named by their child endpoints, are
+/// `children[start[i]..start[i + 1]]`.
+struct TreePaths {
+    start: Vec<usize>,
+    children: Vec<NodeId>,
+}
+
+impl TreePaths {
+    fn new(graph: &Graph, tree: &RootedTree, pool: &[(EdgeId, u64)]) -> Self {
+        let mut paths = TreePaths {
+            start: Vec::with_capacity(pool.len() + 1),
+            children: Vec::new(),
+        };
+        paths.start.push(0);
+        for &(id, _) in pool {
+            // Step up from the deeper end until the two ends meet at the LCA.
+            let e = graph.edge(id);
+            let (mut a, mut b) = (e.u, e.v);
+            while a != b {
+                let lower = if tree.depth(a) >= tree.depth(b) {
+                    &mut a
+                } else {
+                    &mut b
+                };
+                paths.children.push(*lower);
+                *lower = tree
+                    .parent(*lower)
+                    .expect("a vertex below the LCA has a parent");
+            }
+            paths.start.push(paths.children.len());
+        }
+        paths
+    }
+
+    fn of(&self, i: usize) -> &[NodeId] {
+        &self.children[self.start[i]..self.start[i + 1]]
+    }
+}
+
 /// The Section 5.3 augmentation loop: cover every cut pair of `h ∪ A` using
 /// circulation labels over `tree` (a spanning tree of `h`). Returns the added
 /// edges and the iteration count; charges per-iteration costs proportional to
 /// the tree depth to `ledger`.
+///
+/// An iteration pays only for what changed. Claim 5.8's coverage is a pure
+/// function of the candidates outside `A` and of which edges of `h ∪ A`
+/// share a label, and the label index numbers its classes canonically; so
+/// coverage, the maximum class and its members are recomputed only after an
+/// admission or when the index's partition differs from the last one
+/// computed, and reused otherwise. The draws, charges and output are those
+/// of the loop that recomputed everything in every iteration.
 fn augment_to_three<R: Rng>(
     graph: &Graph,
     h: &EdgeSet,
@@ -218,52 +296,69 @@ fn augment_to_three<R: Rng>(
     // penalty of the weighted variant).
     let depth_rounds = labelling_rounds(tree);
 
-    let candidates_pool: Vec<(graphs::EdgeId, NodeId, NodeId, u64)> = graph
+    // The candidates outside H, with the weight their cost-effectiveness
+    // divides by.
+    let pool: Vec<(EdgeId, u64)> = graph
         .edges()
         .filter(|(id, _)| !h.contains(*id))
-        .map(|(id, e)| (id, e.u, e.v, e.weight))
+        .map(|(id, e)| (id, if weighted { e.weight } else { 1 }))
         .collect();
+    let paths = TreePaths::new(graph, tree, &pool);
+    let tree_children: Vec<NodeId> = tree.edge_children().collect();
 
     let mut added = graph.empty_edge_set();
+    let mut current = h.clone();
     let mut schedule = ProbabilitySchedule::new(graph.n(), graph.m());
     let mut iterations = 0u64;
 
-    let tree_children: Vec<NodeId> = tree.edge_children().collect();
-    // Per iteration: the label class φ of each vertex's tree edge, and the
-    // per-φ count of one candidate's path edges with the φs it touched
-    // (reset after every candidate).
+    // What the last recompute saw and found: the partition of H ∪ A into
+    // label classes, the class φ of each vertex's tree edge, whether some
+    // tree edge shares its label, the maximum class and its members outside
+    // A (pool indices, pool order).
+    let mut partition: Vec<u32> = Vec::new();
     let mut class_above = vec![0usize; graph.n()];
+    let mut cut_pair_witness = false;
+    let mut best_class: Option<Rounded> = None;
+    let mut members: Vec<usize> = Vec::new();
+    let mut admitted = true;
+    // Claim 5.8 per candidate: the per-φ count of its path edges, with the
+    // φs it touched (reset after every candidate), and its rounded
+    // cost-effectiveness (`None` in A or when it covers nothing).
     let mut on_path: Vec<usize> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
+    let mut rounded: Vec<Option<Rounded>> = vec![None; pool.len()];
 
+    // A fresh circulation of H ∪ A per iteration; n_φ is the size of label
+    // φ's class over H ∪ A (Lemma 5.5 / step (b) of Section 5.3).
+    let mut circulation = Circulation::sample(graph, &current, tree, 64, rng);
     loop {
         assert!(
             iterations < ITERATION_SAFETY_CAP,
             "3-ECSS exceeded the iteration safety cap; this indicates a bug"
         );
-
-        // Sample a fresh circulation of H ∪ A; n_φ is the size of label φ's
-        // class over H ∪ A (Lemma 5.5 / step (b) of Section 5.3).
-        let current = h.union(&added);
-        let circulation = Circulation::sample(graph, &current, tree, 64, rng);
         ledger.charge("3ecss/labels", depth_rounds);
         let index = circulation.index();
-        for &child in &tree_children {
-            let t = tree
-                .parent_edge(child)
-                .expect("non-root child has a parent edge");
-            class_above[child] = index.class_of(t).expect("tree edge has a label");
+        let changed = std::mem::take(&mut admitted) || index.partition() != partition;
+        if changed {
+            partition.clear();
+            partition.extend_from_slice(index.partition());
+            for &child in &tree_children {
+                let t = tree
+                    .parent_edge(child)
+                    .expect("non-root child has a parent edge");
+                class_above[child] = index.class_of(t).expect("tree edge has a label");
+            }
+            cut_pair_witness = tree_children
+                .iter()
+                .any(|&child| index.class(class_above[child]).len() > 1);
         }
         ledger.charge("3ecss/label_counts", depth_rounds);
 
         // Termination (Claim 5.10): if every tree edge's label is unique,
         // no tree edge is in a cut pair, hence there are no cut pairs at all
         // and H ∪ A is 3-edge-connected. This direction holds with certainty.
-        let has_cut_pair_witness = tree_children
-            .iter()
-            .any(|&child| index.class(class_above[child]).len() > 1);
         ledger.charge("3ecss/termination", model.convergecast(1));
-        if !has_cut_pair_witness {
+        if !cut_pair_witness {
             break;
         }
 
@@ -272,43 +367,34 @@ fn augment_to_three<R: Rng>(
         // Cost-effectiveness via Claim 5.8: for each candidate e, group the
         // tree edges of its fundamental path by label and sum
         // n_{φ,e} (n_φ − n_{φ,e}); divide by the weight in the weighted case.
-        let mut best_class: Option<Rounded> = None;
-        let mut coverage = vec![0usize; candidates_pool.len()];
-        on_path.clear();
-        on_path.resize(index.class_count(), 0);
-        for (i, &(id, u, v, _)) in candidates_pool.iter().enumerate() {
-            if added.contains(id) {
-                continue;
-            }
-            // Walk the fundamental path by parent pointers, stepping up from
-            // the deeper end until the two ends meet at the LCA.
-            let (mut a, mut b) = (u, v);
-            while a != b {
-                let lower = if tree.depth(a) >= tree.depth(b) {
-                    &mut a
-                } else {
-                    &mut b
-                };
-                let phi = class_above[*lower];
-                if on_path[phi] == 0 {
-                    touched.push(phi);
+        if changed {
+            on_path.clear();
+            on_path.resize(index.class_count(), 0);
+            for (i, &(id, weight)) in pool.iter().enumerate() {
+                if added.contains(id) {
+                    rounded[i] = None;
+                    continue;
                 }
-                on_path[phi] += 1;
-                *lower = tree
-                    .parent(*lower)
-                    .expect("a vertex below the LCA has a parent");
+                for &child in paths.of(i) {
+                    let phi = class_above[child];
+                    if on_path[phi] == 0 {
+                        touched.push(phi);
+                    }
+                    on_path[phi] += 1;
+                }
+                let mut rho = 0usize;
+                for &phi in &touched {
+                    let n_phi_e = std::mem::take(&mut on_path[phi]);
+                    rho += n_phi_e * (index.class(phi).len() - n_phi_e);
+                }
+                touched.clear();
+                rounded[i] = Rounded::of(rho, weight);
             }
-            let mut rho = 0usize;
-            for &phi in &touched {
-                let n_phi_e = std::mem::take(&mut on_path[phi]);
-                rho += n_phi_e * (index.class(phi).len() - n_phi_e);
-            }
-            touched.clear();
-            coverage[i] = rho;
-            let weight_for_class = if weighted { candidates_pool[i].3 } else { 1 };
-            if let Some(class) = Rounded::of(rho, weight_for_class) {
-                best_class = Some(best_class.map_or(class, |b| b.max(class)));
-            }
+            best_class = rounded.iter().flatten().max().copied();
+            members.clear();
+            members.extend(
+                (0..pool.len()).filter(|&i| rounded[i].is_some() && rounded[i] == best_class),
+            );
         }
         ledger.charge(
             "3ecss/cost_effectiveness",
@@ -319,27 +405,23 @@ fn augment_to_three<R: Rng>(
             model.convergecast(1) + model.broadcast(1),
         );
 
-        let Some(target_class) = best_class else {
-            // No candidate covers anything although cut pairs remain: only
-            // possible through label collisions (the input is 3-edge-connected);
-            // resample in the next iteration.
-            continue;
-        };
-
-        // Activation with the Section 4 probability schedule; all active
-        // candidates join A (no MST filtering in Section 5's algorithm).
-        let p = schedule.probability(target_class);
-        for (i, &(id, _, _, w)) in candidates_pool.iter().enumerate() {
-            let weight_for_class = if weighted { w } else { 1 };
-            if added.contains(id)
-                || Rounded::of(coverage[i], weight_for_class) != Some(target_class)
-            {
-                continue;
-            }
-            if rng.gen_bool(p) {
-                added.insert(id);
+        // No candidate covers anything although cut pairs remain: only
+        // possible through label collisions (the input is 3-edge-connected);
+        // resample. Otherwise the members activate with the Section 4
+        // probability schedule, and all active ones join A (no MST filtering
+        // in Section 5's algorithm). One admission changes no other member's
+        // eligibility, so the draws are those of a scan of the whole pool.
+        if let Some(target_class) = best_class {
+            let p = schedule.probability(target_class);
+            for &i in &members {
+                if rng.gen_bool(p) {
+                    added.insert(pool[i].0);
+                    current.insert(pool[i].0);
+                    admitted = true;
+                }
             }
         }
+        circulation.resample(graph, &current, tree, rng);
     }
 
     (added, iterations)
@@ -350,8 +432,239 @@ mod tests {
     use super::*;
     use crate::lower_bounds;
     use graphs::generators;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// The oracle for [`augment_to_three`]: the loop as first written, which
+    /// samples a fresh circulation, re-walks every candidate's tree path and
+    /// re-rounds every candidate in every iteration.
+    fn reference_augment_to_three<R: Rng>(
+        graph: &Graph,
+        h: &EdgeSet,
+        tree: &RootedTree,
+        weighted: bool,
+        model: CostModel,
+        rng: &mut R,
+        ledger: &mut RoundLedger,
+    ) -> (EdgeSet, u64) {
+        // The per-iteration communication depth: the tree's height (a BFS tree has
+        // height ≤ D; an MST can be much deeper — that is exactly the h_MST
+        // penalty of the weighted variant).
+        let depth_rounds = labelling_rounds(tree);
+
+        let candidates_pool: Vec<(graphs::EdgeId, NodeId, NodeId, u64)> = graph
+            .edges()
+            .filter(|(id, _)| !h.contains(*id))
+            .map(|(id, e)| (id, e.u, e.v, e.weight))
+            .collect();
+
+        let mut added = graph.empty_edge_set();
+        let mut schedule = ProbabilitySchedule::new(graph.n(), graph.m());
+        let mut iterations = 0u64;
+
+        let tree_children: Vec<NodeId> = tree.edge_children().collect();
+        // Per iteration: the label class φ of each vertex's tree edge, and the
+        // per-φ count of one candidate's path edges with the φs it touched
+        // (reset after every candidate).
+        let mut class_above = vec![0usize; graph.n()];
+        let mut on_path: Vec<usize> = Vec::new();
+        let mut touched: Vec<usize> = Vec::new();
+
+        loop {
+            assert!(
+                iterations < ITERATION_SAFETY_CAP,
+                "3-ECSS exceeded the iteration safety cap; this indicates a bug"
+            );
+
+            // Sample a fresh circulation of H ∪ A; n_φ is the size of label φ's
+            // class over H ∪ A (Lemma 5.5 / step (b) of Section 5.3).
+            let current = h.union(&added);
+            let circulation = Circulation::sample(graph, &current, tree, 64, rng);
+            ledger.charge("3ecss/labels", depth_rounds);
+            let index = circulation.index();
+            for &child in &tree_children {
+                let t = tree
+                    .parent_edge(child)
+                    .expect("non-root child has a parent edge");
+                class_above[child] = index.class_of(t).expect("tree edge has a label");
+            }
+            ledger.charge("3ecss/label_counts", depth_rounds);
+
+            // Termination (Claim 5.10): if every tree edge's label is unique,
+            // no tree edge is in a cut pair, hence there are no cut pairs at all
+            // and H ∪ A is 3-edge-connected. This direction holds with certainty.
+            let has_cut_pair_witness = tree_children
+                .iter()
+                .any(|&child| index.class(class_above[child]).len() > 1);
+            ledger.charge("3ecss/termination", model.convergecast(1));
+            if !has_cut_pair_witness {
+                break;
+            }
+
+            iterations += 1;
+
+            // Cost-effectiveness via Claim 5.8: for each candidate e, group the
+            // tree edges of its fundamental path by label and sum
+            // n_{φ,e} (n_φ − n_{φ,e}); divide by the weight in the weighted case.
+            let mut best_class: Option<Rounded> = None;
+            let mut coverage = vec![0usize; candidates_pool.len()];
+            on_path.clear();
+            on_path.resize(index.class_count(), 0);
+            for (i, &(id, u, v, _)) in candidates_pool.iter().enumerate() {
+                if added.contains(id) {
+                    continue;
+                }
+                // Walk the fundamental path by parent pointers, stepping up from
+                // the deeper end until the two ends meet at the LCA.
+                let (mut a, mut b) = (u, v);
+                while a != b {
+                    let lower = if tree.depth(a) >= tree.depth(b) {
+                        &mut a
+                    } else {
+                        &mut b
+                    };
+                    let phi = class_above[*lower];
+                    if on_path[phi] == 0 {
+                        touched.push(phi);
+                    }
+                    on_path[phi] += 1;
+                    *lower = tree
+                        .parent(*lower)
+                        .expect("a vertex below the LCA has a parent");
+                }
+                let mut rho = 0usize;
+                for &phi in &touched {
+                    let n_phi_e = std::mem::take(&mut on_path[phi]);
+                    rho += n_phi_e * (index.class(phi).len() - n_phi_e);
+                }
+                touched.clear();
+                coverage[i] = rho;
+                let weight_for_class = if weighted { candidates_pool[i].3 } else { 1 };
+                if let Some(class) = Rounded::of(rho, weight_for_class) {
+                    best_class = Some(best_class.map_or(class, |b| b.max(class)));
+                }
+            }
+            ledger.charge(
+                "3ecss/cost_effectiveness",
+                depth_rounds + model.edge_exchange(),
+            );
+            ledger.charge(
+                "3ecss/max_cost_effectiveness",
+                model.convergecast(1) + model.broadcast(1),
+            );
+
+            let Some(target_class) = best_class else {
+                // No candidate covers anything although cut pairs remain: only
+                // possible through label collisions (the input is 3-edge-connected);
+                // resample in the next iteration.
+                continue;
+            };
+
+            // Activation with the Section 4 probability schedule; all active
+            // candidates join A (no MST filtering in Section 5's algorithm).
+            let p = schedule.probability(target_class);
+            for (i, &(id, _, _, w)) in candidates_pool.iter().enumerate() {
+                let weight_for_class = if weighted { w } else { 1 };
+                if added.contains(id)
+                    || Rounded::of(coverage[i], weight_for_class) != Some(target_class)
+                {
+                    continue;
+                }
+                if rng.gen_bool(p) {
+                    added.insert(id);
+                }
+            }
+        }
+
+        (added, iterations)
+    }
+
+    /// Everything one augmentation run leaves behind: `A`, the iteration
+    /// count, the ledger's breakdown and the next word of the RNG stream.
+    type AugmentOutcome = (EdgeSet, u64, Vec<(String, u64)>, u64);
+
+    /// Builds the base `H` and its tree as the solver of the variant does,
+    /// then augments it with [`augment_to_three`] (or the reference), from a
+    /// generator seeded with `seed`.
+    fn run_augment(g: &Graph, weighted: bool, seed: u64, reference: bool) -> AugmentOutcome {
+        let model = inferred_model(g);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (h, tree_edges) = if weighted {
+            let mst = graphs::mst::kruskal(g);
+            let tap = tap::solve_proven(g, &mst, model, &mut rng).unwrap();
+            (mst.union(&tap.augmentation), mst)
+        } else {
+            let base = bfs_two_ecss::solve_with_model(g, model);
+            (base.edges, base.tree)
+        };
+        let tree = RootedTree::new(g, &tree_edges, 0);
+        let mut ledger = RoundLedger::new(model);
+        let augment = if reference {
+            reference_augment_to_three
+        } else {
+            augment_to_three
+        };
+        let (added, iterations) = augment(g, &h, &tree, weighted, model, &mut rng, &mut ledger);
+        (added, iterations, ledger.breakdown(), rng.next_u64())
+    }
+
+    /// A 3-edge-connected instance of each family the oracle runs on,
+    /// with weights in `1..=max_weight` when that is above 1.
+    fn oracle_instances(n: usize, seed: u64, max_weight: u64) -> Vec<(&'static str, Graph)> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let side = ((n as f64).sqrt().round() as usize).max(3);
+        let mut instances = vec![
+            ("torus", generators::torus(side, side, 1)),
+            (
+                "random",
+                generators::random_k_edge_connected(n, 3, n, &mut rng),
+            ),
+            ("harary", generators::harary(3, n + n % 2, 1)),
+            (
+                "ring-of-cliques",
+                generators::ring_of_cliques((n / 5).max(3), 5, 3, 1),
+            ),
+        ];
+        if max_weight > 1 {
+            for (_, g) in &mut instances {
+                generators::randomize_weights(g, max_weight, &mut rng);
+            }
+        }
+        instances
+    }
+
+    /// Runs both loops on every oracle instance at every size and seed, for
+    /// both variants, and compares everything they leave behind.
+    fn check_against_reference(sizes: &[usize], seeds: std::ops::Range<u64>) {
+        for &n in sizes {
+            for seed in seeds.clone() {
+                for weighted in [false, true] {
+                    let max_weight = if weighted { 50 } else { 1 };
+                    for (family, g) in oracle_instances(n, seed, max_weight) {
+                        assert!(connectivity::is_k_edge_connected(&g, 3), "{family}:{n}");
+                        let fast = run_augment(&g, weighted, seed, false);
+                        let reference = run_augment(&g, weighted, seed, true);
+                        assert_eq!(
+                            fast, reference,
+                            "{family}:{n}, seed {seed}, weighted {weighted}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn augmentation_matches_the_recompute_everything_reference() {
+        check_against_reference(&[24, 64], 1..5);
+    }
+
+    /// The larger set, run optimized in CI.
+    #[test]
+    #[ignore = "larger oracle set; run with --release -- --ignored"]
+    fn augmentation_matches_the_reference_on_the_larger_set() {
+        check_against_reference(&[36, 100, 256], 1..21);
+    }
 
     #[test]
     fn produces_three_edge_connected_subgraphs() {

@@ -36,8 +36,13 @@ pub struct TwoEcssSolution {
 /// Returns [`Error::InsufficientConnectivity`] if the input graph is not
 /// 2-edge-connected (no 2-ECSS exists).
 pub fn solve<R: Rng>(graph: &Graph, rng: &mut R) -> Result<TwoEcssSolution> {
+    // Phase spans are observational only (DESIGN.md §11): they time scopes
+    // and stream traces, but never feed back into the solution bytes.
+    let _solve_span = kecss_obs::span("solve");
+    // A refused graph never pays for the diameter.
+    ensure_two_connected(graph)?;
     let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model(graph, CostModel::new(graph.n(), diameter), rng)
+    solve_proven(graph, CostModel::new(graph.n(), diameter), rng)
 }
 
 /// Solves weighted 2-ECSS with an explicit CONGEST cost model.
@@ -50,20 +55,24 @@ pub fn solve_with_model<R: Rng>(
     model: CostModel,
     rng: &mut R,
 ) -> Result<TwoEcssSolution> {
-    // Phase spans are observational only (DESIGN.md §11): they time scopes
-    // and stream traces, but never feed back into the solution bytes.
     let _solve_span = kecss_obs::span("solve");
-    {
-        let _span = kecss_obs::span("connectivity_check");
-        if !connectivity::is_k_edge_connected(graph, 2) {
-            let actual = connectivity::edge_connectivity(graph);
-            return Err(Error::InsufficientConnectivity {
-                required: 2,
-                actual,
-            });
-        }
-    }
+    ensure_two_connected(graph)?;
+    solve_proven(graph, model, rng)
+}
 
+fn ensure_two_connected(graph: &Graph) -> Result<()> {
+    let _span = kecss_obs::span("connectivity_check");
+    if !connectivity::is_k_edge_connected(graph, 2) {
+        return Err(Error::InsufficientConnectivity {
+            required: 2,
+            actual: connectivity::edge_connectivity(graph),
+        });
+    }
+    Ok(())
+}
+
+/// [`solve_with_model`] on a graph already proven 2-edge-connected.
+fn solve_proven<R: Rng>(graph: &Graph, model: CostModel, rng: &mut R) -> Result<TwoEcssSolution> {
     let mut ledger = RoundLedger::new(model);
     // Step 1: MST via Kutten–Peleg (round cost charged; the tree itself is the
     // unique MST under (weight, edge id) tie-breaking).

@@ -20,6 +20,11 @@
 //! and a Karger–Stein one stay pinned by their bytes; those payloads equal
 //! the `auto` ones but for the `spec` line. A wrong label lookup, residual
 //! closure or contraction changes their cuts, and with them the bytes.
+//!
+//! The last two jobs run 3-ECSS at the scale of the `high_k` benchmark
+//! shape (`torus:256`), where the augmentation loop runs hundreds of
+//! iterations and reuses its coverage in most of them, and its weighted
+//! variant on the random family.
 
 use kecss_runtime::Executor;
 use kecss_server::job;
@@ -52,6 +57,11 @@ const PINNED: &[(&str, u64)] = &[
     ("harary:40 6 kecss ks 1", 0xa2a3_8271_fcca_54da),
     ("ring:5000 2 thurimella auto 1", 0x72a0_52fd_a80f_911e),
     ("ring:5000 1 mst auto 2", 0x0367_4a49_f839_c214),
+    ("torus:256 3 3ecss auto 7", 0x9848_e977_4588_b756),
+    (
+        "random:128:50 3 3ecss-weighted auto 5",
+        0x2fbc_db6e_0bda_15c7,
+    ),
 ];
 
 /// Pinned specs and the strategy whose enumeration each must complete,
