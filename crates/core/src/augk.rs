@@ -137,7 +137,7 @@ impl ProbabilitySchedule {
 /// * [`Error::InsufficientConnectivity`] if `graph` itself is not
 ///   k-edge-connected.
 pub fn augment<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -> Result<AugkSolution> {
-    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
+    let model = crate::inferred_model(graph);
     let auto = AutoEnumerator::default();
     augment_with_enumerator(graph, h, k, model, rng, &Executor::Sequential, &auto)
 }
@@ -157,7 +157,7 @@ pub fn augment_with_exec<R: Rng>(
     rng: &mut R,
     exec: &Executor,
 ) -> Result<AugkSolution> {
-    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
+    let model = crate::inferred_model(graph);
     augment_with_enumerator(graph, h, k, model, rng, exec, &AutoEnumerator::default())
 }
 

@@ -46,8 +46,7 @@ impl From<BfsTwoEcssSolution> for BaselineSolution {
 /// Panics if the graph is not 2-edge-connected (some tree edge cannot be
 /// covered).
 pub fn solve(graph: &Graph) -> BfsTwoEcssSolution {
-    let diameter = bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model(graph, CostModel::new(graph.n(), diameter))
+    solve_with_model(graph, crate::inferred_model(graph))
 }
 
 /// Same as [`solve`] with an explicit cost model.

@@ -15,7 +15,7 @@
 
 use super::BaselineSolution;
 use crate::error::{Error, Result};
-use congest::{CostModel, RoundLedger};
+use congest::RoundLedger;
 use graphs::{mst, EdgeSet, Graph};
 
 /// The result of the sparse-certificate baseline.
@@ -66,8 +66,7 @@ pub fn k_ecss(graph: &Graph, k: usize) -> Result<ThurimellaSolution> {
 /// The union of `k` maximal spanning forests; with `require_connected`, an
 /// error as soon as the first forest does not span.
 fn forests(graph: &Graph, k: usize, require_connected: bool) -> Result<ThurimellaSolution> {
-    let diameter = graphs::bfs::diameter_hint(graph).unwrap_or(graph.n());
-    let model = CostModel::new(graph.n(), diameter);
+    let model = crate::inferred_model(graph);
     // Observational only (DESIGN.md §11) — never feeds back into the bytes.
     let _solve_span = kecss_obs::span("solve");
     let mut ledger = RoundLedger::new(model);

@@ -91,7 +91,7 @@ pub fn solve_with_exec_enumerator<R: Rng>(
     let _solve_span = kecss_obs::span("solve");
     // A refused graph never pays for the diameter.
     ensure_k_connected(graph, k)?;
-    let model = CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()));
+    let model = crate::inferred_model(graph);
     solve_proven(graph, k, model, rng, exec, enumerator)
 }
 

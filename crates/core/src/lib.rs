@@ -61,3 +61,104 @@ pub mod two_ecss;
 pub mod verification;
 
 pub use error::{Error, Result};
+
+use congest::CostModel;
+use graphs::Graph;
+
+/// The cost model every entry point that is not handed one charges `graph`
+/// with: its vertex count and the accounting diameter
+/// [`graphs::bfs::diameter_hint`] (exact up to
+/// [`graphs::bfs::EXACT_DIAMETER_MAX_N`] vertices, the double sweep above).
+/// The solvers and [`verification::verify_exact`] all call it, so a solve and
+/// its verification charge one D, computed once per graph, at every n.
+pub(crate) fn inferred_model(graph: &Graph) -> CostModel {
+    CostModel::new(
+        graph.n(),
+        graphs::bfs::diameter_hint(graph).unwrap_or(graph.n()),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::baselines::{bfs_two_ecss, thurimella};
+    use kecss_runtime::Executor;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// A square `0 1 2 3` with a path of `p` vertices hanging off each of the
+    /// corners 1, 2 and 3, and leaves on vertex 0 up to `n` vertices; every
+    /// edge is tripled, so the graph is 3-edge-connected. The double sweep
+    /// from vertex 0 lands on the tip of the path at corner 2, whose
+    /// eccentricity is `2p + 1`, while the tips at corners 1 and 3 are
+    /// `2p + 2` apart.
+    fn square_with_tails(p: usize, n: usize) -> Graph {
+        let mut edges = vec![(0, 1), (1, 2), (2, 3), (3, 0)];
+        for (tail, corner) in [1, 2, 3].into_iter().enumerate() {
+            let first = 4 + tail * p;
+            edges.push((corner, first));
+            edges.extend((first..first + p - 1).map(|v| (v, v + 1)));
+        }
+        edges.extend((4 + 3 * p..n).map(|leaf| (0, leaf)));
+        Graph::from_edges(n, edges.into_iter().flat_map(|(u, v)| [(u, v, 1); 3]))
+    }
+
+    #[test]
+    fn every_inferring_entry_point_and_the_verifier_charge_one_diameter() {
+        let p = 4;
+        let g = square_with_tails(p, graphs::bfs::EXACT_DIAMETER_MAX_N + 4);
+        let tip = |corner: usize| 4 + (corner - 1) * p + p - 1;
+        assert_eq!(graphs::bfs::bfs(&g, tip(1)).dist[tip(3)], 2 * p + 2);
+        let model = inferred_model(&g);
+        assert_eq!(model, CostModel::new(g.n(), 2 * p + 1), "the double sweep");
+
+        // The k of each call is the cheapest one that runs its entry point
+        // to the end: the model is inferred before any k-specific work.
+        let rng = || ChaCha8Rng::seed_from_u64(3);
+        let two = two_ecss::solve(&g, &mut rng()).unwrap();
+        let h = &two.subgraph;
+        let tree = graphs::mst::kruskal(&g);
+        let exec = Executor::Sequential;
+        let charged = [
+            ("two_ecss::solve", two.ledger),
+            (
+                "tap::solve",
+                tap::solve(&g, &tree, &mut rng()).unwrap().ledger,
+            ),
+            (
+                "kecss::solve",
+                kecss::solve(&g, 1, &mut rng()).unwrap().ledger,
+            ),
+            (
+                "augk::augment",
+                augk::augment(&g, h, 2, &mut rng()).unwrap().ledger,
+            ),
+            (
+                "augk::augment_with_exec",
+                augk::augment_with_exec(&g, h, 2, &mut rng(), &exec)
+                    .unwrap()
+                    .ledger,
+            ),
+            (
+                "three_ecss::solve",
+                three_ecss::solve(&g, &mut rng()).unwrap().ledger,
+            ),
+            (
+                "three_ecss::solve_weighted",
+                three_ecss::solve_weighted(&g, &mut rng()).unwrap().ledger,
+            ),
+            (
+                "thurimella::k_ecss",
+                thurimella::k_ecss(&g, 3).unwrap().ledger,
+            ),
+            ("bfs_two_ecss::solve", bfs_two_ecss::solve(&g).ledger),
+            (
+                "verification::verify_exact",
+                verification::verify_exact(&g, h, 2, &mut rng()).ledger,
+            ),
+        ];
+        for (entry, ledger) in charged {
+            assert_eq!(ledger.model(), model, "{entry}");
+        }
+    }
+}

@@ -58,9 +58,7 @@ const ITERATION_SAFETY_CAP: u64 = 100_000;
 /// of `graph`, and [`Error::InsufficientConnectivity`] if `graph` is not
 /// 2-edge-connected (some tree edge could never be covered).
 pub fn solve<R: Rng>(graph: &Graph, tree_edges: &EdgeSet, rng: &mut R) -> Result<TapSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    let model = CostModel::new(graph.n(), diameter);
-    solve_with_model(graph, tree_edges, model, rng)
+    solve_with_model(graph, tree_edges, crate::inferred_model(graph), rng)
 }
 
 /// Solves weighted TAP with an explicit CONGEST cost model.

@@ -40,6 +40,7 @@ use crate::baselines::bfs_two_ecss;
 use crate::cover::Rounded;
 use crate::cycle_space::{labelling_rounds, Circulation};
 use crate::error::{Error, Result};
+use crate::inferred_model;
 use crate::tap;
 use crate::verification;
 use congest::{CostModel, RoundLedger};
@@ -202,11 +203,6 @@ fn ensure_three_connected(graph: &Graph) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// The cost model of `graph`, from its exact hop diameter.
-fn inferred_model(graph: &Graph) -> CostModel {
-    CostModel::new(graph.n(), graphs::bfs::diameter(graph).unwrap_or(graph.n()))
 }
 
 fn assemble(

@@ -41,8 +41,7 @@ pub fn solve<R: Rng>(graph: &Graph, rng: &mut R) -> Result<TwoEcssSolution> {
     let _solve_span = kecss_obs::span("solve");
     // A refused graph never pays for the diameter.
     ensure_two_connected(graph)?;
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_proven(graph, CostModel::new(graph.n(), diameter), rng)
+    solve_proven(graph, crate::inferred_model(graph), rng)
 }
 
 /// Solves weighted 2-ECSS with an explicit CONGEST cost model.

@@ -24,7 +24,8 @@
 //! (DESIGN.md §2).
 
 use crate::cycle_space::{labelling_rounds, Circulation};
-use congest::{CostModel, RoundLedger};
+use crate::inferred_model;
+use congest::RoundLedger;
 use graphs::{connectivity, EdgeSet, Graph, RootedTree};
 use rand::Rng;
 
@@ -129,7 +130,7 @@ pub fn verify_three_edge_connected<R: Rng>(graph: &Graph, h: &EdgeSet, rng: &mut
 ///
 /// `_rng` is not read: the verdict and the charges are deterministic.
 pub fn verify_exact<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, _rng: &mut R) -> Verdict {
-    let model = default_model(graph);
+    let model = inferred_model(graph);
     let mut ledger = RoundLedger::new(model);
     if matches!(k, 2 | 3) {
         let height = match graph.n() {
@@ -152,13 +153,6 @@ pub fn verify_exact<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, _rng: &mut R) 
     }
 }
 
-fn default_model(graph: &Graph) -> CostModel {
-    // diameter_hint: exact on test-sized graphs, double-sweep beyond 4096
-    // vertices (a server job may legitimately be 10⁵-vertex scale).
-    let diameter = graphs::bfs::diameter_hint(graph).unwrap_or(graph.n());
-    CostModel::new(graph.n(), diameter)
-}
-
 fn label<R: Rng>(
     graph: &Graph,
     h: &EdgeSet,
@@ -168,7 +162,7 @@ fn label<R: Rng>(
         connectivity::is_connected_in(graph, h),
         "verification requires a connected spanning subgraph"
     );
-    let model = default_model(graph);
+    let model = inferred_model(graph);
     let mut ledger = RoundLedger::new(model);
     let bfs = graphs::bfs::bfs_in(graph, h, 0);
     let tree = RootedTree::new(graph, &bfs.tree_edges(graph), 0);
@@ -273,7 +267,7 @@ mod tests {
             2 => verify_two_edge_connected(graph, h, rng),
             3 => verify_three_edge_connected(graph, h, rng),
             _ => {
-                let model = default_model(graph);
+                let model = inferred_model(graph);
                 let mut ledger = RoundLedger::new(model);
                 ledger.charge("verify/exact_fallback", model.broadcast(h.len() as u64));
                 return Verdict {

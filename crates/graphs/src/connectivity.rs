@@ -155,7 +155,60 @@ pub fn bridges(graph: &Graph) -> Vec<EdgeId> {
 /// Whether the subgraph `(V, edges)` is 2-edge-connected: connected, at least
 /// two vertices, and bridgeless.
 pub fn is_two_edge_connected_in(graph: &Graph, edges: &EdgeSet) -> bool {
+    graph.n() >= 2 && spans_without_bridges(graph, edges)
+}
+
+/// [`is_two_edge_connected_in`] as first written, a union-find pass and then
+/// [`bridges_in`] over every component: the oracle for the one DFS.
+#[cfg(test)]
+fn is_two_edge_connected_in_composed(graph: &Graph, edges: &EdgeSet) -> bool {
     graph.n() >= 2 && is_connected_in(graph, edges) && bridges_in(graph, edges).is_empty()
+}
+
+/// Whether one DFS of `(V, edges)` from vertex 0 reaches every vertex and
+/// meets no bridge: Tarjan's low-link test of [`bridges_in`], stopped at the
+/// first bridge, with the vertex count standing in for a connectivity pass.
+/// `graph` has at least one vertex.
+fn spans_without_bridges(graph: &Graph, edges: &EdgeSet) -> bool {
+    /// The parent edge of the root.
+    const ROOT: usize = usize::MAX;
+    let n = graph.n();
+    let (offsets, entries) = graph.csr_arrays();
+    let mut disc = vec![usize::MAX; n];
+    let mut low = vec![usize::MAX; n];
+    // Frames: vertex, the id of the edge it was reached by, and its next
+    // CSR entry.
+    let mut stack = vec![(0, ROOT, offsets[0])];
+    disc[0] = 0;
+    low[0] = 0;
+    let mut reached = 1;
+    while let Some(frame) = stack.last_mut() {
+        let (v, parent_edge, next) = *frame;
+        if next < offsets[v + 1] {
+            frame.2 += 1;
+            let (u, e) = entries[next];
+            if e.0 == parent_edge || !edges.contains(e) {
+                continue;
+            }
+            if disc[u] == usize::MAX {
+                disc[u] = reached;
+                low[u] = reached;
+                reached += 1;
+                stack.push((u, e.0, offsets[u]));
+            } else {
+                low[v] = low[v].min(disc[u]);
+            }
+        } else {
+            stack.pop();
+            if let Some(&(p, _, _)) = stack.last() {
+                if low[v] > disc[p] {
+                    return false;
+                }
+                low[p] = low[p].min(low[v]);
+            }
+        }
+    }
+    reached == n
 }
 
 /// Exact edge connectivity `λ` of the subgraph `(V, edges)`.
@@ -226,11 +279,14 @@ pub fn is_k_edge_connected_in(graph: &Graph, edges: &EdgeSet, k: usize) -> bool 
         // the paper's instances always have n >= 2.
         return true;
     }
-    if k <= 2 {
+    if k == 1 {
+        return is_connected_in(graph, edges);
+    }
+    if k == 2 {
         // Linear-time special case at k = 2: 2-edge-connected = connected +
-        // bridgeless (Tarjan), instead of n - 1 capped max-flows. This is
+        // bridgeless, one DFS, instead of n - 1 capped max-flows. This is
         // what makes `kecss verify --k 2` feasible on 10⁶-edge instances.
-        return is_connected_in(graph, edges) && (k == 1 || bridges_in(graph, edges).is_empty());
+        return spans_without_bridges(graph, edges);
     }
     // The flows count in `u32`. A k past it exceeds the edge count of any
     // graph that fits in memory, so no cut is that large.
@@ -406,6 +462,28 @@ mod tests {
                     is_k_edge_connected_in_star(&g, &edges, k),
                     "k = {}", k
                 );
+            }
+        }
+
+        /// The one DFS decides 2-edge-connectivity as the union-find pass
+        /// plus the bridge search did, on random multigraphs (sparse ones
+        /// have bridges and disconnected parts) and random edge subsets.
+        #[test]
+        fn one_dfs_matches_the_composed_two_edge_connectivity_check(
+            n in 1usize..16,
+            m in 0usize..48,
+            keep in 50u32..101,
+            seed in 0u64..1_000_000,
+        ) {
+            let (g, edges) = if n == 1 {
+                (Graph::new(1), EdgeSet::new(0))
+            } else {
+                crate::maxflow::tests::random_masked(n, m, keep, seed)
+            };
+            let composed = is_two_edge_connected_in_composed(&g, &edges);
+            proptest::prop_assert_eq!(is_two_edge_connected_in(&g, &edges), composed);
+            if n >= 2 {
+                proptest::prop_assert_eq!(is_k_edge_connected_in(&g, &edges, 2), composed);
             }
         }
 

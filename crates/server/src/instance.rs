@@ -16,12 +16,28 @@
 //! admission check [`InstanceSpec::admit`], which bounds `k` to `u32` and a
 //! family instance, through [`family_size`], to [`MAX_INSTANCE_N`] vertices
 //! and [`MAX_INSTANCE_M`] edges.
+//!
+//! A job gets its graph from the crate-private `InstanceSpec::load`, not
+//! from [`InstanceSpec::build`]: a `file:` instance is built once per
+//! server and kept in a small table keyed by the spec's path. Every later
+//! job re-reads the file through the cursor [`graphs::io::read_graph`]
+//! opens and shares the built graph, with its frozen CSR and any diameter
+//! already computed, only when the header's vertex count and every record,
+//! up to a clean end, equal the built graph's. The graph is a pure function
+//! of those records, so sharing it changes no byte of any payload; anything
+//! else evicts the entry and builds the instance as [`InstanceSpec::build`]
+//! does, with its errors. The table keeps at most `FILE_TABLE_ENTRIES`
+//! graphs of at most `FILE_TABLE_BUDGET` vertices plus edges in all,
+//! evicting the least recently used first.
 
-use graphs::io::RECORD_BYTES;
+use graphs::io::{GraphFormat, RECORD_BYTES};
+use graphs::stream::{BinaryCursor, RecordCursor, TextCursor};
 use graphs::{generators, Graph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
+use std::path::Path;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The instance families the generator supports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -527,11 +543,401 @@ impl InstanceSpec {
             }
         }
     }
+
+    /// The instance graph of a job: [`InstanceSpec::build`]'s graph, or its
+    /// error, except that a `file:` instance whose file still holds the
+    /// records it was built from is shared from the server's table of built
+    /// files.
+    pub(crate) fn load(&self, k: usize, seed: u64) -> Result<Arc<Graph>, String> {
+        match self {
+            InstanceSpec::File { path } => FILES.load(path, || self.build(k, seed)),
+            _ => self.build(k, seed).map(Arc::new),
+        }
+    }
+}
+
+/// The most vertices plus edges, over all its graphs, the table of built
+/// `file:` instances keeps: a quarter of [`MAX_INSTANCE_M`]. A graph holds
+/// about 56 bytes per edge and 8 per vertex, so this is about 235 MB of
+/// graphs at most. A larger graph is never kept; its jobs build it each
+/// time.
+const FILE_TABLE_BUDGET: usize = MAX_INSTANCE_M / 4;
+
+/// The most graphs the table of built `file:` instances keeps, whatever
+/// their size: each costs a few hundred bytes beyond its vertices and edges.
+const FILE_TABLE_ENTRIES: usize = 64;
+
+/// The server's table of built `file:` instances.
+static FILES: FileTable = FileTable::new(FILE_TABLE_BUDGET);
+
+/// Built `file:` instances keyed by path, least recently used first, within
+/// a budget of vertices plus edges and at most [`FILE_TABLE_ENTRIES`]
+/// entries. The lock is held for none of the file reads, builds, or drops of
+/// evicted graphs. Two jobs that miss on one path at once both build it;
+/// the last to finish stays.
+struct FileTable {
+    budget: usize,
+    entries: Mutex<Vec<(String, Arc<Graph>)>>,
+}
+
+impl FileTable {
+    const fn new(budget: usize) -> Self {
+        FileTable {
+            budget,
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The graph `build` makes of the file at `path`: the kept one when the
+    /// file still streams exactly its records, otherwise a new build, kept
+    /// if it fits. A kept graph the file no longer matches is evicted.
+    fn load(
+        &self,
+        path: &str,
+        build: impl FnOnce() -> Result<Graph, String>,
+    ) -> Result<Arc<Graph>, String> {
+        if let Some(kept) = self.get(path) {
+            if streams_graph(path, &kept) {
+                return Ok(kept);
+            }
+            self.evict(path, &kept);
+        }
+        let graph = Arc::new(build()?);
+        self.keep(path, &graph);
+        Ok(graph)
+    }
+
+    /// Every update leaves the list valid, so a poisoned lock is still a
+    /// usable table.
+    fn entries(&self) -> std::sync::MutexGuard<'_, Vec<(String, Arc<Graph>)>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The kept graph of `path`, now the most recently used.
+    fn get(&self, path: &str) -> Option<Arc<Graph>> {
+        let mut entries = self.entries();
+        let i = entries.iter().position(|(p, _)| p == path)?;
+        let entry = entries.remove(i);
+        let graph = Arc::clone(&entry.1);
+        entries.push(entry);
+        Some(graph)
+    }
+
+    /// Removes `stale` from the table, unless another job replaced it. The
+    /// caller still holds `stale`, so no graph is freed under the lock.
+    fn evict(&self, path: &str, stale: &Arc<Graph>) {
+        self.entries()
+            .retain(|(p, g)| p != path || !Arc::ptr_eq(g, stale));
+    }
+
+    /// Keeps `graph` as the most recently used, evicting the least recently
+    /// used until the table is within its bounds. A graph past the budget
+    /// on its own is not kept, and evicts nothing.
+    fn keep(&self, path: &str, graph: &Arc<Graph>) {
+        if charge(graph) > self.budget {
+            return;
+        }
+        let mut entries = self.entries();
+        let mut evicted: Vec<_> = entries.extract_if(.., |(p, _)| p == path).collect();
+        entries.push((path.to_string(), Arc::clone(graph)));
+        let mut total: usize = entries.iter().map(|(_, g)| charge(g)).sum();
+        while total > self.budget || entries.len() > FILE_TABLE_ENTRIES {
+            let oldest = entries.remove(0);
+            total -= charge(&oldest.1);
+            evicted.push(oldest);
+        }
+        // Unlock before the evicted graphs are freed.
+        drop(entries);
+        drop(evicted);
+    }
+}
+
+/// What a kept graph counts against [`FILE_TABLE_BUDGET`].
+fn charge(graph: &Graph) -> usize {
+    graph.n() + graph.m()
+}
+
+/// Whether the file at `path` passes [`InstanceSpec::build`]'s checks on its
+/// metadata and streams exactly `graph`: the header's vertex count, then
+/// every edge record in id order, up to a clean end. The file is read once,
+/// through the cursor [`graphs::io::read_graph`] opens for its extension.
+fn streams_graph(path: &str, graph: &Graph) -> bool {
+    let Ok(meta) = std::fs::metadata(path) else {
+        return false;
+    };
+    if !meta.is_file() || meta.len() > MAX_INSTANCE_FILE_BYTES {
+        return false;
+    }
+    let Ok(file) = std::fs::File::open(path) else {
+        return false;
+    };
+    match GraphFormat::from_path(Path::new(path)) {
+        GraphFormat::Binary => BinaryCursor::new(file).is_ok_and(|c| same_records(c, graph)),
+        GraphFormat::Text => TextCursor::new(file).is_ok_and(|c| same_records(c, graph)),
+    }
+}
+
+/// Whether `cursor` streams `graph`'s vertex count and edge list.
+fn same_records(mut cursor: impl RecordCursor, graph: &Graph) -> bool {
+    if cursor.header().n != graph.n() {
+        return false;
+    }
+    let mut edges = graph.edges();
+    loop {
+        match (cursor.next_record(), edges.next()) {
+            (Ok(None), None) => return true,
+            (Ok(Some(r)), Some((_, e))) if (r.u, r.v, r.weight) == (e.u, e.v, e.weight) => {}
+            _ => return false,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{self, Algorithm, JobSpec};
+    use graphs::EdgeId;
+    use kecss::cuts::EnumeratorPolicy;
+    use kecss_runtime::Executor;
+    use std::path::PathBuf;
+    use std::sync::Barrier;
+
+    /// An empty directory of its own for one test's instance files.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("kecss-file-table-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn file_spec(path: &Path, algorithm: Algorithm, k: usize) -> JobSpec {
+        JobSpec {
+            instance: InstanceSpec::File {
+                path: path.display().to_string(),
+            },
+            k,
+            algorithm,
+            enumerator: EnumeratorPolicy::Auto,
+            seed: 11,
+        }
+    }
+
+    /// The payload of `spec`'s job on the graph [`InstanceSpec::build`]
+    /// makes of its instance now.
+    fn cold_payload(spec: &JobSpec) -> Vec<u8> {
+        let graph = spec.instance.build(spec.k, spec.seed).unwrap();
+        job::run_on(spec, &graph, &Executor::Sequential).unwrap()
+    }
+
+    /// Loads the instance of `spec` through `table`.
+    fn load(table: &FileTable, spec: &JobSpec) -> Result<Arc<Graph>, String> {
+        let InstanceSpec::File { path } = &spec.instance else {
+            panic!("not a file spec");
+        };
+        table.load(path, || spec.instance.build(spec.k, spec.seed))
+    }
+
+    fn kept_paths(table: &FileTable) -> Vec<String> {
+        table.entries().iter().map(|(p, _)| p.clone()).collect()
+    }
+
+    /// Rewrites the file at `path` with `graph`, in place, and gives it back
+    /// its modification time. The caller keeps its length.
+    fn rewrite_keeping_mtime(path: &Path, graph: &Graph) {
+        let before = std::fs::metadata(path).unwrap();
+        graphs::io::write_graph(path, graph).unwrap();
+        let file = std::fs::File::options().write(true).open(path).unwrap();
+        file.set_modified(before.modified().unwrap()).unwrap();
+        let after = std::fs::metadata(path).unwrap();
+        assert_eq!(after.len(), before.len(), "{}", path.display());
+        assert_eq!(after.modified().unwrap(), before.modified().unwrap());
+    }
+
+    /// `graph` with the weight of edge 0 moved between 1 and 2: a file of
+    /// the same length in both formats, and a different payload.
+    fn reweighted(graph: &Graph) -> Graph {
+        let mut other = graph.clone();
+        let w = other.weight(EdgeId(0));
+        assert!(w <= 2, "a one-digit weight keeps the text file's length");
+        other.set_weight(EdgeId(0), 3 - w);
+        other
+    }
+
+    #[test]
+    fn warm_and_cold_jobs_on_a_file_answer_the_cold_build() {
+        let dir = scratch_dir("payloads");
+        let graph = build_family(Family::Random, 40, 3, 30, 5).unwrap();
+        for ext in ["graph", "graphb"] {
+            for (algorithm, k) in [
+                (Algorithm::TwoEcss, 2),
+                (Algorithm::Thurimella, 2),
+                (Algorithm::MstOnly, 2),
+                (Algorithm::KEcss, 3),
+            ] {
+                // A path of its own, so the first job builds the graph.
+                let path = dir.join(format!("{algorithm}.{ext}"));
+                graphs::io::write_graph(&path, &graph).unwrap();
+                let spec = file_spec(&path, algorithm, k);
+                let reference = cold_payload(&spec);
+                for run in ["cold", "warm", "warm again"] {
+                    let payload = job::run(&spec, &Executor::Sequential).unwrap();
+                    assert!(payload == reference, "{algorithm}.{ext}, {run} job");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_kept_graph_is_shared_only_while_its_file_streams_it() {
+        let dir = scratch_dir("exact");
+        let graph = build_family(Family::RingOfCliques, 40, 2, 1, 3).unwrap();
+        let table = FileTable::new(FILE_TABLE_BUDGET);
+        for ext in ["graph", "graphb"] {
+            let path = dir.join(format!("ring.{ext}"));
+            graphs::io::write_graph(&path, &graph).unwrap();
+            let spec = file_spec(&path, Algorithm::TwoEcss, 2);
+            let cold = load(&table, &spec).unwrap();
+            let warm = load(&table, &spec).unwrap();
+            assert!(Arc::ptr_eq(&cold, &warm), "{ext}: an unchanged file shares");
+
+            // Same length, same mtime, other records: a table keyed on
+            // path, size and mtime would serve the old graph here.
+            let other = reweighted(&graph);
+            rewrite_keeping_mtime(&path, &other);
+            let rebuilt = load(&table, &spec).unwrap();
+            assert!(!Arc::ptr_eq(&rebuilt, &cold), "{ext}");
+            assert_eq!(*rebuilt, other, "{ext}");
+            assert_eq!(*rebuilt, spec.instance.build(2, 11).unwrap(), "{ext}");
+            assert!(Arc::ptr_eq(&rebuilt, &load(&table, &spec).unwrap()));
+
+            // The same through `job::run`, on a path of its own: the next
+            // job answers the cold build of the new bytes.
+            let path = dir.join(format!("job.{ext}"));
+            graphs::io::write_graph(&path, &graph).unwrap();
+            let spec = file_spec(&path, Algorithm::TwoEcss, 2);
+            let before = job::run(&spec, &Executor::Sequential).unwrap();
+            assert!(before == cold_payload(&spec), "{ext}");
+            rewrite_keeping_mtime(&path, &other);
+            let after = job::run(&spec, &Executor::Sequential).unwrap();
+            assert!(after == cold_payload(&spec), "{ext}");
+            assert!(after != before, "{ext}: the rewrite changes the payload");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_broken_file_fails_as_the_cold_build_does_and_is_evicted() {
+        let dir = scratch_dir("broken");
+        let graph = build_family(Family::RingOfCliques, 40, 2, 1, 3).unwrap();
+        let table = FileTable::new(FILE_TABLE_BUDGET);
+        for ext in ["graph", "graphb"] {
+            for what in ["truncated", "deleted", "a directory"] {
+                let path = dir.join(format!("{}.{ext}", what.replace(' ', "-")));
+                graphs::io::write_graph(&path, &graph).unwrap();
+                let spec = file_spec(&path, Algorithm::TwoEcss, 2);
+                load(&table, &spec).unwrap();
+                let key = path.display().to_string();
+                assert!(kept_paths(&table).contains(&key), "{what} {ext}");
+                match what {
+                    "truncated" => {
+                        let bytes = std::fs::read(&path).unwrap();
+                        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+                    }
+                    "deleted" => std::fs::remove_file(&path).unwrap(),
+                    _ => {
+                        std::fs::remove_file(&path).unwrap();
+                        std::fs::create_dir(&path).unwrap();
+                    }
+                }
+                let err = load(&table, &spec).unwrap_err();
+                assert_eq!(err, spec.instance.build(2, 11).unwrap_err(), "{what} {ext}");
+                assert!(!kept_paths(&table).contains(&key), "{what} {ext}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_table_keeps_the_most_recently_used_graphs_within_its_budget() {
+        let dir = scratch_dir("retention");
+        let budget = 100;
+        let table = FileTable::new(budget);
+        // Cycles: a cycle on n vertices charges 2n.
+        let spec_of = |name: &str, n: usize| {
+            let path = dir.join(format!("{name}.graphb"));
+            graphs::io::write_graph(&path, &generators::cycle(n, 1)).unwrap();
+            file_spec(&path, Algorithm::TwoEcss, 2)
+        };
+        let a = spec_of("a", 20);
+        let b = spec_of("b", 20);
+        let c = spec_of("c", 15);
+        let oversize = spec_of("oversize", 51);
+        let kept = |table: &FileTable| -> Vec<String> {
+            let total: usize = table.entries().iter().map(|(_, g)| charge(g)).sum();
+            assert!(total <= table.budget, "{total} past the budget");
+            kept_paths(table)
+                .iter()
+                .map(|p| Path::new(p).file_stem().unwrap().to_string_lossy().into())
+                .collect()
+        };
+        let first_a = load(&table, &a).unwrap();
+        load(&table, &b).unwrap();
+        assert_eq!(kept(&table), ["a", "b"]);
+        // A hit makes `a` the most recently used, so `c` evicts `b`.
+        assert!(Arc::ptr_eq(&first_a, &load(&table, &a).unwrap()));
+        assert_eq!(kept(&table), ["b", "a"]);
+        load(&table, &c).unwrap();
+        assert_eq!(kept(&table), ["a", "c"]);
+        // A graph past the budget on its own is built, not kept, and
+        // evicts nothing.
+        assert_eq!(load(&table, &oversize).unwrap().n(), 51);
+        assert_eq!(kept(&table), ["a", "c"]);
+        assert!(Arc::ptr_eq(&first_a, &load(&table, &a).unwrap()));
+
+        // However small the graphs, at most `FILE_TABLE_ENTRIES` stay.
+        let table = FileTable::new(FILE_TABLE_BUDGET);
+        let specs: Vec<JobSpec> = (0..=FILE_TABLE_ENTRIES)
+            .map(|i| spec_of(&format!("tiny{i}"), 3))
+            .collect();
+        for spec in &specs {
+            load(&table, spec).unwrap();
+        }
+        let kept = kept(&table);
+        assert_eq!(kept.len(), FILE_TABLE_ENTRIES);
+        assert_eq!(kept[0], "tiny1", "the least recently used went first");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eight_threads_on_one_file_get_identical_payloads() {
+        let dir = scratch_dir("threads");
+        let path = dir.join("ring.graphb");
+        let graph = build_family(Family::RingOfCliques, 400, 2, 1, 9).unwrap();
+        graphs::io::write_graph(&path, &graph).unwrap();
+        let spec = file_spec(&path, Algorithm::Thurimella, 2);
+        let reference = cold_payload(&spec);
+        let start = Barrier::new(8);
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..3)
+                            .map(|_| job::run(&spec, &Executor::Sequential).unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for thread in threads {
+                for payload in thread.join().unwrap() {
+                    assert!(payload == reference);
+                }
+            }
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn family_names_round_trip() {

@@ -10,6 +10,13 @@
 //! where, or concurrently with what the job executes. That is the whole
 //! determinism argument for the service: the scheduler may reorder jobs
 //! freely, but it never touches the bytes (DESIGN.md §9).
+//!
+//! A `file:` instance is built by the first job that names its path and
+//! shared by later ones while the file still streams the same records
+//! ([`crate::instance`]). The graph, its CSR and its diameters are pure
+//! functions of those records, so a shared graph gives the bytes a fresh
+//! build would, and a later job skips the ingest and any diameter an
+//! earlier one computed.
 
 use crate::instance::InstanceSpec;
 use graphs::{mst, EdgeSet, Graph};
@@ -264,10 +271,16 @@ pub fn run(spec: &JobSpec, exec: &Executor) -> Result<Vec<u8>, String> {
     let _job_span = kecss_obs::span("job");
     let graph = {
         let _span = kecss_obs::span("ingest");
-        spec.instance.build(spec.k, spec.seed)?
+        spec.instance.load(spec.k, spec.seed)?
     };
+    run_on(spec, &graph, exec)
+}
+
+/// [`run`] past the ingest: solves, verifies and renders the job on
+/// `graph`, the instance its spec names.
+pub(crate) fn run_on(spec: &JobSpec, graph: &Graph, exec: &Executor) -> Result<Vec<u8>, String> {
     let (edges, rounds, label) = dispatch(
-        &graph,
+        graph,
         spec.algorithm,
         spec.k,
         spec.seed ^ SOLVER_SEED_SALT,
@@ -279,7 +292,7 @@ pub fn run(spec: &JobSpec, exec: &Executor) -> Result<Vec<u8>, String> {
     let mut verify_rng = ChaCha8Rng::seed_from_u64(spec.seed ^ VERIFY_SEED_SALT);
     let verdict = {
         let _span = kecss_obs::span("verify");
-        verification::verify_exact(&graph, &edges, target, &mut verify_rng)
+        verification::verify_exact(graph, &edges, target, &mut verify_rng)
     };
 
     // Export the per-job round accounting into the registry so the engine's

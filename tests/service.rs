@@ -375,6 +375,70 @@ fn file_instances_solve_over_the_wire_in_both_formats() {
     assert_eq!(summary.failed, 1);
 }
 
+/// A server keeps the graph of a `file:` instance between jobs, and shares it
+/// only while the file streams the same records: an in-place rewrite that
+/// keeps the file's length and modification time is read, and the second
+/// job answers the new bytes.
+#[test]
+fn a_same_size_rewrite_between_two_file_submits_answers_both_cold_payloads() {
+    let dir = std::env::temp_dir().join(format!("kecss-service-rewrite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let before = kecss_server::instance::build_family(
+        kecss_server::instance::Family::RingOfCliques,
+        24,
+        2,
+        1,
+        3,
+    )
+    .unwrap();
+    let mut after = before.clone();
+    after.set_weight(graphs::EdgeId(0), 2);
+    let submit = |path: &std::path::Path| format!("SUBMIT file:{} 2 2ecss auto 5", path.display());
+    // A payload without its spec line, which names the file.
+    let body = |payload: Vec<u8>| -> Vec<String> {
+        let text = String::from_utf8(payload).unwrap();
+        text.lines()
+            .filter(|l| !l.starts_with("spec "))
+            .map(str::to_string)
+            .collect()
+    };
+    // The cold payloads: each graph on a path no job has read before.
+    let cold = |graph: &graphs::Graph, name: &str| {
+        let path = dir.join(name);
+        graphs::io::write_graph(&path, graph).unwrap();
+        let Request::Submit(spec) = Request::parse(&submit(&path)).unwrap() else {
+            unreachable!()
+        };
+        body(kecss_server::job::run(&spec, &kecss_runtime::Executor::Sequential).unwrap())
+    };
+    let (cold_before, cold_after) = (cold(&before, "before.graphb"), cold(&after, "after.graphb"));
+    assert_ne!(cold_before, cold_after);
+
+    let path = dir.join("served.graphb");
+    graphs::io::write_graph(&path, &before).unwrap();
+    let handle = spawn(1, 4);
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    let id = submit_spec(&mut client, &submit(&path));
+    let first = client.wait_result(id, DEADLINE).unwrap();
+
+    let stamp = std::fs::metadata(&path).unwrap();
+    graphs::io::write_graph(&path, &after).unwrap();
+    let file = std::fs::File::options().write(true).open(&path).unwrap();
+    file.set_modified(stamp.modified().unwrap()).unwrap();
+    let restamped = std::fs::metadata(&path).unwrap();
+    assert_eq!(restamped.len(), stamp.len());
+    assert_eq!(restamped.modified().unwrap(), stamp.modified().unwrap());
+
+    let id = submit_spec(&mut client, &submit(&path));
+    let second = client.wait_result(id, DEADLINE).unwrap();
+    assert_eq!(body(first), cold_before);
+    assert_eq!(body(second), cold_after);
+
+    client.shutdown().unwrap();
+    assert_eq!(handle.join().completed, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Extracts one series value from a metrics text exposition. `series` must
 /// include the label set exactly as rendered (sorted label keys), plus a
 /// trailing space, e.g. `server_requests_total{verb="SUBMIT"} `.
